@@ -29,7 +29,7 @@ from .fractional import (
     lambda_pos_power_heat,
     project,
 )
-from .galerkin import BlowUpError, GalerkinTensor, SimConfig, run
+from .galerkin import BlowUpError, GalerkinTensor, SimConfig, evaluator_mode, run
 from .snapshots import (
     RunManifest,
     Snapshot,
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
         snap = Snapshot(cfg.m, cfg.alpha, cfg.epsilon, float(t), traj.snaps[i])
         write_snapshot(out / f"snapshot_{i:06d}.bin", snap)
     write_diagnostics_csv(out / "diagnostics.csv", traj.times, traj.diagnostics)
-    _make_manifest(cfg, "analytic", out).dump(out / "manifest.ini")
+    _make_manifest(cfg, evaluator_mode(cfg.m), out).dump(out / "manifest.ini")
     print(f"wrote {len(traj.times)} snapshots to {out}")
     return 0
 
@@ -144,8 +144,10 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "modes":
-        rep = mode_sweep(cfg, [int(v) for v in values])
+        ms = [int(v) for v in values]
+        rep = mode_sweep(cfg, ms)
     else:
+        ms = [cfg.m]
         rep = viscosity_sweep(cfg, [float(v) for v in values])
 
     columns = [rep.parameter] + list(rep.metrics) + list(rep.pair_diffs)
@@ -157,7 +159,8 @@ def cmd_sweep(args) -> int:
             row.append(float(d[i]) if i < len(d) else math.nan)
         rows.append(row)
     write_table_csv(out / f"sweep_{args.kind}.csv", columns, rows)
-    _make_manifest(cfg, "analytic", out).dump(out / "manifest.ini")
+    evaluators = ",".join(dict.fromkeys(evaluator_mode(m) for m in ms))
+    _make_manifest(cfg, evaluators, out).dump(out / "manifest.ini")
     for name, val in rep.fits.items():
         print(f"{name}: {val:.4f}")
     print(f"wrote sweep report to {out / f'sweep_{args.kind}.csv'}")

@@ -1,4 +1,5 @@
-"""Galerkin structure tensor, mode ODE with viscosity, and RK4 trajectories.
+"""Galerkin mode ODE with viscosity, its two nonlinearity evaluators, and RK4
+trajectories.
 
 The dynamics is the quadratic ODE
     d theta_l / dt + sum_jk gamma_jkl theta_j theta_k + eps lambda_l theta_l = 0
@@ -6,6 +7,25 @@ with gamma_jkl = lambda_j^{-alpha/2} int (perp-grad w_j . grad w_k) w_l dx.
 The tensor is antisymmetric in (k, l), which makes the inviscid L2 norm an
 exact invariant of the ODE; trajectories track the discrete energy and
 stream-function (Hamiltonian) balances alongside the state.
+
+Two evaluators of the quadratic term share one interface, `.m` and
+`.quadratic(theta)`:
+
+- GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
+  closed form or by quadrature.  Assembly runs in Python loops and each
+  contraction costs O(m^2).
+- GridProducts, which samples grad psi and grad theta on N x N interior nodes,
+  multiplies pointwise and projects back with dense sine/cosine matrices.
+  Along each axis the integrand of gamma_jkl is a product of three sines or
+  cosines of total wavenumber at most 3K, i.e. a sum of cos(n x) with
+  |n| <= 3K.  The rectangle rule on N interior nodes sums cos(n x) to its
+  exact integral unless n is a nonzero multiple of 2(N+1): there the nodes
+  see cos(n x) as the constant 1 (aliasing) and the rule returns pi, not 0.
+  So 2(N+1) > 3K, Orszag's 3/2 de-aliasing rule, makes the projection exact,
+  and N = floor(3K/2) is the smallest such grid.
+
+run() uses the tensor for m < GRID_MIN_M and grid products from there on;
+the tensor stays as the test oracle for the grid path.
 """
 
 from __future__ import annotations
@@ -25,10 +45,20 @@ from .basis import (
     build_rectangle_basis,
     gradient,
     perp_gradient,
+    _cosine_matrix,
     _sine_matrix,
 )
 
 PI = np.pi
+
+#: smallest mode count at which run() evaluates the nonlinearity by grid
+#: products.  Per call on a 2-core Xeon VM (OpenBLAS, one thread) the tensor
+#: took 13-17 us against the grid's 14-20 us at m = 36, and 19-23 us against
+#: 18-20 us at m = 40: below the switch the grid's fixed cost of a dozen
+#: small array operations dominates, above it the tensor's O(m^2) contraction.
+#: run_suite("quick") took 1.3 s with this switch and 1.5-1.7 s with grid
+#: products at every m.
+GRID_MIN_M = 40
 
 #: coefficient magnitude treated as integrator blow-up (the exact ODE cannot
 #: leave the initial L2 sphere, so crossings indicate integrator failure)
@@ -83,12 +113,41 @@ class GalerkinTensor:
 
     @classmethod
     def load(cls, path) -> "GalerkinTensor":
+        """Read a saved tensor; ValueError names the first malformed field."""
         with np.load(path, allow_pickle=False) as z:
-            return cls(
+            missing = {"m", "alpha", "mode", "j", "k", "l", "vals"} - set(z.files)
+            if missing:
+                raise ValueError(f"{path}: missing field(s) {sorted(missing)}")
+            t = cls(
                 m=int(z["m"]), alpha=float(z["alpha"]),
                 j=z["j"], k=z["k"], l=z["l"], vals=z["vals"],
                 mode=str(z["mode"]), meta={"source": str(path)},
             )
+        if t.m < 1:
+            raise ValueError(f"{path}: field 'm' = {t.m} must be >= 1")
+        if t.vals.ndim != 1 or not np.issubdtype(t.vals.dtype, np.number):
+            raise ValueError(
+                f"{path}: field 'vals' must be a 1-d numeric array, got "
+                f"shape {t.vals.shape} dtype {t.vals.dtype}"
+            )
+        if not np.all(np.isfinite(t.vals)):
+            raise ValueError(f"{path}: field 'vals' holds non-finite values")
+        for name in ("j", "k", "l"):
+            idx = getattr(t, name)
+            if idx.shape != t.vals.shape:
+                raise ValueError(
+                    f"{path}: field {name!r} has shape {idx.shape}, "
+                    f"'vals' has {t.vals.shape}"
+                )
+            if not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError(f"{path}: field {name!r} has non-integer dtype {idx.dtype}")
+            bad = idx[(idx < 0) | (idx >= t.m)]
+            if bad.size:
+                raise ValueError(
+                    f"{path}: field {name!r} holds index {int(bad[0])} "
+                    f"outside [0, m={t.m})"
+                )
+        return t
 
 
 def _sine_cos_integral(a: int, b: int, c: int) -> float:
@@ -207,8 +266,66 @@ def _sc_candidates(a: int, b: int):
     return out
 
 
-def rhs(theta: np.ndarray, tensor: GalerkinTensor, eps: float, eigvals: np.ndarray) -> np.ndarray:
-    """d theta / dt = -gamma contraction - eps lambda theta."""
+class GridProducts:
+    """P_m(u . grad theta) by grid products that are exact on the first m modes.
+
+    Built once per (basis, m, alpha); quadratic() then agrees with
+    assemble_tensor(basis, m, alpha).quadratic to roundoff.  Each call
+    allocates its own work arrays and only reads the stored ones, so one
+    instance may serve concurrent trajectories.
+    """
+
+    def __init__(self, basis: EigenBasis, m: int, alpha: float):
+        if not 1 <= m <= basis.size:
+            raise ValueError(f"mode count m={m} out of range [1, {basis.size}]")
+        j, k = basis.mode_arrays()
+        j, k = j[:m] - 1, k[:m] - 1
+        K = int(max(j.max(), k.max())) + 1
+        N = 3 * K // 2  # smallest N with 2(N+1) > 3K
+        self.m, self.K, self.N = m, K, N
+        self._flat = j * K + k  # mode position in the flattened (K, K) array
+        self._psi_scale = basis.eigenvalues[:m] ** (-alpha / 2.0)
+        S = _sine_matrix(N, K)
+        dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
+        # (d/dx, d/dy) f = (dC F S^T, S F dC^T) for the (K, K) coefficients F
+        self._left = np.concatenate([dC, S])
+        self._right = np.stack([S.T, dC.T])
+        self._proj = (2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
+        self._S = S
+        for a in (self._flat, self._psi_scale, self._left, self._right, self._proj):
+            a.setflags(write=False)
+
+    def quadratic(self, theta: np.ndarray) -> np.ndarray:
+        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE."""
+        K, N = self.K, self.N
+        F = np.zeros((2, K * K))
+        F[0, self._flat] = self._psi_scale * theta
+        F[1, self._flat] = theta
+        D = (self._left @ F.reshape(2, K, K)).reshape(2, 2, N, K) @ self._right
+        # u . grad theta with u = perp-grad psi = (-psi_y, psi_x)
+        adv = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
+        return (self._proj @ adv @ self._S).take(self._flat)
+
+
+def evaluator_mode(m: int) -> str:
+    """Name of the nonlinearity evaluator run() uses for m modes."""
+    return "grid" if m >= GRID_MIN_M else "analytic"
+
+
+def nonlinearity(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor | GridProducts:
+    """The evaluator run() uses: the analytic tensor below GRID_MIN_M, grid
+    products from there on."""
+    if evaluator_mode(m) == "grid":
+        return GridProducts(basis, m, alpha)
+    return assemble_tensor(basis, m, alpha)
+
+
+def rhs(
+    theta: np.ndarray, tensor: GalerkinTensor | GridProducts, eps: float,
+    eigvals: np.ndarray,
+) -> np.ndarray:
+    """d theta / dt = -N(theta) - eps lambda theta, with N(theta) from the
+    evaluator `tensor` (a GalerkinTensor or GridProducts)."""
     if theta.shape != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
     return -tensor.quadratic(theta) - eps * eigvals * theta
@@ -226,7 +343,7 @@ class GalerkinState:
 
 def step(
     state: GalerkinState,
-    tensor: GalerkinTensor,
+    tensor: GalerkinTensor | GridProducts,
     eps: float,
     dt: float,
     eigvals: np.ndarray,
@@ -342,18 +459,13 @@ def initial_data(config: SimConfig, basis: EigenBasis) -> np.ndarray:
     return theta0
 
 
-def run(
-    config: SimConfig,
-    basis: EigenBasis | None = None,
-    tensor: GalerkinTensor | None = None,
-) -> Trajectory:
+def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
     """Integrate the mode ODE and record snapshots plus balance diagnostics."""
     if basis is None:
         basis = build_rectangle_basis(config.basis_cutoff())
     if basis.size < config.m:
         raise ValueError(f"basis holds {basis.size} modes, need m={config.m}")
-    if tensor is None:
-        tensor = assemble_tensor(basis, config.m, config.alpha)
+    evaluator = nonlinearity(basis, config.m, config.alpha)
     m = config.m
     lam = basis.eigenvalues[:m]
     alpha = config.alpha
@@ -384,7 +496,7 @@ def run(
     # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
     # trajectory error instead of the quadrature error
     def diss_rates(th):
-        dth = rhs(th, tensor, eps, lam)
+        dth = rhs(th, evaluator, eps, lam)
         return (
             2.0 * float(np.sum(lam * th * dth)),
             2.0 * float(np.sum(lam ** (1.0 - alpha / 2.0) * th * dth)),
@@ -412,7 +524,7 @@ def run(
     record(state)
     g_prev, h_prev = grad_sq(theta), ham_diss(theta)
     for i in range(1, n_steps + 1):
-        state = step(state, tensor, eps, config.dt, lam)
+        state = step(state, evaluator, eps, config.dt, lam)
         g_new, h_new = grad_sq(state.coeffs), ham_diss(state.coeffs)
         diss_energy += 0.5 * config.dt * (g_prev + g_new)
         diss_ham += 0.5 * config.dt * (h_prev + h_new)

@@ -216,3 +216,29 @@ def test_cli_verify_corrupted_tensor_fails(tmp_path, capsys):
     assert main(["verify", "--level", "quick", "--tensor", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "entry (j,k,l)=" in out
+
+
+def test_cli_verify_out_of_range_tensor_index_names_field(tmp_path, capsys):
+    t = assemble_tensor(build_rectangle_basis(4), 16, 0.5)
+    t.l = t.l.copy()
+    t.l[5] = 16
+    bad = tmp_path / "bad.npz"
+    t.save(bad)
+    assert main(["verify", "--level", "quick", "--tensor", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'l'" in err and "index 16" in err
+
+
+@pytest.mark.parametrize("m, evaluator", [(16, "analytic"), (64, "grid")])
+def test_cli_manifest_names_the_evaluator_that_ran(tmp_path, m, evaluator):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("m = 16", f"m = {m}").replace("t_final = 0.1", "t_final = 0.01"))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert RunManifest.load(out / "manifest.ini").tensor_mode == evaluator
+
+
+def test_cli_sweep_manifest_names_every_evaluator(config_path, tmp_path):
+    assert main(["sweep", "modes", "--config", str(config_path), "--values", "16,64",
+                 "--out", str(tmp_path / "sw")]) == 0
+    assert RunManifest.load(tmp_path / "sw" / "manifest.ini").tensor_mode == "analytic,grid"

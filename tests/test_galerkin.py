@@ -1,20 +1,29 @@
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
 from gsqg.galerkin import (
+    GRID_MIN_M,
     BlowUpError,
     GalerkinState,
     GalerkinTensor,
+    GridProducts,
     SimConfig,
     assemble_tensor,
+    evaluator_mode,
     initial_data,
     nonlinear_term_grid,
     rhs,
     run,
     step,
 )
+from gsqg.verify import check_tensor_structure
 
 PI = np.pi
 
@@ -206,3 +215,100 @@ def test_tensor_save_load_roundtrip(tensor, tmp_path):
     assert back.m == tensor.m and back.alpha == tensor.alpha
     assert np.array_equal(back.vals, tensor.vals)
     assert np.array_equal(back.l, tensor.l)
+
+
+# mode counts on both sides of the tensor/grid switch, square and not
+SWITCH_SIDE_MS = (9, 16, 20, GRID_MIN_M - 1, GRID_MIN_M, 50, 64, 70, 100)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from(SWITCH_SIDE_MS),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+    extra_K=st.integers(0, 2),
+)
+def test_grid_products_match_tensor(m, alpha, seed, extra_K):
+    # a basis wider than the m modes need (as in mode sweeps) changes nothing
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)) + extra_K)
+    th = np.random.default_rng(seed).standard_normal(m)
+    q = assemble_tensor(basis, m, alpha).quadratic(th)
+    g = GridProducts(basis, m, alpha).quadratic(th)
+    assert np.abs(g - q).max() <= 1e-12 * max(1.0, np.abs(q).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from(SWITCH_SIDE_MS + (256,)),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_products_orthogonality(m, alpha, seed):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    th = np.random.default_rng(seed).standard_normal(m)
+    q = GridProducts(basis, m, alpha).quadratic(th)
+    psi = basis.eigenvalues[:m] ** (-alpha / 2.0) * th
+    scale = max(1.0, np.linalg.norm(th) * np.linalg.norm(q))
+    assert abs(np.dot(th, q)) <= 1e-12 * scale
+    assert abs(np.dot(psi, q)) <= 1e-12 * scale
+
+
+def test_grid_products_calls_are_independent_across_threads():
+    basis = build_rectangle_basis(8)
+    gp = GridProducts(basis, 64, 0.5)
+    states = np.random.default_rng(4).standard_normal((64, 64))
+    serial = [gp.quadratic(th) for th in states]
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        threaded = list(ex.map(gp.quadratic, states))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+
+def test_run_above_switch_conserves_l2_and_hamiltonian():
+    cfg = SimConfig(alpha=0.4, epsilon=0.0, m=70, dt=1e-3, T=0.3,
+                    initial="random", seed=5, stride=50)
+    assert evaluator_mode(cfg.m) == "grid"
+    tr = run(cfg)
+    for key in ("l2_theta", "hdot_psi"):
+        d = tr.diagnostics[key]
+        assert np.abs(d / d[0] - 1.0).max() < 1e-8 * cfg.T
+
+
+def test_run_above_switch_matches_tensor_rk4():
+    cfg = SimConfig(alpha=0.6, epsilon=0.01, m=64, dt=1e-3, T=0.1,
+                    initial="random_rough", seed=3, stride=100)
+    tr = run(cfg)
+    basis = build_rectangle_basis(cfg.basis_cutoff())
+    tensor = assemble_tensor(basis, cfg.m, cfg.alpha)
+    state = GalerkinState(0.0, tr.snaps[0])
+    for _ in range(100):
+        state = step(state, tensor, cfg.epsilon, cfg.dt, basis.eigenvalues[:cfg.m])
+    assert np.abs(state.coeffs - tr.snaps[-1]).max() < 1e-12
+
+
+def test_tensor_structure_check_matches_dense(tensor):
+    t = GalerkinTensor(tensor.m, tensor.alpha, tensor.j, tensor.k, tensor.l,
+                       tensor.vals.copy(), tensor.mode)
+    t.vals[[3, 40]] += (2e-3, -5e-4)
+    dense = t.to_dense()
+    anti = dense + dense.transpose(0, 2, 1)
+    worst = np.unravel_index(np.abs(anti).argmax(), anti.shape)
+    res = check_tensor_structure(tensor=t)
+    assert res.observed == np.abs(anti).max()
+    assert f"(j,k,l)={tuple(int(i) for i in worst)}" in res.detail
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("l", lambda t: np.where(np.arange(t.nnz) == 1, t.m, t.l), "field 'l' holds index 16"),
+    ("j", lambda t: t.j - 1, "field 'j' holds index -1"),
+    ("k", lambda t: t.k[:-1], "field 'k' has shape"),
+    ("vals", lambda t: np.where(np.arange(t.nnz) == 0, np.nan, t.vals), "field 'vals' holds non-finite"),
+    ("l", lambda t: t.l.astype(float), "field 'l' has non-integer dtype"),
+])
+def test_tensor_load_rejects_malformed_fields(tensor, tmp_path, field, value, message):
+    path = tmp_path / "t.npz"
+    arrays = dict(m=tensor.m, alpha=tensor.alpha, mode=tensor.mode,
+                  j=tensor.j, k=tensor.k, l=tensor.l, vals=tensor.vals)
+    arrays[field] = value(tensor)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        GalerkinTensor.load(path)
