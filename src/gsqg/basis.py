@@ -4,6 +4,9 @@ Eigenfunctions are w_{jk}(x, y) = (2/pi) sin(jx) sin(ky) with eigenvalues
 lambda = j^2 + k^2.  Coefficient <-> grid transforms use the uniform interior
 grid, which integrates products of sines exactly up to the stated band limit,
 so analysis/synthesis round trips are exact in floating point.
+
+Per-basis index arrays and grid samples of closed-form fields are built once
+and handed out read-only, so every transform reuses them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 PI = np.pi
+
+#: (function, N) grid samples kept by sample(); a scalar sample is 8 N^2 bytes
+#: (166 kB at N = 144), a gradient twice that
+SAMPLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -36,15 +43,20 @@ class EigenBasis:
     modes: tuple = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        j = np.array([m.j for m in self.modes], dtype=np.intp)
+        k = np.array([m.k for m in self.modes], dtype=np.intp)
+        j.setflags(write=False)
+        k.setflags(write=False)
+        object.__setattr__(self, "_jk", (j, k))
+
     @property
     def size(self) -> int:
         return len(self.modes)
 
     def mode_arrays(self):
-        """(j, k) wavenumbers as two integer arrays."""
-        j = np.array([m.j for m in self.modes])
-        k = np.array([m.k for m in self.modes])
-        return j, k
+        """(j, k) wavenumbers as two read-only integer arrays, built once."""
+        return self._jk
 
     def index_of(self, j: int, k: int) -> int:
         return self.modes.index(ModeIndex(j, k))
@@ -87,6 +99,19 @@ class QuadratureGrid:
     def meshgrid(self):
         x = self.nodes
         return np.meshgrid(x, x, indexing="ij")
+
+
+@lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def sample(fn, N: int) -> np.ndarray:
+    """fn(X, Y) on the N-node interior grid, evaluated once and read-only.
+
+    Functions compare by identity (bound methods by instance), so a sample is
+    reused only when the same function object is passed again.
+    """
+    X, Y = QuadratureGrid(N).meshgrid()
+    values = np.asarray(fn(X, Y))
+    values.setflags(write=False)
+    return values
 
 
 @dataclass

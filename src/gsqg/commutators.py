@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ from .basis import (
     build_rectangle_basis,
     embed,
     gradient,
+    sample,
     synthesize,
 )
 from .fractional import apply_lambda_power, sobolev_norm
@@ -43,11 +45,17 @@ class Multiplier:
     grad_y: Callable = field(repr=False)
 
     def on(self, grid: QuadratureGrid) -> np.ndarray:
-        X, Y = grid.meshgrid()
-        return np.asarray(self.fn(X, Y), dtype=float) + np.zeros_like(X)
+        """a on the grid nodes (read-only, shared between callers)."""
+        return sample(self._values, grid.N)
 
     def grad_on(self, grid: QuadratureGrid) -> np.ndarray:
-        X, Y = grid.meshgrid()
+        """(da/dx, da/dy) on the grid nodes (read-only, shared between callers)."""
+        return sample(self._grad_values, grid.N)
+
+    def _values(self, X, Y):
+        return np.asarray(self.fn(X, Y), dtype=float) + np.zeros_like(X)
+
+    def _grad_values(self, X, Y):
         z = np.zeros_like(X)
         return np.stack(
             [np.asarray(self.grad_x(X, Y), dtype=float) + z,
@@ -73,26 +81,34 @@ class Multiplier:
 
 
 def multiplier_catalog() -> dict[str, Multiplier]:
-    """Named multipliers used by the monitors and the acceptance suite."""
-    return {
-        "one": Multiplier("one", lambda x, y: 1.0, lambda x, y: 0.0, lambda x, y: 0.0),
-        "coord_x": Multiplier(
+    """Named multipliers used by the monitors and the acceptance suite.
+
+    A fresh dict of multipliers built once, so their grid samples are reused.
+    """
+    return {a.name: a for a in _multipliers()}
+
+
+@lru_cache(maxsize=1)
+def _multipliers() -> tuple[Multiplier, ...]:
+    return (
+        Multiplier("one", lambda x, y: 1.0, lambda x, y: 0.0, lambda x, y: 0.0),
+        Multiplier(
             "coord_x", lambda x, y: x, lambda x, y: 1.0, lambda x, y: 0.0
         ),
-        "cos_xy": Multiplier(
+        Multiplier(
             "cos_xy",
             lambda x, y: np.cos(x) * np.cos(y),
             lambda x, y: -np.sin(x) * np.cos(y),
             lambda x, y: -np.cos(x) * np.sin(y),
         ),
         # vanishes to 4th order at the boundary: admissible weight-side multiplier
-        "bump4": Multiplier(
+        Multiplier(
             "bump4",
             lambda x, y: np.sin(x) ** 4 * np.sin(y) ** 4,
             lambda x, y: 4 * np.sin(x) ** 3 * np.cos(x) * np.sin(y) ** 4,
             lambda x, y: 4 * np.sin(x) ** 4 * np.sin(y) ** 3 * np.cos(y),
         ),
-    }
+    )
 
 
 @dataclass

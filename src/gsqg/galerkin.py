@@ -470,13 +470,15 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
     lam = basis.eigenvalues[:m]
     alpha = config.alpha
     eps = config.epsilon
+    lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
+    lam_diss = lam ** (1.0 - alpha / 2.0)  # weight of ||psi||^2_{D(L^{1+a/2})}
 
     theta = initial_data(config, basis)
     n_steps = int(round(config.T / config.dt))
     state = GalerkinState(0.0, theta.copy())
 
     l2_sq_0 = float(np.sum(theta**2))
-    ham_0 = float(np.sum(lam ** (-alpha / 2.0) * theta**2))
+    ham_0 = float(np.sum(lam_ham * theta**2))
     diss_energy = 0.0  # int ||grad theta||^2 ds, trapezoid per step
     diss_ham = 0.0  # int ||psi||^2_{D(L^{1+a/2})} ds
 
@@ -490,7 +492,7 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
         return float(np.sum(lam * th**2))
 
     def ham_diss(th):
-        return float(np.sum(lam ** (1.0 - alpha / 2.0) * th**2))
+        return float(np.sum(lam_diss * th**2))
 
     # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
     # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
@@ -499,7 +501,7 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
         dth = rhs(th, evaluator, eps, lam)
         return (
             2.0 * float(np.sum(lam * th * dth)),
-            2.0 * float(np.sum(lam ** (1.0 - alpha / 2.0) * th * dth)),
+            2.0 * float(np.sum(lam_diss * th * dth)),
         )
 
     g_rate_0, h_rate_0 = diss_rates(theta)
@@ -508,7 +510,7 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
     def record(st):
         th = st.coeffs
         l2_sq = float(np.sum(th**2))
-        ham = float(np.sum(lam ** (-alpha / 2.0) * th**2))
+        ham = float(np.sum(lam_ham * th**2))
         g_rate, h_rate = diss_rates(th)
         de = diss_energy - em * (g_rate - g_rate_0)
         dh = diss_ham - em * (h_rate - h_rate_0)

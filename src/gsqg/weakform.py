@@ -10,6 +10,7 @@ All functionals are quadratic in psi and evaluated with padded projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,7 @@ from .basis import (
     analyze,
     embed,
     perp_gradient,
+    sample,
     synthesize,
 )
 from .commutators import (
@@ -51,23 +53,35 @@ class TestFunction:
     dxy: Callable = field(repr=False)
     dyy: Callable = field(repr=False)
 
+    def __post_init__(self):
+        mx = Multiplier(f"{self.name}.dx", self.dx, self.dxx, self.dxy)
+        my = Multiplier(f"{self.name}.dy", self.dy, self.dxy, self.dyy)
+        object.__setattr__(self, "_grad_mults", (mx, my))
+
     def on(self, grid: QuadratureGrid) -> np.ndarray:
-        X, Y = grid.meshgrid()
-        return self.phi(X, Y)
+        """phi on the grid nodes (read-only, shared between callers)."""
+        return sample(self.phi, grid.N)
 
     def grad_on(self, grid: QuadratureGrid) -> np.ndarray:
-        X, Y = grid.meshgrid()
-        return np.stack([self.dx(X, Y), self.dy(X, Y)])
+        """grad(phi) on the grid nodes (read-only, shared between callers)."""
+        return sample(self._grad, grid.N)
 
     def laplacian_on(self, grid: QuadratureGrid) -> np.ndarray:
-        X, Y = grid.meshgrid()
+        """Laplacian of phi on the grid nodes (read-only, shared between callers)."""
+        return sample(self._laplacian, grid.N)
+
+    def _grad(self, X, Y):
+        return np.stack([self.dx(X, Y), self.dy(X, Y)])
+
+    def _laplacian(self, X, Y):
         return self.dxx(X, Y) + self.dyy(X, Y)
 
     def grad_multipliers(self) -> tuple[Multiplier, Multiplier]:
-        """The two components of grad(phi) as multipliers with analytic gradients."""
-        mx = Multiplier(f"{self.name}.dx", self.dx, self.dxx, self.dxy)
-        my = Multiplier(f"{self.name}.dy", self.dy, self.dxy, self.dyy)
-        return mx, my
+        """The two components of grad(phi) as multipliers with analytic gradients.
+
+        Built once per test function, so their grid samples are reused.
+        """
+        return self._grad_mults
 
     def h4_norm(self, K: int = 48) -> float:
         """H^4-equivalent norm via the D(Lambda^4) norm of a fine projection."""
@@ -166,8 +180,13 @@ def _make_skew_bump() -> TestFunction:
 
 
 def test_function_catalog() -> dict[str, TestFunction]:
-    cat = [_make_quartic(), _make_sine_bump(), _make_skew_bump()]
-    return {tf.name: tf for tf in cat}
+    """A fresh dict of test functions built once, so their grid samples are reused."""
+    return {tf.name: tf for tf in _test_functions()}
+
+
+@lru_cache(maxsize=1)
+def _test_functions() -> tuple[TestFunction, ...]:
+    return (_make_quartic(), _make_sine_bump(), _make_skew_bump())
 
 
 @dataclass

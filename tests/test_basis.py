@@ -11,6 +11,7 @@ from gsqg.basis import (
     gradient,
     perp_gradient,
     restrict,
+    sample,
     synthesize,
 )
 
@@ -119,3 +120,39 @@ def test_grid_weight():
     x = grid.nodes
     assert x[0] == pytest.approx(PI / 8)
     assert x[-1] == pytest.approx(7 * PI / 8)
+
+
+@pytest.mark.parametrize("K", [1, 5, 12])
+def test_mode_arrays_match_modes(K):
+    basis = build_rectangle_basis(K)
+    j, k = basis.mode_arrays()
+    assert list(zip(j.tolist(), k.tolist())) == [(m.j, m.k) for m in basis.modes]
+    assert j.dtype == np.intp and k.dtype == np.intp
+
+
+def test_mode_arrays_built_once_and_read_only():
+    basis = build_rectangle_basis(6)
+    j, k = basis.mode_arrays()
+    j2, k2 = basis.mode_arrays()
+    assert j2 is j and k2 is k
+    for a in (j, k):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 7
+
+
+def test_sample_matches_meshgrid_and_is_cached():
+    def fn(x, y):
+        return np.sin(x) * np.cos(2.0 * y) + x
+
+    N = 17
+    X, Y = QuadratureGrid(N).meshgrid()
+    vals = sample(fn, N)
+    assert np.array_equal(vals, fn(X, Y))
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1.0
+    assert sample(fn, N) is vals
+    other = sample(fn, N + 1)
+    assert other.shape == (N + 1, N + 1)
+    assert sample(fn, N) is vals

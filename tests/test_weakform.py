@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
+from gsqg.commutators import multiplier_catalog
 from gsqg.fractional import apply_lambda_power
 from gsqg.weakform import classical_transport, n2, n2_alt, n_total
 from gsqg.weakform import test_function_catalog as catalog
@@ -100,3 +101,56 @@ def test_transport_antisymmetry_mechanism(basis):
     # scaling: transport is quadratic in theta
     theta2 = SpectralField(basis, 2.0 * theta.coeffs)
     assert classical_transport(theta2, 0.5, phi) == pytest.approx(4.0 * val)
+
+
+def test_catalogs_are_built_once():
+    for build in (catalog, multiplier_catalog):
+        first, second = build(), build()
+        assert first is not second
+        assert first.keys() == second.keys()
+        assert all(first[name] is second[name] for name in first)
+    phi = catalog()["skew_bump"]
+    assert all(a is b for a, b in zip(phi.grad_multipliers(), phi.grad_multipliers()))
+
+
+def test_analytic_samples_are_read_only_and_exact():
+    grid = QuadratureGrid(20)
+    X, Y = grid.meshgrid()
+    for phi in catalog().values():
+        expected = {
+            "on": phi.phi(X, Y),
+            "grad_on": np.stack([phi.dx(X, Y), phi.dy(X, Y)]),
+            "laplacian_on": phi.dxx(X, Y) + phi.dyy(X, Y),
+        }
+        for method, want in expected.items():
+            vals = getattr(phi, method)(grid)
+            assert np.array_equal(vals, want), (phi.name, method)
+            assert getattr(phi, method)(grid) is vals
+            with pytest.raises(ValueError):
+                vals[..., 0, 0] = 1.0
+    mults = list(multiplier_catalog().values()) + list(catalog()["quartic"].grad_multipliers())
+    for a in mults:
+        for vals, shape in ((a.on(grid), (20, 20)), (a.grad_on(grid), (2, 20, 20))):
+            assert vals.shape == shape, a.name
+            with pytest.raises(ValueError):
+                vals[..., 0, 0] = 1.0
+
+
+def _weak_values(K, seed=9, alpha=0.4):
+    b = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    theta = SpectralField(b, rng.standard_normal(b.size) / b.eigenvalues)
+    psi = apply_lambda_power(theta, -alpha)
+    phi = catalog()["skew_bump"]
+    v = n_total(psi, phi, alpha)
+    return (v.n1, v.n2, v.n_total, n2_alt(psi, phi, alpha),
+            classical_transport(theta, alpha, phi))
+
+
+def test_weak_forms_repeat_bit_identically_across_cutoffs():
+    first = _weak_values(4)
+    assert _weak_values(4) == first
+    other = _weak_values(6)
+    assert other != first
+    assert _weak_values(4) == first
+    assert _weak_values(6) == other
