@@ -46,6 +46,7 @@ from .galerkin import (
     Trajectory,
     assemble_tensor,
     run,
+    run_ensemble,
 )
 from .experiments import (
     SpaceTimeTest,
@@ -68,7 +69,7 @@ __all__ = [
     "TestFunction", "classical_transport", "n1", "n2", "n2_alt", "n_total",
     "test_function_catalog",
     "BlowUpError", "GalerkinTensor", "SimConfig", "Trajectory",
-    "assemble_tensor", "run",
+    "assemble_tensor", "run", "run_ensemble",
     "SpaceTimeTest", "SweepReport", "mode_sweep", "sine_window_test",
     "viscosity_sweep", "weak_continuity_terms", "weak_residual",
     "CheckResult", "format_report", "run_suite",

@@ -9,8 +9,6 @@ because the underlying compactness arguments provide none.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -28,14 +26,17 @@ from .basis import (
 )
 from .commutators import comm_lambda_grad, comm_neg_lambda_mult, padded_basis, padded_grid
 from .fractional import apply_lambda_power, sobolev_norm
-from .galerkin import SimConfig, Trajectory, build_rectangle_basis, initial_data, run
+from .galerkin import (
+    SimConfig,
+    Trajectory,
+    build_rectangle_basis,
+    initial_data,
+    run,
+    run_ensemble,
+)
 from .weakform import TestFunction, n1, n2_alt
 
 PI = np.pi
-
-
-def _max_workers() -> int:
-    return max(1, int(os.environ.get("GSQG_THREADS", "1")))
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,8 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
     K = int(math.ceil(math.sqrt(max(m_list))))
     basis = build_rectangle_basis(K)
 
-    configs = [replace(template, m=m) for m in m_list]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        trajs = list(ex.map(lambda c: run(c, basis=basis), configs))
+    # members differ in m, so each runs on its own
+    trajs = [run(replace(template, m=m), basis=basis) for m in m_list]
 
     finals = [tr.final_state() for tr in trajs]
     metrics = {
@@ -181,13 +181,12 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
 
 
 def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
-    """Vanishing-viscosity study at fixed m over a decreasing eps list."""
+    """Vanishing-viscosity study at fixed m over a decreasing eps list; all
+    members advance together as one batched state (galerkin.run_ensemble)."""
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps-list must be strictly decreasing")
     basis = build_rectangle_basis(template.basis_cutoff())
-    configs = [replace(template, epsilon=e) for e in eps_list]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        trajs = list(ex.map(lambda c: run(c, basis=basis), configs))
+    trajs = run_ensemble([replace(template, epsilon=e) for e in eps_list], basis)
 
     theta0_norm = float(np.linalg.norm(initial_data(template, basis)))
     max_l2 = np.array([tr.diagnostics["l2_theta"].max() for tr in trajs])

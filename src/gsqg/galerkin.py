@@ -9,7 +9,8 @@ exact invariant of the ODE; trajectories track the discrete energy and
 stream-function (Hamiltonian) balances alongside the state.
 
 Two evaluators of the quadratic term share one interface, `.m` and
-`.quadratic(theta)`:
+`.quadratic(theta)`, where theta is one state of shape (m,) or a batch of
+shape (B, m) and the result has the same shape:
 
 - GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
   closed form or by quadrature.  Assembly runs in Python loops and each
@@ -24,15 +25,19 @@ Two evaluators of the quadratic term share one interface, `.m` and
   So 2(N+1) > 3K, Orszag's 3/2 de-aliasing rule, makes the projection exact,
   and N = floor(3K/2) is the smallest such grid.
 
-run() uses the tensor for m < GRID_MIN_M and grid products from there on;
-the tensor stays as the test oracle for the grid path.
+run_ensemble() advances B trajectories that differ only in epsilon as one
+(B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
+m < GRID_MIN_M and grid products from there on; the tensor stays as the test
+oracle for the grid path.  Each member of a batch comes out bit-identical to
+its own run(): every batched operation is elementwise, a per-row reduction
+or a per-row matrix product.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,17 +69,44 @@ GRID_MIN_M = 40
 #: leave the initial L2 sphere, so crossings indicate integrator failure)
 BLOWUP_THRESHOLD = 1e12
 
+#: RK4's stability limit on the negative real axis (2.7853 to four digits):
+#: the viscous term alone grows without bound once eps lambda_max dt exceeds it
+RK4_REAL_LIMIT = 2.785
+
 
 class BlowUpError(RuntimeError):
-    """Raised when a trajectory exceeds the blow-up threshold."""
+    """Raised when a trajectory exceeds the blow-up threshold.
 
-    def __init__(self, t: float, max_coeff: float):
-        super().__init__(
-            f"integrator blow-up at t={t}: max |coefficient| = {max_coeff:.3e} "
-            f"exceeds {BLOWUP_THRESHOLD:.0e}"
-        )
+    Carries the time `t` and largest |coefficient| `max_coeff` at the failed
+    step, the step size `dt`, the `epsilon` of the trajectory (in a batch, of
+    the first member that crossed) and its stability number eps lambda_max dt.
+    run_ensemble adds the step index `step`.
+    """
+
+    def __init__(self, t: float, max_coeff: float, dt: float | None = None,
+                 epsilon: float | None = None, stability: float | None = None,
+                 step: int | None = None):
+        super().__init__(t, max_coeff)
         self.t = t
         self.max_coeff = max_coeff
+        self.dt = dt
+        self.epsilon = epsilon
+        self.stability = stability
+        self.step = step
+
+    def __str__(self) -> str:
+        at = f"t={self.t}" if self.step is None else f"t={self.t} (step {self.step})"
+        msg = (
+            f"integrator blow-up at {at}: max |coefficient| = {self.max_coeff:.3e} "
+            f"exceeds {BLOWUP_THRESHOLD:.0e}"
+        )
+        if self.epsilon is not None:
+            msg += (
+                f"; epsilon={self.epsilon}, dt={self.dt}, stability number "
+                f"epsilon*lambda_max*dt = {self.stability:.3g} "
+                f"(RK4 limit {RK4_REAL_LIMIT})"
+            )
+        return msg
 
 
 @dataclass
@@ -100,10 +132,15 @@ class GalerkinTensor:
         return dense
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
-        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE."""
-        return np.bincount(
-            self.l, weights=self.vals * theta[self.j] * theta[self.k], minlength=self.m
-        )
+        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
+        for theta of shape (m,) or (B, m)."""
+        weights = self.vals * theta.take(self.j, axis=-1) * theta.take(self.k, axis=-1)
+        if theta.ndim == 1:
+            return np.bincount(self.l, weights=weights, minlength=self.m)
+        # row b's terms go to bins b*m + l, each summed in the row-wise order
+        B = len(theta)
+        bins = (self.l + self.m * np.arange(B)[:, None]).ravel()
+        return np.bincount(bins, weights=weights.ravel(), minlength=B * self.m).reshape(B, self.m)
 
     def save(self, path):
         np.savez(
@@ -296,15 +333,19 @@ class GridProducts:
             a.setflags(write=False)
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
-        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE."""
+        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
+        for theta of shape (m,) or (B, m); the products broadcast over B."""
         K, N = self.K, self.N
-        F = np.zeros((2, K * K))
-        F[0, self._flat] = self._psi_scale * theta
-        F[1, self._flat] = theta
-        D = (self._left @ F.reshape(2, K, K)).reshape(2, 2, N, K) @ self._right
+        lead = theta.shape[:-1]
+        F = np.zeros(lead + (2, K * K))
+        F[..., 0, self._flat] = self._psi_scale * theta
+        F[..., 1, self._flat] = theta
+        D = (self._left @ F.reshape(lead + (2, K, K))).reshape(lead + (2, 2, N, K))
+        D = D @ self._right
         # u . grad theta with u = perp-grad psi = (-psi_y, psi_x)
-        adv = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-        return (self._proj @ adv @ self._S).take(self._flat)
+        adv = D[..., 0, 0, :, :] * D[..., 1, 1, :, :] - D[..., 0, 1, :, :] * D[..., 1, 0, :, :]
+        prod = self._proj @ adv @ self._S
+        return prod.reshape(lead + (K * K,)).take(self._flat, axis=-1)
 
 
 def evaluator_mode(m: int) -> str:
@@ -321,13 +362,18 @@ def nonlinearity(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor | Gr
 
 
 def rhs(
-    theta: np.ndarray, tensor: GalerkinTensor | GridProducts, eps: float,
-    eigvals: np.ndarray,
+    theta: np.ndarray, tensor: GalerkinTensor | GridProducts,
+    eps: float | np.ndarray, eigvals: np.ndarray,
 ) -> np.ndarray:
     """d theta / dt = -N(theta) - eps lambda theta, with N(theta) from the
-    evaluator `tensor` (a GalerkinTensor or GridProducts)."""
-    if theta.shape != (tensor.m,):
+    evaluator `tensor` (a GalerkinTensor or GridProducts).
+
+    theta is one state (m,) or a batch (B, m); eps is a scalar or one
+    viscosity per row, shape (B,)."""
+    if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
+    if getattr(eps, "ndim", 0):
+        eps = eps[:, None]
     return -tensor.quadratic(theta) - eps * eigvals * theta
 
 
@@ -344,11 +390,12 @@ class GalerkinState:
 def step(
     state: GalerkinState,
     tensor: GalerkinTensor | GridProducts,
-    eps: float,
+    eps: float | np.ndarray,
     dt: float,
     eigvals: np.ndarray,
 ) -> GalerkinState:
-    """One classical RK4 step of the mode ODE."""
+    """One classical RK4 step of the mode ODE, for one state or a batch (see
+    rhs for the shapes of the state and eps)."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     th = state.coeffs
@@ -359,8 +406,16 @@ def step(
     new = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     mx = np.abs(new).max() if new.size else 0.0
     if not np.isfinite(mx) or mx > BLOWUP_THRESHOLD:
-        raise BlowUpError(state.t + dt, float(mx))
+        raise _blowup(state.t + dt, float(mx), new, eps, dt, eigvals)
     return GalerkinState(state.t + dt, new)
+
+
+def _blowup(t, mx, new, eps, dt, eigvals) -> BlowUpError:
+    """The BlowUpError of a step, naming the first row that crossed."""
+    row_max = np.abs(new.reshape(-1, new.shape[-1])).max(axis=-1)
+    b = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))  # nan counts as crossed
+    e = float(np.ravel(eps)[b]) if np.ndim(eps) else float(eps)
+    return BlowUpError(t, mx, dt, e, e * float(eigvals.max()) * dt)
 
 
 @dataclass
@@ -461,26 +516,74 @@ def initial_data(config: SimConfig, basis: EigenBasis) -> np.ndarray:
 
 def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
     """Integrate the mode ODE and record snapshots plus balance diagnostics."""
+    return run_ensemble([config], basis)[0]
+
+
+def _check_ensemble(configs: list[SimConfig], lam_max: float) -> None:
+    """Refuse configs that differ in more than epsilon or that RK4 cannot
+    integrate stably, before any work is done."""
+    first = configs[0]
+    for cfg in configs[1:]:
+        for f in fields(SimConfig):
+            a, b = getattr(first, f.name), getattr(cfg, f.name)
+            if f.name != "epsilon" and a != b:
+                raise ValueError(
+                    f"ensemble configs differ in {f.name!r} ({a!r} vs {b!r}); "
+                    f"only 'epsilon' may vary"
+                )
+    for cfg in configs:
+        number = cfg.epsilon * lam_max * cfg.dt
+        if number > RK4_REAL_LIMIT:
+            raise ValueError(
+                f"epsilon={cfg.epsilon}, dt={cfg.dt}: stability number "
+                f"epsilon*lambda_max*dt = {number:.4g} exceeds RK4's limit "
+                f"{RK4_REAL_LIMIT} (lambda_max = {lam_max:g} at m={cfg.m}); "
+                f"lower dt or epsilon"
+            )
+
+
+def run_ensemble(
+    configs: list[SimConfig], basis: EigenBasis | None = None
+) -> list[Trajectory]:
+    """Integrate configs that differ only in epsilon as one (B, m) RK4 state.
+
+    Returns one Trajectory per config, in order, each bit-identical to what
+    run() of that config alone gives.  ValueError names the field when the
+    configs differ in more than epsilon, and the member when a config's
+    stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_ensemble needs at least one config")
+    config = configs[0]
     if basis is None:
         basis = build_rectangle_basis(config.basis_cutoff())
     if basis.size < config.m:
         raise ValueError(f"basis holds {basis.size} modes, need m={config.m}")
-    evaluator = nonlinearity(basis, config.m, config.alpha)
     m = config.m
     lam = basis.eigenvalues[:m]
+    _check_ensemble(configs, float(lam[-1]))
+    evaluator = nonlinearity(basis, m, config.alpha)
     alpha = config.alpha
-    eps = config.epsilon
+    dt = config.dt
+    # the state is (B, m), or (m,) for one member: with a (1, m) state the
+    # per-call cost of batched indexing and stacked products made one run
+    # 1.9x as long at m = 16 and 1.3-1.8x at m = 64
+    B = len(configs)
+    lead = (B,) if B > 1 else ()
+    eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
     lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
     lam_diss = lam ** (1.0 - alpha / 2.0)  # weight of ||psi||^2_{D(L^{1+a/2})}
 
-    theta = initial_data(config, basis)
-    n_steps = int(round(config.T / config.dt))
+    theta = np.broadcast_to(initial_data(config, basis), lead + (m,))
+    n_steps = int(round(config.T / dt))
     state = GalerkinState(0.0, theta.copy())
 
-    l2_sq_0 = float(np.sum(theta**2))
-    ham_0 = float(np.sum(lam_ham * theta**2))
-    diss_energy = 0.0  # int ||grad theta||^2 ds, trapezoid per step
-    diss_ham = 0.0  # int ||psi||^2_{D(L^{1+a/2})} ds
+    # every quantity below has shape lead, one entry per member
+    l2_sq_0 = np.sum(theta**2, axis=-1)
+    ham_0 = np.sum(lam_ham * theta**2, axis=-1)
+    diss_energy = np.zeros(lead)[()]  # int ||grad theta||^2 ds, trapezoid per step
+    diss_ham = np.zeros(lead)[()]  # int ||psi||^2_{D(L^{1+a/2})} ds
 
     times, snaps = [], []
     diag = {key: [] for key in (
@@ -488,11 +591,10 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
         "energy_residual", "hamiltonian_residual",
     )}
 
-    def grad_sq(th):
-        return float(np.sum(lam * th**2))
-
-    def ham_diss(th):
-        return float(np.sum(lam_diss * th**2))
+    def dissipation(th):
+        """||grad theta||^2 and ||psi||^2_{D(L^{1+a/2})}."""
+        sq = th**2
+        return (lam * sq).sum(axis=-1), (lam_diss * sq).sum(axis=-1)
 
     # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
     # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
@@ -500,47 +602,58 @@ def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
     def diss_rates(th):
         dth = rhs(th, evaluator, eps, lam)
         return (
-            2.0 * float(np.sum(lam * th * dth)),
-            2.0 * float(np.sum(lam_diss * th * dth)),
+            2.0 * np.sum(lam * th * dth, axis=-1),
+            2.0 * np.sum(lam_diss * th * dth, axis=-1),
         )
 
     g_rate_0, h_rate_0 = diss_rates(theta)
-    em = config.dt**2 / 12.0
+    em = dt**2 / 12.0
 
     def record(st):
         th = st.coeffs
-        l2_sq = float(np.sum(th**2))
-        ham = float(np.sum(lam_ham * th**2))
+        l2_sq = np.sum(th**2, axis=-1)
+        ham = np.sum(lam_ham * th**2, axis=-1)
         g_rate, h_rate = diss_rates(th)
+        g, h = dissipation(th)
         de = diss_energy - em * (g_rate - g_rate_0)
         dh = diss_ham - em * (h_rate - h_rate_0)
         times.append(st.t)
         snaps.append(th.copy())
-        diag["l2_theta"].append(math.sqrt(l2_sq))
-        diag["h1_theta"].append(math.sqrt(grad_sq(th)))
-        diag["hdot_psi"].append(math.sqrt(ham))
-        diag["hone_psi"].append(math.sqrt(ham_diss(th)))
+        diag["l2_theta"].append(np.sqrt(l2_sq))
+        diag["h1_theta"].append(np.sqrt(g))
+        diag["hdot_psi"].append(np.sqrt(ham))
+        diag["hone_psi"].append(np.sqrt(h))
         diag["energy_residual"].append(0.5 * l2_sq + eps * de - 0.5 * l2_sq_0)
         diag["hamiltonian_residual"].append(0.5 * ham + eps * dh - 0.5 * ham_0)
 
     record(state)
-    g_prev, h_prev = grad_sq(theta), ham_diss(theta)
+    g_prev, h_prev = dissipation(theta)
     for i in range(1, n_steps + 1):
-        state = step(state, evaluator, eps, config.dt, lam)
-        g_new, h_new = grad_sq(state.coeffs), ham_diss(state.coeffs)
-        diss_energy += 0.5 * config.dt * (g_prev + g_new)
-        diss_ham += 0.5 * config.dt * (h_prev + h_new)
+        try:
+            state = step(state, evaluator, eps, dt, lam)
+        except BlowUpError as exc:
+            exc.step = i
+            raise
+        g_new, h_new = dissipation(state.coeffs)
+        diss_energy += 0.5 * dt * (g_prev + g_new)
+        diss_ham += 0.5 * dt * (h_prev + h_new)
         g_prev, h_prev = g_new, h_new
         if i % config.stride == 0 or i == n_steps:
             record(state)
 
-    return Trajectory(
-        config=config,
-        basis=basis,
-        times=np.array(times),
-        snaps=np.array(snaps),
-        diagnostics={key: np.array(v) for key, v in diag.items()},
-    )
+    times = np.array(times)
+    snaps = np.array(snaps).reshape(len(times), B, m)
+    diag = {key: np.array(v).reshape(len(times), B) for key, v in diag.items()}
+    return [
+        Trajectory(
+            config=cfg,
+            basis=basis,
+            times=times.copy(),
+            snaps=np.ascontiguousarray(snaps[:, b]),
+            diagnostics={key: np.ascontiguousarray(v[:, b]) for key, v in diag.items()},
+        )
+        for b, cfg in enumerate(configs)
+    ]
 
 
 def nonlinear_term_grid(

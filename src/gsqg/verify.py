@@ -34,7 +34,7 @@ from .fractional import (
     lambda_neg_power_heat,
     lambda_pos_power_heat,
 )
-from .galerkin import GalerkinTensor, SimConfig, assemble_tensor, run
+from .galerkin import GalerkinTensor, SimConfig, assemble_tensor, run, run_ensemble
 from .weakform import classical_transport, n2, n2_alt, n_total, test_function_catalog
 
 
@@ -310,10 +310,9 @@ def check_weak_continuity():
     phi = test_function_catalog()["sine_bump"]
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05,
                     initial="random", seed=8, stride=5)
+    trajs = run_ensemble([replace(cfg, epsilon=e) for e in (1e-1, 1e-2, 1e-3)], basis)
     worst = 0.0
-    for e_hi, e_lo in ((1e-1, 1e-2), (1e-2, 1e-3)):
-        tr_e = run(replace(cfg, epsilon=e_hi), basis=basis)
-        tr_r = run(replace(cfg, epsilon=e_lo), basis=basis)
+    for tr_e, tr_r in zip(trajs, trajs[1:]):
         out = weak_continuity_terms(tr_e, tr_r, phi, delta=0.15)
         scale = max(1.0, sum(abs(out[f"I{j}"]) for j in range(1, 7)))
         worst = max(worst, abs(out["sum"] - out["two_delta_n"]) / scale)

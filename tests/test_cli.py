@@ -97,6 +97,15 @@ def test_cli_dt_zero_names_key(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def test_cli_unstable_config_exits_2_before_integrating(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("m = 16", "m = 256").replace("epsilon = 0.01", "epsilon = 10"))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon=10.0, dt=0.001" in err and "stability number" in err
+    assert not list((tmp_path / "o").glob("snapshot_*.bin"))
+
+
 def test_cli_simulate_outputs(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0

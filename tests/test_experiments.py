@@ -11,7 +11,8 @@ from gsqg.experiments import (
     weak_continuity_terms,
     weak_residual,
 )
-from gsqg.galerkin import SimConfig, run
+from gsqg import verify
+from gsqg.galerkin import SimConfig, run, run_ensemble
 from gsqg.weakform import test_function_catalog as catalog
 
 
@@ -110,6 +111,25 @@ def test_viscosity_sweep_uniform_bound():
     assert np.all(np.isfinite(rep.metrics["dt_surrogate_hm4"]))
 
 
+def test_viscosity_sweep_ignores_gsqg_threads(monkeypatch):
+    tpl = SimConfig(alpha=0.5, m=16, dt=1e-3, T=0.1, initial="random", seed=10, stride=10)
+    eps = [1e-1, 1e-2, 1e-3]
+    monkeypatch.delenv("GSQG_THREADS", raising=False)
+    base = viscosity_sweep(tpl, eps)
+    monkeypatch.setenv("GSQG_THREADS", "4")
+    other = viscosity_sweep(tpl, eps)
+    for name in ("metrics", "pair_diffs"):
+        a, b = getattr(base, name), getattr(other, name)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def test_viscosity_sweep_refuses_an_unstable_member():
+    tpl = SimConfig(alpha=0.5, m=64, dt=1e-2, T=0.1, initial="random")
+    with pytest.raises(ValueError, match="epsilon=3.0, dt=0.01"):
+        viscosity_sweep(tpl, [3.0, 1.0, 0.1])
+
+
 def test_viscosity_sweep_requires_decreasing_list():
     with pytest.raises(ValueError, match="decreasing"):
         viscosity_sweep(SimConfig(m=16), [1e-3, 1e-2])
@@ -163,3 +183,32 @@ def test_weak_continuity_rejects_bad_delta():
     tr = run(cfg, basis=basis)
     with pytest.raises(ValueError, match="delta"):
         weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.5)
+
+
+def test_check_weak_continuity_runs_one_ensemble(monkeypatch):
+    calls = []
+
+    def counting(configs, basis=None):
+        calls.append([c.epsilon for c in configs])
+        return run_ensemble(configs, basis)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("check_weak_continuity called run")
+
+    monkeypatch.setattr(verify, "run_ensemble", counting)
+    monkeypatch.setattr(verify, "run", no_run)
+    res = verify.check_weak_continuity()
+    assert calls == [[1e-1, 1e-2, 1e-3]]
+
+    # the observed value of one run per (pair, member), as computed before
+    basis = build_rectangle_basis(5)
+    phi = catalog()["sine_bump"]
+    cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05, initial="random", seed=8, stride=5)
+    worst = 0.0
+    for e_hi, e_lo in ((1e-1, 1e-2), (1e-2, 1e-3)):
+        tr_e = run(replace(cfg, epsilon=e_hi), basis=basis)
+        tr_r = run(replace(cfg, epsilon=e_lo), basis=basis)
+        out = weak_continuity_terms(tr_e, tr_r, phi, delta=0.15)
+        scale = max(1.0, sum(abs(out[f"I{j}"]) for j in range(1, 7)))
+        worst = max(worst, abs(out["sum"] - out["two_delta_n"]) / scale)
+    assert res.passed and res.observed == worst

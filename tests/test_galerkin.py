@@ -1,5 +1,7 @@
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from gsqg import galerkin
 from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
 from gsqg.galerkin import (
     GRID_MIN_M,
+    RK4_REAL_LIMIT,
     BlowUpError,
     GalerkinState,
     GalerkinTensor,
@@ -21,8 +25,10 @@ from gsqg.galerkin import (
     nonlinear_term_grid,
     rhs,
     run,
+    run_ensemble,
     step,
 )
+from gsqg.snapshots import Snapshot, write_snapshot
 from gsqg.verify import check_tensor_structure
 
 PI = np.pi
@@ -312,3 +318,110 @@ def test_tensor_load_rejects_malformed_fields(tensor, tmp_path, field, value, me
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=message):
         GalerkinTensor.load(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from(SWITCH_SIDE_MS),
+    B=st.integers(1, 4),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_quadratic_equals_row_wise_calls(m, B, alpha, seed):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    states = np.random.default_rng(seed).standard_normal((B, m))
+    for evaluator in (assemble_tensor(basis, m, alpha), GridProducts(basis, m, alpha)):
+        batched = evaluator.quadratic(states)
+        assert batched.shape == (B, m)
+        for b in range(B):
+            assert np.array_equal(batched[b], evaluator.quadratic(states[b]))
+
+
+@pytest.mark.parametrize("m", (16, 64))
+def test_rhs_batched_state_and_viscosities_equal_row_wise(m):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    lam = basis.eigenvalues[:m]
+    evaluator = galerkin.nonlinearity(basis, m, 0.4)
+    states = np.random.default_rng(m).standard_normal((3, m))
+    eps = np.array([0.1, 0.0, 3e-3])
+    batched = rhs(states, evaluator, eps, lam)
+    for b in range(3):
+        assert np.array_equal(batched[b], rhs(states[b], evaluator, eps[b], lam))
+
+
+@pytest.mark.parametrize("m, initial", [(20, "random"), (64, "random_rough")])
+def test_run_ensemble_members_equal_solo_runs(m, initial):
+    cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=7, initial=initial, seed=4)
+    eps = (0.3, 0.01, 0.0)
+    members = run_ensemble([replace(cfg, epsilon=e) for e in eps])
+    assert [tr.config.epsilon for tr in members] == list(eps)
+    for e, tr in zip(eps, members):
+        solo = run(replace(cfg, epsilon=e))
+        assert np.array_equal(tr.times, solo.times)
+        assert np.array_equal(tr.snaps, solo.snaps)
+        assert tr.diagnostics.keys() == solo.diagnostics.keys()
+        for key, val in solo.diagnostics.items():
+            assert np.array_equal(tr.diagnostics[key], val), key
+
+
+@pytest.mark.parametrize("field, value", [("dt", 5e-4), ("m", 20), ("seed", 3)])
+def test_run_ensemble_refuses_configs_differing_beyond_epsilon(field, value):
+    cfg = SimConfig(m=16, T=0.01, initial="random")
+    other = replace(cfg, epsilon=1e-3, **{field: value})
+    with pytest.raises(ValueError, match=f"differ in '{field}'"):
+        run_ensemble([cfg, other])
+
+
+def test_run_ensemble_refuses_empty_list():
+    with pytest.raises(ValueError, match="at least one"):
+        run_ensemble([])
+
+
+def test_stability_guard_fires_before_the_evaluator_is_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the evaluator was built")
+
+    monkeypatch.setattr(galerkin, "nonlinearity", fail)
+    cfg = SimConfig(m=256, epsilon=10.0, dt=1e-3, T=1.0, initial="random")
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        run(cfg)
+    assert time.perf_counter() - start < 0.1
+    # lambda_256 = 512 on K = 16: 10 * 512 * 1e-3
+    for part in ("epsilon=10.0", "dt=0.001", "stability number", "5.12"):
+        assert part in str(info.value)
+
+
+def test_stability_guard_names_the_unstable_member():
+    cfg = SimConfig(m=64, dt=1e-2, T=0.1, initial="random")
+    # lambda_64 = 128 on K = 8: the limit sits at epsilon = 2.18
+    members = [replace(cfg, epsilon=e) for e in (1.0, 2.5, 0.1)]
+    with pytest.raises(ValueError, match="epsilon=2.5, dt=0.01") as info:
+        run_ensemble(members)
+    assert "epsilon=1.0" not in str(info.value)
+    assert str(RK4_REAL_LIMIT) in str(info.value)
+
+
+def test_step_blowup_names_the_member_that_crossed(tensor, basis):
+    lam = basis.eigenvalues[:16]
+    th = np.zeros((2, 16))
+    th[1] = 1e11
+    with pytest.raises(BlowUpError) as info:
+        step(GalerkinState(0.0, th), tensor, np.array([0.0, 0.5]), 1.0, lam)
+    exc = info.value
+    assert exc.epsilon == 0.5 and exc.dt == 1.0
+    assert exc.stability == 0.5 * lam.max() * 1.0
+    assert exc.t == 1.0 and exc.max_coeff > 1e12
+
+
+def test_run_blowup_carries_step_index_and_context(tmp_path):
+    path = tmp_path / "big.bin"
+    big = np.random.default_rng(0).standard_normal(16) * 1e3
+    write_snapshot(path, Snapshot(16, 0.5, 0.0, 0.0, big))
+    cfg = SimConfig(alpha=0.5, epsilon=0.0, m=16, dt=1e-2, T=1.0, initial=f"file:{path}")
+    with pytest.raises(BlowUpError) as info:
+        run_ensemble([replace(cfg, epsilon=0.01), cfg])
+    exc = info.value
+    assert exc.step == round(exc.t / cfg.dt) and exc.step >= 1
+    assert exc.dt == cfg.dt and exc.epsilon == 0.01
+    assert f"(step {exc.step})" in str(exc) and "stability number" in str(exc)
