@@ -204,10 +204,13 @@ def _check_grid(basis: EigenBasis, grid: QuadratureGrid):
 def synthesize(f: SpectralField, grid: QuadratureGrid) -> GridField:
     """Evaluate sum_j f_j w_j at the grid nodes."""
     _check_grid(f.basis, grid)
-    A = _coeff_square(f)
-    S = _sine_matrix(grid.N, f.basis.K)
-    values = (2.0 / PI) * (S @ A @ S.T)
-    return GridField(grid, values)
+    return GridField(grid, _synthesize_square(_coeff_square(f), grid.N))
+
+
+def _synthesize_square(A: np.ndarray, N: int) -> np.ndarray:
+    """(2/pi) S A S^T on N interior nodes, for (..., K, K) coefficient squares."""
+    S = _sine_matrix(N, A.shape[-1])
+    return (2.0 / PI) * (S @ A @ S.T)
 
 
 def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
@@ -226,14 +229,18 @@ def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
 def gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
     """Term-by-term analytic gradient (d/dx, d/dy) sampled on the grid."""
     _check_grid(f.basis, grid)
-    K = f.basis.K
-    A = _coeff_square(f)
-    S = _sine_matrix(grid.N, K)
-    C = _cosine_matrix(grid.N, K)
+    return GridField(grid, np.stack(_gradient_square(_coeff_square(f), grid.N)))
+
+
+def _gradient_square(A: np.ndarray, N: int):
+    """(d/dx, d/dy) on N interior nodes, for (..., K, K) coefficient squares."""
+    K = A.shape[-1]
+    S = _sine_matrix(N, K)
+    C = _cosine_matrix(N, K)
     wav = np.arange(1, K + 1)
     dx = (2.0 / PI) * (C @ (wav[:, None] * A) @ S.T)
     dy = (2.0 / PI) * (S @ (A * wav[None, :]) @ C.T)
-    return GridField(grid, np.stack([dx, dy]))
+    return dx, dy
 
 
 def perp_gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:

@@ -393,13 +393,17 @@ def step(
     eps: float | np.ndarray,
     dt: float,
     eigvals: np.ndarray,
+    k1: np.ndarray | None = None,
 ) -> GalerkinState:
     """One classical RK4 step of the mode ODE, for one state or a batch (see
-    rhs for the shapes of the state and eps)."""
+    rhs for the shapes of the state and eps).  k1 is the right-hand side at
+    `state` when the caller already has it; the step then makes three rhs
+    calls instead of four."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     th = state.coeffs
-    k1 = rhs(th, tensor, eps, eigvals)
+    if k1 is None:
+        k1 = rhs(th, tensor, eps, eigvals)
     k2 = rhs(th + 0.5 * dt * k1, tensor, eps, eigvals)
     k3 = rhs(th + 0.5 * dt * k2, tensor, eps, eigvals)
     k4 = rhs(th + dt * k3, tensor, eps, eigvals)
@@ -551,6 +555,11 @@ def run_ensemble(
     run() of that config alone gives.  ValueError names the field when the
     configs differ in more than epsilon, and the member when a config's
     stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
+
+    The loop does only per-step work.  The rhs evaluated at a recorded state
+    for the balance diagnostics doubles as the next step's k1, so a run makes
+    exactly 4 n_steps + 1 rhs calls; the diagnostics are reduced once, over
+    the stacked records, after the loop.
     """
     configs = list(configs)
     if not configs:
@@ -579,71 +588,64 @@ def run_ensemble(
     n_steps = int(round(config.T / dt))
     state = GalerkinState(0.0, theta.copy())
 
-    # every quantity below has shape lead, one entry per member
-    l2_sq_0 = np.sum(theta**2, axis=-1)
-    ham_0 = np.sum(lam_ham * theta**2, axis=-1)
-    diss_energy = np.zeros(lead)[()]  # int ||grad theta||^2 ds, trapezoid per step
-    diss_ham = np.zeros(lead)[()]  # int ||psi||^2_{D(L^{1+a/2})} ds
-
-    times, snaps = [], []
-    diag = {key: [] for key in (
-        "l2_theta", "h1_theta", "hdot_psi", "hone_psi",
-        "energy_residual", "hamiltonian_residual",
-    )}
-
     def dissipation(th):
         """||grad theta||^2 and ||psi||^2_{D(L^{1+a/2})}."""
         sq = th**2
         return (lam * sq).sum(axis=-1), (lam_diss * sq).sum(axis=-1)
 
-    # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
-    # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
-    # trajectory error instead of the quadrature error
-    def diss_rates(th):
-        dth = rhs(th, evaluator, eps, lam)
-        return (
-            2.0 * np.sum(lam * th * dth, axis=-1),
-            2.0 * np.sum(lam_diss * th * dth, axis=-1),
-        )
+    # every quantity below has shape lead, one entry per member
+    diss_energy = np.zeros(lead)[()]  # int ||grad theta||^2 ds, trapezoid per step
+    diss_ham = np.zeros(lead)[()]  # int ||psi||^2_{D(L^{1+a/2})} ds
+    recs = []  # per record: t, state, the dissipations, their rates and integrals
 
-    g_rate_0, h_rate_0 = diss_rates(theta)
-    em = dt**2 / 12.0
-
-    def record(st):
+    def record(st, g, h, k1):
+        """The rates of g and h come from k1 = rhs(state)."""
         th = st.coeffs
-        l2_sq = np.sum(th**2, axis=-1)
-        ham = np.sum(lam_ham * th**2, axis=-1)
-        g_rate, h_rate = diss_rates(th)
-        g, h = dissipation(th)
-        de = diss_energy - em * (g_rate - g_rate_0)
-        dh = diss_ham - em * (h_rate - h_rate_0)
-        times.append(st.t)
-        snaps.append(th.copy())
-        diag["l2_theta"].append(np.sqrt(l2_sq))
-        diag["h1_theta"].append(np.sqrt(g))
-        diag["hdot_psi"].append(np.sqrt(ham))
-        diag["hone_psi"].append(np.sqrt(h))
-        diag["energy_residual"].append(0.5 * l2_sq + eps * de - 0.5 * l2_sq_0)
-        diag["hamiltonian_residual"].append(0.5 * ham + eps * dh - 0.5 * ham_0)
+        recs.append((
+            st.t, th, g, h, 2.0 * np.sum(lam * th * k1, axis=-1),
+            2.0 * np.sum(lam_diss * th * k1, axis=-1), diss_energy, diss_ham,
+        ))
 
-    record(state)
-    g_prev, h_prev = dissipation(theta)
+    k1 = rhs(state.coeffs, evaluator, eps, lam)
+    g_prev, h_prev = dissipation(state.coeffs)
+    record(state, g_prev, h_prev, k1)
     for i in range(1, n_steps + 1):
         try:
-            state = step(state, evaluator, eps, dt, lam)
+            state = step(state, evaluator, eps, dt, lam, k1)
         except BlowUpError as exc:
             exc.step = i
             raise
+        k1 = None
         g_new, h_new = dissipation(state.coeffs)
-        diss_energy += 0.5 * dt * (g_prev + g_new)
-        diss_ham += 0.5 * dt * (h_prev + h_new)
+        diss_energy = diss_energy + 0.5 * dt * (g_prev + g_new)
+        diss_ham = diss_ham + 0.5 * dt * (h_prev + h_new)
         g_prev, h_prev = g_new, h_new
         if i % config.stride == 0 or i == n_steps:
-            record(state)
+            # the rhs at a recorded state is also the next step's k1
+            k1 = rhs(state.coeffs, evaluator, eps, lam)
+            record(state, g_new, h_new, k1)
 
-    times = np.array(times)
-    snaps = np.array(snaps).reshape(len(times), B, m)
-    diag = {key: np.array(v).reshape(len(times), B) for key, v in diag.items()}
+    # snaps has shape (n_rec,) + lead + (m,), the other records (n_rec,) + lead
+    times, snaps, g, h, g_rate, h_rate, diss_energy, diss_ham = (
+        np.array(v) for v in zip(*recs))
+    l2_sq = np.sum(snaps**2, axis=-1)
+    ham = np.sum(lam_ham * snaps**2, axis=-1)
+    # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
+    # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
+    # trajectory error instead of the quadrature error
+    em = dt**2 / 12.0
+    de = diss_energy - em * (g_rate - g_rate[0])
+    dh = diss_ham - em * (h_rate - h_rate[0])
+    diag = {
+        "l2_theta": np.sqrt(l2_sq),
+        "h1_theta": np.sqrt(g),
+        "hdot_psi": np.sqrt(ham),
+        "hone_psi": np.sqrt(h),
+        "energy_residual": 0.5 * l2_sq + eps * de - 0.5 * l2_sq[0],
+        "hamiltonian_residual": 0.5 * ham + eps * dh - 0.5 * ham[0],
+    }
+    snaps = snaps.reshape(len(times), B, m)
+    diag = {key: v.reshape(len(times), B) for key, v in diag.items()}
     return [
         Trajectory(
             config=cfg,

@@ -57,9 +57,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         name, passed, observed, tol, detail = fn(*args, **kwargs)
-        return CheckResult(name, passed, observed, tol, detail, time.time() - t0)
+        return CheckResult(name, passed, observed, tol, detail, time.perf_counter() - t0)
 
     return wrapper
 

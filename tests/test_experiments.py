@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from gsqg.basis import build_rectangle_basis
+from gsqg.basis import (
+    GridField,
+    QuadratureGrid,
+    SpectralField,
+    analyze,
+    build_rectangle_basis,
+    gradient,
+    perp_gradient,
+    synthesize,
+)
 from gsqg.experiments import (
     SweepReport,
     mode_sweep,
@@ -12,6 +21,7 @@ from gsqg.experiments import (
     weak_residual,
 )
 from gsqg import verify
+from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, run, run_ensemble
 from gsqg.weakform import test_function_catalog as catalog
 
@@ -62,6 +72,50 @@ def test_weak_residual_epsilon_term_linear(viscous_config):
         fake = replace(tr, config=replace(tr.config, epsilon=0.0))
         gaps.append(weak_residual(fake, st) - r_full)
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.05)
+
+
+def _weak_residual_per_snapshot(traj, st):
+    """weak_residual one snapshot at a time through the public transforms:
+    the residual and its integrand over the snapshot times."""
+    cfg = traj.config
+    basis = traj.basis
+    m = cfg.m
+    lam = basis.eigenvalues[:m]
+    grid = QuadratureGrid(3 * basis.K)
+    v = analyze(GridField(grid, st.spatial.on(grid)), basis).coeffs[:m]
+    phi_m = np.zeros(basis.size)
+    phi_m[:m] = v
+    gphi = gradient(SpectralField(basis, phi_m), grid).values
+    integrand = np.empty(len(traj.times))
+    for i, t in enumerate(traj.times):
+        th = traj.snaps[i]
+        a = float(np.dot(th, v)) * st.dchi(float(t))
+        tf = traj.state_at(i)
+        u = perp_gradient(apply_lambda_power(tf, -cfg.alpha), grid)
+        th_grid = synthesize(tf, grid).values
+        transport = float(
+            grid.weight * np.sum(th_grid * (u.values[0] * gphi[0] + u.values[1] * gphi[1]))
+        )
+        visc = -cfg.epsilon * float(np.sum(lam * th * v))
+        integrand[i] = a + (transport + visc) * st.chi(float(t))
+    return float(abs(np.trapezoid(integrand, traj.times))), integrand
+
+
+@pytest.mark.parametrize("m", (16, 20))
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7))
+@pytest.mark.parametrize("shift_eps", (False, True))
+def test_weak_residual_equals_per_snapshot_oracle(viscous_config, m, alpha, shift_eps):
+    cfg = replace(viscous_config, m=m, alpha=alpha, epsilon=1e-3, stride=1 if m == 16 else 7)
+    tr = run(cfg)
+    if shift_eps:
+        # evaluated with the inviscid identity: a residual of size eps
+        tr = replace(tr, config=replace(tr.config, epsilon=0.0))
+    st = sine_window_test(catalog()["sine_bump"], T=cfg.T)
+    expect, integrand = _weak_residual_per_snapshot(tr, st)
+    got = weak_residual(tr, st)
+    assert abs(got - expect) <= 1e-13 * max(1.0, float(np.abs(integrand).sum()))
+    if shift_eps:
+        assert expect > 1e-6
 
 
 def test_weak_residual_rejects_mismatched_window(viscous_config):

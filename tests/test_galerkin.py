@@ -425,3 +425,87 @@ def test_run_blowup_carries_step_index_and_context(tmp_path):
     assert exc.step == round(exc.t / cfg.dt) and exc.step >= 1
     assert exc.dt == cfg.dt and exc.epsilon == 0.01
     assert f"(step {exc.step})" in str(exc) and "stability number" in str(exc)
+
+
+def _counting_rhs(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "rhs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", (16, 64))
+@pytest.mark.parametrize("stride", (1, 7, 10))
+@pytest.mark.parametrize("members", (1, 3))
+def test_run_makes_four_rhs_calls_per_step_plus_one(monkeypatch, m, stride, members):
+    # the rhs at each recorded state feeds the balance diagnostics and is
+    # reused as the next step's k1, so records cost no extra rhs call
+    cfg = SimConfig(alpha=0.5, m=m, dt=1e-3, T=0.05, stride=stride, initial="random", seed=2)
+    calls = _counting_rhs(monkeypatch)
+    if members == 1:
+        trajs = [run(cfg)]
+    else:
+        trajs = run_ensemble([replace(cfg, epsilon=e) for e in (0.1, 0.01, 0.0)[:members]])
+    n_steps = 50
+    assert len(calls) == 4 * n_steps + 1
+    assert len(trajs[0].times) == 1 + -(-n_steps // stride)
+
+
+@pytest.mark.parametrize("m", (16, 64))
+@pytest.mark.parametrize("batch", (False, True))
+def test_step_with_given_k1_equals_step(m, batch):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    lam = basis.eigenvalues[:m]
+    evaluator = galerkin.nonlinearity(basis, m, 0.4)
+    rng = np.random.default_rng(m)
+    th = rng.standard_normal((3, m) if batch else m)
+    eps = np.array([0.1, 0.0, 3e-3]) if batch else 0.02
+    state = GalerkinState(0.3, th)
+    plain = step(state, evaluator, eps, 1e-3, lam)
+    given = step(state, evaluator, eps, 1e-3, lam, k1=rhs(th, evaluator, eps, lam))
+    assert given.t == plain.t
+    assert np.array_equal(given.coeffs, plain.coeffs)
+
+
+@pytest.mark.parametrize("m, members", [(16, 1), (20, 3), (64, 2)])
+def test_run_diagnostics_equal_per_record_recomputation(m, members):
+    # at stride 1 every step is recorded, so each diagnostic can be rebuilt
+    # from the snapshots alone, one record at a time as the loop used to
+    cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.03, stride=1, initial="random_rough", seed=3)
+    trajs = run_ensemble([replace(cfg, epsilon=e) for e in (0.05, 0.2, 0.0)[:members]])
+    basis = trajs[0].basis
+    lam = basis.eigenvalues[:m]
+    lam_ham, lam_diss = lam ** (-cfg.alpha / 2), lam ** (1 - cfg.alpha / 2)
+    evaluator = galerkin.nonlinearity(basis, m, cfg.alpha)
+    em = cfg.dt**2 / 12
+    for tr in trajs:
+        eps = tr.config.epsilon
+        l2_0 = ham_0 = rate_g0 = rate_h0 = None
+        de = dh = 0.0
+        g_prev = h_prev = None
+        for i, th in enumerate(tr.snaps):
+            d = rhs(th, evaluator, eps, lam)
+            g, h = np.sum(lam * th**2), np.sum(lam_diss * th**2)
+            l2, ham = np.sum(th**2), np.sum(lam_ham * th**2)
+            rate_g, rate_h = 2 * np.sum(lam * th * d), 2 * np.sum(lam_diss * th * d)
+            if i == 0:
+                l2_0, ham_0, rate_g0, rate_h0 = l2, ham, rate_g, rate_h
+            else:
+                de += 0.5 * cfg.dt * (g_prev + g)
+                dh += 0.5 * cfg.dt * (h_prev + h)
+            g_prev, h_prev = g, h
+            expect = {
+                "l2_theta": np.sqrt(l2),
+                "h1_theta": np.sqrt(g),
+                "hdot_psi": np.sqrt(ham),
+                "hone_psi": np.sqrt(h),
+                "energy_residual": 0.5 * l2 + eps * (de - em * (rate_g - rate_g0)) - 0.5 * l2_0,
+                "hamiltonian_residual":
+                    0.5 * ham + eps * (dh - em * (rate_h - rate_h0)) - 0.5 * ham_0,
+            }
+            for key, val in expect.items():
+                assert tr.diagnostics[key][i] == val, (key, i)
