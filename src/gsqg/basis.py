@@ -58,9 +58,6 @@ class EigenBasis:
         """(j, k) wavenumbers as two read-only integer arrays, built once."""
         return self._jk
 
-    def index_of(self, j: int, k: int) -> int:
-        return self.modes.index(ModeIndex(j, k))
-
 
 @lru_cache(maxsize=64)
 def build_rectangle_basis(K: int) -> EigenBasis:
@@ -179,9 +176,10 @@ def _cosine_matrix(N: int, K: int) -> np.ndarray:
     return np.cos(np.outer(x, j))
 
 
-def _coeff_square(f: SpectralField) -> np.ndarray:
-    """Scatter the flat coefficient vector into a (K, K) wavenumber array."""
-    K = f.basis.K
+def _coeff_square(f: SpectralField, K: int | None = None) -> np.ndarray:
+    """Scatter the flat coefficient vector into a (K, K) wavenumber array,
+    zero-padded to a larger K when one is given."""
+    K = f.basis.K if K is None else K
     A = np.zeros((K, K))
     j, k = f.basis.mode_arrays()
     A[j - 1, k - 1] = f.coeffs
@@ -221,9 +219,14 @@ def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
     if g.is_vector:
         raise ValueError("analyze expects a scalar field; handle components separately")
     _check_grid(basis, g.grid)
-    S = _sine_matrix(g.grid.N, basis.K)
-    A = (2.0 / PI) * g.grid.weight * (S.T @ g.values @ S)
-    return SpectralField(basis, _gather_square(A, basis))
+    return SpectralField(basis, _gather_square(_analyze_square(g.values, basis.K), basis))
+
+
+def _analyze_square(G: np.ndarray, K: int) -> np.ndarray:
+    """(2/pi) w S^T G S, for (..., N, N) grid samples, as (..., K, K) squares."""
+    grid = QuadratureGrid(G.shape[-1])
+    S = _sine_matrix(grid.N, K)
+    return (2.0 / PI) * grid.weight * (S.T @ G @ S)
 
 
 def gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -241,6 +244,34 @@ def _gradient_square(A: np.ndarray, N: int):
     dx = (2.0 / PI) * (C @ (wav[:, None] * A) @ S.T)
     dy = (2.0 / PI) * (S @ (A * wav[None, :]) @ C.T)
     return dx, dy
+
+
+@lru_cache(maxsize=64)
+def _gradient_projection(N: int, K: int) -> np.ndarray:
+    """D with analyze(gradient(f)) = (D A, A D^T) on the N grid, A the square of f.
+
+    analyze(d/dx) is (2/pi)^2 w S^T C diag(1..K) A S^T S, and S^T S =
+    (N+1)/2 I for K <= N, so D = (2/(N+1)) S^T C diag(1..K).  Read-only.
+    """
+    D = (2.0 / (N + 1)) * (_sine_matrix(N, K).T @ _cosine_matrix(N, K)) * np.arange(1, K + 1)
+    D.setflags(write=False)
+    return D
+
+
+def _gradient_coeffs(A: np.ndarray, N: int) -> np.ndarray:
+    """The projected gradient analyze(gradient(f)) of (..., K, K) squares A,
+    as (..., 2, K, K) squares, without leaving coefficient space."""
+    D = _gradient_projection(N, A.shape[-1])
+    return np.stack([D @ A, A @ D.T], axis=-3)
+
+
+@lru_cache(maxsize=64)
+def _eigenvalue_square(K: int) -> np.ndarray:
+    """lambda = j^2 + k^2 as a read-only (K, K) wavenumber array."""
+    wav2 = np.arange(1, K + 1, dtype=float) ** 2
+    lam = wav2[:, None] + wav2[None, :]
+    lam.setflags(write=False)
+    return lam
 
 
 def perp_gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -269,10 +300,7 @@ def embed(f: SpectralField, target: EigenBasis) -> SpectralField:
         raise ValueError(
             f"cannot embed basis K={f.basis.K} into smaller K={target.K}"
         )
-    A = np.zeros((target.K, target.K))
-    j, k = f.basis.mode_arrays()
-    A[j - 1, k - 1] = f.coeffs
-    return SpectralField(target, _gather_square(A, target))
+    return SpectralField(target, _gather_square(_coeff_square(f, target.K), target))
 
 
 def restrict(f: SpectralField, target: EigenBasis) -> SpectralField:

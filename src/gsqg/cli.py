@@ -78,6 +78,8 @@ def load_config(path) -> SimConfig:
             kwargs[key] = CONFIG_KEYS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
+    # older versions wrote a `pad` key that changed nothing: read, then dropped
+    kwargs.pop("pad", None)
     if "t_final" in kwargs:
         kwargs["T"] = kwargs.pop("t_final")
     try:
@@ -91,7 +93,6 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "alpha": cfg.alpha,
         "epsilon": cfg.epsilon,
         "m": cfg.m,
-        "pad": cfg.pad,
         "dt": cfg.dt,
         "t_final": cfg.T,
         "stride": cfg.stride,

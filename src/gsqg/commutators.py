@@ -21,15 +21,19 @@ from .basis import (
     GridField,
     QuadratureGrid,
     SpectralField,
-    analyze,
+    _analyze_square,
+    _coeff_square,
+    _eigenvalue_square,
+    _gather_square,
+    _gradient_coeffs,
+    _synthesize_square,
     boundary_distance_grid,
     build_rectangle_basis,
-    embed,
     gradient,
     sample,
     synthesize,
 )
-from .fractional import apply_lambda_power, sobolev_norm
+from .fractional import sobolev_norm
 
 #: weight values beyond this are treated as boundary-singular and excluded
 WEIGHT_CLIP = 1e8
@@ -148,30 +152,21 @@ def comm_lambda_grad(
     if big.K < psi.basis.K:
         raise ValueError("padding smaller than the field band")
     grid = padded_grid(big)
-    psi_b = embed(psi, big)
-
-    # both terms through the same padded projection, so the truncation of the
-    # slowly converging sine series of grad(psi) cancels as s -> 0
-    grad_psi = gradient(psi_b, grid)
-    grad_lam_psi = gradient(apply_lambda_power(psi_b, s), grid)
-    out = np.stack(
-        [
-            synthesize(
-                SpectralField(
-                    big,
-                    apply_lambda_power(
-                        analyze(GridField(grid, g1), big), s
-                    ).coeffs
-                    - analyze(GridField(grid, g2), big).coeffs,
-                ),
-                grid,
-            ).values
-            for g1, g2 in zip(grad_psi.values, grad_lam_psi.values)
-        ]
-    )
+    out = _synthesize_square(_lambda_grad_coeffs(_coeff_square(psi, big.K), s, grid.N), grid.N)
     if perp:
         out = np.stack([-out[1], out[0]])
     return GridField(grid, out)
+
+
+def _lambda_grad_coeffs(A: np.ndarray, s: float, N: int) -> np.ndarray:
+    """[Lambda^s, grad] of (..., K, K) squares as (..., 2, K, K) squares.
+
+    Both terms go through the same projection of the gradient onto the sine
+    basis, so the truncation of the slowly converging sine series of grad(psi)
+    cancels as s -> 0.
+    """
+    lam_s = _eigenvalue_square(A.shape[-1]) ** (s / 2.0)
+    return lam_s * _gradient_coeffs(A, N) - _gradient_coeffs(lam_s * A, N)
 
 
 def comm_neg_lambda_mult(
@@ -195,14 +190,21 @@ def comm_lambda_mult(
 def _comm_mult(a: Multiplier, f: SpectralField, s: float, pad: float) -> SpectralField:
     big = padded_basis(f.basis, pad)
     grid = padded_grid(big)
-    f_b = embed(f, big)
-    a_grid = a.on(grid)
+    c = _mult_coeffs(a.on(grid)[None], _coeff_square(f, big.K), s)
+    return SpectralField(big, _gather_square(c[..., 0, :, :], big))
 
-    af = analyze(GridField(grid, a_grid * synthesize(f_b, grid).values), big)
-    term1 = apply_lambda_power(af, s)
-    lam_f = synthesize(apply_lambda_power(f_b, s), grid).values
-    term2 = analyze(GridField(grid, a_grid * lam_f), big)
-    return SpectralField(big, term1.coeffs - term2.coeffs)
+
+def _mult_coeffs(a_grid: np.ndarray, F: np.ndarray, s: float) -> np.ndarray:
+    """[Lambda^s, a] F for M multipliers sampled as (M, N, N) on the grid and
+    (..., K, K) squares F, as (..., M, K, K) squares.
+
+    F and Lambda^s F are synthesized once for all M multipliers.
+    """
+    N, K = a_grid.shape[-1], F.shape[-1]
+    lam_s = _eigenvalue_square(K) ** (s / 2.0)
+    g = _synthesize_square(np.stack([F, lam_s * F], axis=-3), N)
+    p = _analyze_square(a_grid[:, None] * g[..., None, :, :, :], K)
+    return lam_s * p[..., 0, :, :] - p[..., 1, :, :]
 
 
 def _lp_norm(values: np.ndarray, grid: QuadratureGrid, p: float) -> float:

@@ -19,15 +19,12 @@ from .basis import (
     QuadratureGrid,
     SpectralField,
     analyze,
-    embed,
     gradient,
-    perp_gradient,
-    synthesize,
     _gradient_square,
     _synthesize_square,
 )
-from .commutators import comm_lambda_grad, comm_neg_lambda_mult, padded_basis, padded_grid
-from .fractional import apply_lambda_power, sobolev_norm
+from .commutators import padded_basis, padded_grid
+from .fractional import sobolev_norm
 from .galerkin import (
     SimConfig,
     Trajectory,
@@ -36,9 +33,13 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import TestFunction, n1, n2_alt
+from .weakform import TestFunction, _b1, _b2, _n2_shift_exponents, _perp_left
 
 PI = np.pi
+
+#: grid values in one stacked (snapshots, N, N) array of a snapshot block
+#: (64 kB), which bounds the memory of the batched snapshot transforms
+GRID_BLOCK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
     j, k = basis.mode_arrays()
     # transport against grad(P_m phi), u = (-psi_y, psi_x), machine-exact for
     # the triple band; blocks of snapshots keep each grid array near 64 kB
-    block = max(1, 2**13 // grid.N**2)
+    block = max(1, GRID_BLOCK_VALUES // grid.N**2)
     transport = np.empty(len(times))
     for b in range(0, len(times), block):
         squares = np.zeros((2, len(snaps[b:b + block]), basis.K, basis.K))
@@ -251,68 +252,35 @@ def weak_continuity_terms(
     big = padded_basis(basis, pad)
     grid = padded_grid(big)
     grad_phi = phi.grad_on(grid)
-    mults = phi.grad_multipliers()
+    shift, plain = _n2_shift_exponents(alpha, delta)
 
+    # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares
+    jj, kk = basis.mode_arrays()
     n_t = len(traj_eps.times)
-    terms = np.zeros((n_t, 6))
-    two_dn = np.zeros(n_t)
-    for i in range(n_t):
-        th_e, th_r = traj_eps.state_at(i), traj_ref.state_at(i)
-        psi_e = embed(apply_lambda_power(th_e, -alpha), big)
-        psi_r = embed(apply_lambda_power(th_r, -alpha), big)
-        dpsi = SpectralField(big, psi_e.coeffs - psi_r.coeffs)
-
-        terms[i, 0] = _n1_pair(dpsi, psi_e, phi, alpha, grid, grad_phi)
-        terms[i, 1] = _n1_pair(psi_r, dpsi, phi, alpha, grid, grad_phi)
-        terms[i, 2] = -_n2_pair(dpsi, psi_e, mults, alpha, delta, grid, "shift")
-        terms[i, 3] = -_n2_pair(psi_r, dpsi, mults, alpha, delta, grid, "shift")
-        terms[i, 4] = -_n2_pair(dpsi, psi_r, mults, alpha, delta, grid, "plain")
-        terms[i, 5] = -_n2_pair(psi_e, dpsi, mults, alpha, delta, grid, "plain")
-
-        ne = 0.5 * (
-            n1(psi_e, phi, alpha, pad=1.0) - n2_alt(psi_e, phi, alpha, delta, pad=1.0)
-        )
-        nr = 0.5 * (
-            n1(psi_r, phi, alpha, pad=1.0) - n2_alt(psi_r, phi, alpha, delta, pad=1.0)
-        )
-        two_dn[i] = 2.0 * (ne - nr)
+    psi = np.zeros((2, n_t, big.K, big.K))
+    for sq, tr in zip(psi, (traj_eps, traj_ref)):
+        m = tr.config.m
+        sq[:, jj[:m] - 1, kk[:m] - 1] = basis.eigenvalues[:m] ** (-alpha / 2.0) * tr.snaps
+    # fields (d, e, r) = (psi_eps - psi_ref, psi_eps, psi_ref); each form runs
+    # once on four (left, right) pairs: two of the six terms, then (e, e) and
+    # (r, r) for N(psi_eps) and N(psi_ref)
+    d, e, r = 0, 1, 2
+    v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
+    # the largest grid array of a block holds 16 (N, N) samples per snapshot
+    block = max(1, GRID_BLOCK_VALUES // (16 * grid.N**2))
+    for b in range(0, n_t, block):
+        pe, pr = psi[:, b:b + block]
+        fields = np.stack([pe - pr, pe, pr])
+        left = _perp_left(fields, grid.N)
+        v1[:, b:b + block] = _b1(fields[[d, r, e, r]], fields[[e, d, e, r]], alpha, grad_phi)
+        vs[:, b:b + block] = _b2(left[[d, r, e, r]], fields[[e, d, e, r]], *shift, grad_phi)
+        vp[:, b:b + block] = _b2(left[[d, e, e, r]], fields[[r, d, e, r]], *plain, grad_phi)
+    terms = np.stack([v1[0], v1[1], -vs[0], -vs[1], -vp[0], -vp[1]], axis=1)
+    n_eps, n_ref = 0.5 * (v1[2:] - vs[2:] - vp[2:])
+    two_dn = 2.0 * (n_eps - n_ref)
 
     t = traj_eps.times
     out = {f"I{j + 1}": float(np.trapezoid(terms[:, j], t)) for j in range(6)}
     out["sum"] = float(np.trapezoid(terms.sum(axis=1), t))
     out["two_delta_n"] = float(np.trapezoid(two_dn, t))
     return out
-
-
-def _n1_pair(psi_a, psi_b, phi, alpha, grid, grad_phi) -> float:
-    """int [Lambda^alpha, perp-grad] psi_a . grad(phi) psi_b dx (padded basis inputs)."""
-    comm = comm_lambda_grad(psi_a, alpha, pad=1.0, perp=True)
-    psi_b_grid = synthesize(psi_b, grid).values
-    vals = (comm.values[0] * grad_phi[0] + comm.values[1] * grad_phi[1]) * psi_b_grid
-    return float(grid.weight * vals.sum())
-
-
-def _n2_pair(psi_left, psi_right, mults, alpha, delta, grid, which) -> float:
-    """One bilinear term of the delta-shifted N2 representation.
-
-    'shift': pairs Lambda^{-1+alpha-delta} perp-grad psi_left with
-    Lambda [grad phi, Lambda^{-alpha+delta}] Lambda^alpha psi_right;
-    'plain': the delta-power analogue.
-    """
-    big = psi_left.basis
-    if which == "shift":
-        lexp, s, rexp = -1.0 + alpha - delta, alpha - delta, alpha
-    else:
-        lexp, s, rexp = -1.0 + alpha, delta, delta
-    pg = perp_gradient(psi_left, grid)
-    left = [
-        apply_lambda_power(analyze(GridField(grid, comp), big), lexp)
-        for comp in pg.values
-    ]
-    f = apply_lambda_power(psi_right, rexp)
-    total = 0.0
-    for comp, mult in zip(left, mults):
-        c = comm_neg_lambda_mult(mult, f, s, pad=1.0)
-        r = apply_lambda_power(SpectralField(big, -c.coeffs), 1.0)
-        total += float(np.dot(comp.coeffs, r.coeffs))
-    return total

@@ -36,7 +36,7 @@ or a per-row matrix product.
 from __future__ import annotations
 
 import math
-import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -429,7 +429,6 @@ class SimConfig:
     alpha: float = 0.5
     epsilon: float = 0.01
     m: int = 16
-    pad: float = 4.0
     dt: float = 1e-3
     T: float = 1.0
     stride: int = 10
@@ -450,10 +449,10 @@ class SimConfig:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if self.alpha >= 1.0:
-            print(
-                f"note: alpha={self.alpha} is outside the singular-velocity "
+            warnings.warn(
+                f"alpha={self.alpha} is outside the singular-velocity "
                 f"weak-solution regime alpha in (0, 1)",
-                file=sys.stderr,
+                stacklevel=3,
             )
 
     def basis_cutoff(self) -> int:

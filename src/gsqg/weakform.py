@@ -5,6 +5,12 @@ N = (N1 - N2)/2 where N1 pairs [Lambda^alpha, perp-grad]psi with grad(phi) psi
 and N2 pairs Lambda^{-1+alpha} perp-grad(psi) with the multiplier commutator
 of grad(phi).  N2 also has a delta-shifted two-term form; both must agree.
 All functionals are quadratic in psi and evaluated with padded projections.
+
+Every weak form is built from two bilinear forms on (..., K, K) coefficient
+squares, _b1 (the N1 pairing) and _b2 (one N2 pairing), which take a leading
+batch axis.  Where a gradient is only projected back onto the sine basis,
+they apply the exact coefficient-space map basis._gradient_projection in
+place of a synthesize-gradient-analyze round trip.
 """
 
 from __future__ import annotations
@@ -16,23 +22,22 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
-    GridField,
     QuadratureGrid,
     SpectralField,
-    analyze,
-    embed,
-    perp_gradient,
+    _coeff_square,
+    _eigenvalue_square,
+    _gradient_coeffs,
+    _gradient_square,
+    _synthesize_square,
     sample,
-    synthesize,
 )
 from .commutators import (
     Multiplier,
-    comm_lambda_grad,
-    comm_neg_lambda_mult,
+    _lambda_grad_coeffs,
+    _mult_coeffs,
     padded_basis,
     padded_grid,
 )
-from .fractional import apply_lambda_power, sobolev_norm
 
 PI = np.pi
 
@@ -41,8 +46,7 @@ PI = np.pi
 class TestFunction:
     """Analytic test function vanishing to order >= 4 at the boundary.
 
-    Carries closed-form first and second derivatives; higher-order norm
-    metadata is computed spectrally on demand.
+    Carries closed-form first and second derivatives.
     """
 
     name: str
@@ -82,25 +86,6 @@ class TestFunction:
         Built once per test function, so their grid samples are reused.
         """
         return self._grad_mults
-
-    def h4_norm(self, K: int = 48) -> float:
-        """H^4-equivalent norm via the D(Lambda^4) norm of a fine projection."""
-        from .basis import build_rectangle_basis
-
-        basis = build_rectangle_basis(K)
-        grid = QuadratureGrid(4 * K)
-        f = analyze(GridField(grid, self.on(grid)), basis)
-        return sobolev_norm(f, 4.0)
-
-    def grad_w1inf(self, grid: QuadratureGrid) -> float:
-        X, Y = grid.meshgrid()
-        first = max(np.abs(self.dx(X, Y)).max(), np.abs(self.dy(X, Y)).max())
-        second = max(
-            np.abs(self.dxx(X, Y)).max(),
-            np.abs(self.dxy(X, Y)).max(),
-            np.abs(self.dyy(X, Y)).max(),
-        )
-        return float(first + second)
 
 
 def _quartic_profile():
@@ -208,25 +193,54 @@ def _check_alpha(alpha: float):
         raise ValueError(f"constitutive exponent alpha must lie in (0, 1), got {alpha}")
 
 
+def _b1(a: np.ndarray, b: np.ndarray, alpha: float, grad_phi: np.ndarray) -> float | np.ndarray:
+    """int [Lambda^alpha, perp-grad] a . grad(phi) b dx.
+
+    a and b are (..., K, K) coefficient squares, grad_phi the (2, N, N) grid
+    samples of grad(phi); one value per leading index.  The commutator and b
+    are synthesized in one stacked call.
+    """
+    N = grad_phi.shape[-1]
+    g = _synthesize_square(
+        np.concatenate([_lambda_grad_coeffs(a, alpha, N), b[..., None, :, :]], axis=-3), N
+    )
+    # perp of the commutator (c_x, c_y) is (-c_y, c_x)
+    integrand = (g[..., 0, :, :] * grad_phi[1] - g[..., 1, :, :] * grad_phi[0]) * g[..., 2, :, :]
+    return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
+
+
+def _perp_left(a: np.ndarray, N: int) -> np.ndarray:
+    """P perp-grad a = (-P d/dy a, P d/dx a) of (..., K, K) squares, as
+    (..., 2, K, K) squares: the left factor of _b2 before its power."""
+    g = _gradient_coeffs(a, N)
+    return np.stack([-g[..., 1, :, :], g[..., 0, :, :]], axis=-3)
+
+
+def _b2(
+    left: np.ndarray, b: np.ndarray, lexp: float, s: float, rexp: float, grad_phi: np.ndarray
+) -> float | np.ndarray:
+    """<Lambda^lexp P perp-grad a, -Lambda [Lambda^{-s}, grad phi] Lambda^rexp b>.
+
+    left is _perp_left(a, N) for (..., K, K) squares a, b a (..., K, K)
+    square and grad_phi the (2, N, N) samples of grad(phi) used as the two
+    multipliers; one value per leading index.
+    """
+    lam = _eigenvalue_square(b.shape[-1])
+    right = lam**0.5 * _mult_coeffs(grad_phi, lam ** (rexp / 2.0) * b, -s)
+    return -np.sum(lam ** (lexp / 2.0) * left * right, axis=(-3, -2, -1))
+
+
+def _padded_square(psi: SpectralField, pad: float):
+    """psi as a coefficient square on the padded basis, and that basis's grid."""
+    big = padded_basis(psi.basis, pad)
+    return _coeff_square(psi, big.K), padded_grid(big)
+
+
 def n1(psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0) -> float:
     """int [Lambda^alpha, perp-grad] psi . grad(phi) psi dx."""
     _check_alpha(alpha)
-    comm = comm_lambda_grad(psi, alpha, pad, perp=True)
-    grid = comm.grid
-    big = padded_basis(psi.basis, pad)
-    psi_grid = synthesize(embed(psi, big), grid).values
-    grad_phi = phi.grad_on(grid)
-    integrand = (comm.values[0] * grad_phi[0] + comm.values[1] * grad_phi[1]) * psi_grid
-    return float(grid.weight * integrand.sum())
-
-
-def _neg_comm_perp(psi_b: SpectralField, grid, exponent: float):
-    """Lambda^{exponent} applied to each component of perp-grad(psi)."""
-    pg = perp_gradient(psi_b, grid)
-    return [
-        apply_lambda_power(analyze(GridField(grid, comp), psi_b.basis), exponent)
-        for comp in pg.values
-    ]
+    A, grid = _padded_square(psi, pad)
+    return float(_b1(A, A, alpha, phi.grad_on(grid)))
 
 
 def n2(psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0) -> float:
@@ -237,18 +251,14 @@ def n2(psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0) ->
     multiplier commutators are needed.
     """
     _check_alpha(alpha)
-    big = padded_basis(psi.basis, pad)
-    grid = padded_grid(big)
-    psi_b = embed(psi, big)
-    left = _neg_comm_perp(psi_b, grid, -1.0 + alpha)
-    theta = apply_lambda_power(psi_b, alpha)
-    total = 0.0
-    for comp, mult in zip(left, phi.grad_multipliers()):
-        # [grad phi, L^{-a}] L^a psi = -[L^{-a}, grad phi] L^a psi
-        c = comm_neg_lambda_mult(mult, theta, alpha, pad=1.0)
-        right = apply_lambda_power(SpectralField(big, -c.coeffs), 1.0)
-        total += float(np.dot(comp.coeffs, right.coeffs))
-    return total
+    A, grid = _padded_square(psi, pad)
+    return float(_b2(_perp_left(A, grid.N), A, -1.0 + alpha, alpha, alpha, phi.grad_on(grid)))
+
+
+def _n2_shift_exponents(alpha: float, delta: float):
+    """(lexp, s, rexp) of the two _b2 terms of the delta-shifted n2: the
+    shifted term first, then the plain (delta-power) term."""
+    return (-1.0 + alpha - delta, alpha - delta, alpha), (-1.0 + alpha, delta, delta)
 
 
 def n2_alt(
@@ -267,23 +277,11 @@ def n2_alt(
         raise ValueError(
             f"delta must lie in (0, min(alpha, 1-alpha)) = (0, {dmax}), got {delta}"
         )
-    big = padded_basis(psi.basis, pad)
-    grid = padded_grid(big)
-    psi_b = embed(psi, big)
-
-    left1 = _neg_comm_perp(psi_b, grid, -1.0 + alpha - delta)
-    theta = apply_lambda_power(psi_b, alpha)
-    left2 = _neg_comm_perp(psi_b, grid, -1.0 + alpha)
-    f_delta = apply_lambda_power(psi_b, delta)
-
-    total = 0.0
-    for lcomp1, lcomp2, mult in zip(left1, left2, phi.grad_multipliers()):
-        c1 = comm_neg_lambda_mult(mult, theta, alpha - delta, pad=1.0)
-        r1 = apply_lambda_power(SpectralField(big, -c1.coeffs), 1.0)
-        c2 = comm_neg_lambda_mult(mult, f_delta, delta, pad=1.0)
-        r2 = apply_lambda_power(SpectralField(big, -c2.coeffs), 1.0)
-        total += float(np.dot(lcomp1.coeffs, r1.coeffs) + np.dot(lcomp2.coeffs, r2.coeffs))
-    return total
+    A, grid = _padded_square(psi, pad)
+    left = _perp_left(A, grid.N)
+    grad_phi = phi.grad_on(grid)
+    shift, plain = _n2_shift_exponents(alpha, delta)
+    return float(_b2(left, A, *shift, grad_phi) + _b2(left, A, *plain, grad_phi))
 
 
 def classical_transport(
@@ -291,13 +289,10 @@ def classical_transport(
 ) -> float:
     """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
     _check_alpha(alpha)
-    big = padded_basis(theta.basis, pad)
-    grid = padded_grid(big)
-    theta_b = embed(theta, big)
-    u = perp_gradient(apply_lambda_power(theta_b, -alpha), grid)
-    theta_grid = synthesize(theta_b, grid).values
+    A, grid = _padded_square(theta, pad)
+    psi_x, psi_y = _gradient_square(_eigenvalue_square(A.shape[-1]) ** (-alpha / 2.0) * A, grid.N)
     grad_phi = phi.grad_on(grid)
-    integrand = theta_grid * (u.values[0] * grad_phi[0] + u.values[1] * grad_phi[1])
+    integrand = _synthesize_square(A, grid.N) * (-psi_y * grad_phi[0] + psi_x * grad_phi[1])
     return float(grid.weight * integrand.sum())
 
 

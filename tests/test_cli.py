@@ -89,6 +89,39 @@ def test_load_config_bad_value_names_key(tmp_path):
         load_config(p)
 
 
+# a manifest as older versions wrote it, with the retired `pad` key
+OLD_MANIFEST = """\
+[run]
+alpha = 0.5
+epsilon = 0.01
+m = 16
+pad = 4.0
+dt = 0.001
+t_final = 0.1
+stride = 10
+initial = single_mode
+seed = 0
+
+[manifest]
+tool_version = 0.1.0
+tensor_mode = analytic
+created = 2026-01-01T00:00:00+00:00
+output_dir = out
+"""
+
+
+def test_old_manifest_with_pad_loads_and_reruns(config_path, tmp_path):
+    old = tmp_path / "old_manifest.ini"
+    old.write_text(OLD_MANIFEST)
+    assert load_config(old) == load_config(config_path)
+    out_old, out_new = tmp_path / "from_old", tmp_path / "from_new"
+    assert main(["simulate", "--config", str(old), "--out", str(out_old)]) == 0
+    assert main(["simulate", "--config", str(config_path), "--out", str(out_new)]) == 0
+    for name in ("snapshot_000010.bin", "diagnostics.csv"):
+        assert (out_old / name).read_bytes() == (out_new / name).read_bytes()
+    assert "pad" not in RunManifest.load(out_new / "manifest.ini").config
+
+
 def test_cli_dt_zero_names_key(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text("[run]\nm = 8\ndt = 0\n")

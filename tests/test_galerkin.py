@@ -192,9 +192,9 @@ def test_config_validation():
         SimConfig(epsilon=-1.0)
 
 
-def test_alpha_above_one_flagged(capsys):
-    SimConfig(alpha=1.5)
-    assert "alpha" in capsys.readouterr().err
+def test_alpha_above_one_flagged():
+    with pytest.warns(UserWarning, match="alpha=1.5"):
+        SimConfig(alpha=1.5)
 
 
 def test_initial_data_catalog(basis):
@@ -509,3 +509,14 @@ def test_run_diagnostics_equal_per_record_recomputation(m, members):
             }
             for key, val in expect.items():
                 assert tr.diagnostics[key][i] == val, (key, i)
+
+
+def test_rk4_trajectory_error_is_fourth_order():
+    # self-convergence of the final state against a dt = 2.5e-4 reference;
+    # RK4 gives order ~4.0 here, a second-order scheme ~2
+    cfg = SimConfig(alpha=0.5, epsilon=0.01, m=256, dt=4e-3, T=0.5,
+                    initial="random", seed=3, stride=125)
+    final = {dt: run(replace(cfg, dt=dt)).snaps[-1] for dt in (4e-3, 2e-3, 2.5e-4)}
+    errs = [np.linalg.norm(final[dt] - final[2.5e-4]) for dt in (4e-3, 2e-3)]
+    assert errs[1] > 1e-13  # above round-off, so the ratio measures the scheme
+    assert math.log2(errs[0] / errs[1]) >= 3.5

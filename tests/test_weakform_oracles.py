@@ -1,0 +1,211 @@
+"""The coefficient-space weak forms against the grid route they replaced.
+
+The grid route synthesizes every gradient and every multiplier product on the
+padded grid and analyzes it back onto the sine basis, one field and one
+snapshot at a time.  It stays here as the oracle of weakform._b1/_b2, of the
+batched weak_continuity_terms and of basis._gradient_projection.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gsqg.basis import (
+    GridField,
+    QuadratureGrid,
+    SpectralField,
+    _coeff_square,
+    _gradient_projection,
+    analyze,
+    build_rectangle_basis,
+    embed,
+    gradient,
+    perp_gradient,
+    synthesize,
+)
+from gsqg.commutators import padded_basis, padded_grid
+from gsqg.experiments import weak_continuity_terms
+from gsqg.fractional import apply_lambda_power
+from gsqg.galerkin import SimConfig, Trajectory
+from gsqg.weakform import n1, n2, n2_alt
+from gsqg.weakform import test_function_catalog as catalog
+
+
+def _comm_lambda_grad_perp(psi_b, s, grid):
+    """[Lambda^s, perp-grad] psi_b on the grid; both gradients are sampled
+    and projected back before the commutator is taken."""
+    big = psi_b.basis
+    grad_psi = gradient(psi_b, grid)
+    grad_lam_psi = gradient(apply_lambda_power(psi_b, s), grid)
+    out = np.stack(
+        [
+            synthesize(
+                SpectralField(
+                    big,
+                    apply_lambda_power(analyze(GridField(grid, g1), big), s).coeffs
+                    - analyze(GridField(grid, g2), big).coeffs,
+                ),
+                grid,
+            ).values
+            for g1, g2 in zip(grad_psi.values, grad_lam_psi.values)
+        ]
+    )
+    return np.stack([-out[1], out[0]])
+
+
+def _comm_neg_mult(mult, f_b, s, grid):
+    """[Lambda^{-s}, a] f_b in the basis of f_b, by grid products."""
+    big = f_b.basis
+    a_grid = mult.on(grid)
+    af = analyze(GridField(grid, a_grid * synthesize(f_b, grid).values), big)
+    lam_f = synthesize(apply_lambda_power(f_b, -s), grid).values
+    term2 = analyze(GridField(grid, a_grid * lam_f), big)
+    return apply_lambda_power(af, -s).coeffs - term2.coeffs
+
+
+def _n1_pair(psi_a, psi_b, phi, alpha, grid):
+    """int [Lambda^alpha, perp-grad] psi_a . grad(phi) psi_b dx."""
+    comm = _comm_lambda_grad_perp(psi_a, alpha, grid)
+    grad_phi = phi.grad_on(grid)
+    vals = (comm[0] * grad_phi[0] + comm[1] * grad_phi[1]) * synthesize(psi_b, grid).values
+    return float(grid.weight * vals.sum())
+
+
+def _n2_pair(psi_left, psi_right, phi, grid, lexp, s, rexp):
+    """<Lambda^lexp P perp-grad psi_left, -Lambda [Lambda^{-s}, grad phi] Lambda^rexp psi_right>."""
+    big = psi_left.basis
+    pg = perp_gradient(psi_left, grid)
+    left = [apply_lambda_power(analyze(GridField(grid, c), big), lexp) for c in pg.values]
+    f = apply_lambda_power(psi_right, rexp)
+    total = 0.0
+    for comp, mult in zip(left, phi.grad_multipliers()):
+        right = apply_lambda_power(SpectralField(big, -_comm_neg_mult(mult, f, s, grid)), 1.0)
+        total += float(np.dot(comp.coeffs, right.coeffs))
+    return total
+
+
+def _shift(alpha, delta):
+    return -1.0 + alpha - delta, alpha - delta, alpha
+
+
+def _plain(alpha, delta):
+    return -1.0 + alpha, delta, delta
+
+
+def _padded(psi, pad):
+    big = padded_basis(psi.basis, pad)
+    return embed(psi, big), padded_grid(big)
+
+
+def _n1_grid(psi, phi, alpha, pad):
+    psi_b, grid = _padded(psi, pad)
+    return _n1_pair(psi_b, psi_b, phi, alpha, grid)
+
+
+def _n2_grid(psi, phi, alpha, pad):
+    psi_b, grid = _padded(psi, pad)
+    return _n2_pair(psi_b, psi_b, phi, grid, -1.0 + alpha, alpha, alpha)
+
+
+def _n2_alt_grid(psi, phi, alpha, delta, pad):
+    psi_b, grid = _padded(psi, pad)
+    return (_n2_pair(psi_b, psi_b, phi, grid, *_shift(alpha, delta))
+            + _n2_pair(psi_b, psi_b, phi, grid, *_plain(alpha, delta)))
+
+
+def _weak_continuity_per_snapshot(traj_eps, traj_ref, phi, delta, pad=4.0):
+    """weak_continuity_terms with one snapshot and one term per call."""
+    alpha = traj_eps.config.alpha
+    big = padded_basis(traj_eps.basis, pad)
+    grid = padded_grid(big)
+    shift, plain = _shift(alpha, delta), _plain(alpha, delta)
+    n_t = len(traj_eps.times)
+    terms = np.zeros((n_t, 6))
+    two_dn = np.zeros(n_t)
+    for i in range(n_t):
+        psi_e = embed(apply_lambda_power(traj_eps.state_at(i), -alpha), big)
+        psi_r = embed(apply_lambda_power(traj_ref.state_at(i), -alpha), big)
+        dpsi = SpectralField(big, psi_e.coeffs - psi_r.coeffs)
+        terms[i] = (
+            _n1_pair(dpsi, psi_e, phi, alpha, grid),
+            _n1_pair(psi_r, dpsi, phi, alpha, grid),
+            -_n2_pair(dpsi, psi_e, phi, grid, *shift),
+            -_n2_pair(psi_r, dpsi, phi, grid, *shift),
+            -_n2_pair(dpsi, psi_r, phi, grid, *plain),
+            -_n2_pair(psi_e, dpsi, phi, grid, *plain),
+        )
+        ne = 0.5 * (_n1_grid(psi_e, phi, alpha, 1.0) - _n2_alt_grid(psi_e, phi, alpha, delta, 1.0))
+        nr = 0.5 * (_n1_grid(psi_r, phi, alpha, 1.0) - _n2_alt_grid(psi_r, phi, alpha, delta, 1.0))
+        two_dn[i] = 2.0 * (ne - nr)
+    t = traj_eps.times
+    out = {f"I{j + 1}": float(np.trapezoid(terms[:, j], t)) for j in range(6)}
+    out["sum"] = float(np.trapezoid(terms.sum(axis=1), t))
+    out["two_delta_n"] = float(np.trapezoid(two_dn, t))
+    return out
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+alphas = st.floats(0.05, 0.95)
+cutoffs = st.integers(3, 12)
+pads = st.sampled_from([1.0, 2.0, 4.0])
+seeds = st.integers(0, 2**32 - 1)
+phis = st.sampled_from(sorted(catalog()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, name=phis)
+def test_weak_forms_equal_grid_route(alpha, K, pad, seed, name):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    psi = SpectralField(basis, rng.standard_normal(basis.size) / basis.eigenvalues)
+    phi = catalog()[name]
+    delta = 0.5 * min(alpha, 1.0 - alpha)
+    assert _close(n1(psi, phi, alpha, pad), _n1_grid(psi, phi, alpha, pad))
+    assert _close(n2(psi, phi, alpha, pad), _n2_grid(psi, phi, alpha, pad))
+    assert _close(n2_alt(psi, phi, alpha, pad=pad), _n2_alt_grid(psi, phi, alpha, delta, pad))
+
+
+def _fake_trajectory(basis, m, alpha, times, rng):
+    cfg = SimConfig(alpha=alpha, m=m, dt=float(times[1] - times[0]), T=float(times[-1]),
+                    stride=1)
+    snaps = rng.standard_normal((len(times), m)) / basis.eigenvalues[:m]
+    return Trajectory(cfg, basis, times, snaps, {})
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, n_t=st.integers(2, 8), name=phis)
+# K = 3 at pad 1 runs its snapshots in blocks of 6, so 8 snapshots make two blocks
+@example(alpha=0.4, K=3, pad=1.0, seed=0, n_t=8, name="quartic")
+def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_t, name):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 0.1, n_t)
+    m_eps, m_ref = rng.integers(1, basis.size, endpoint=True, size=2)
+    tr_e = _fake_trajectory(basis, int(m_eps), alpha, times, rng)
+    tr_r = _fake_trajectory(basis, int(m_ref), alpha, times, rng)
+    phi = catalog()[name]
+    delta = 0.5 * min(alpha, 1.0 - alpha)
+    got = weak_continuity_terms(tr_e, tr_r, phi, delta, pad)
+    want = _weak_continuity_per_snapshot(tr_e, tr_r, phi, delta, pad)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert _close(got[key], want[key]), key
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=cutoffs, seed=seeds, grid_of=st.sampled_from(["K", "K+1", "3K"]))
+def test_gradient_projection_equals_analyzed_gradient(K, seed, grid_of):
+    N = {"K": K, "K+1": K + 1, "3K": 3 * K}[grid_of]
+    basis = build_rectangle_basis(K)
+    grid = QuadratureGrid(N)
+    f = SpectralField(basis, np.random.default_rng(seed).standard_normal(basis.size))
+    g = gradient(f, grid).values
+    want = np.stack([_coeff_square(analyze(GridField(grid, c), basis)) for c in g])
+    D = _gradient_projection(N, K)
+    A = _coeff_square(f)
+    got = np.stack([D @ A, A @ D.T])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not D.flags.writeable
