@@ -20,8 +20,6 @@ from .basis import (
     SpectralField,
     analyze,
     gradient,
-    _gradient_square,
-    _synthesize_square,
 )
 from .commutators import padded_basis, padded_grid
 from .fractional import sobolev_norm
@@ -33,7 +31,7 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import TestFunction, _b1, _b2, _n2_shift_exponents, _perp_left
+from .weakform import TestFunction, _b1, _b2, _n2_shift_exponents, _perp_left, _transport
 
 PI = np.pi
 
@@ -116,20 +114,15 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
     times, snaps = traj.times, traj.snaps
     chi = np.array([st.chi(float(t)) for t in times])
     dchi = np.array([st.dchi(float(t)) for t in times])
-    psi = lam ** (-cfg.alpha / 2.0) * snaps  # Lambda^{-alpha} theta
     j, k = basis.mode_arrays()
-    # transport against grad(P_m phi), u = (-psi_y, psi_x), machine-exact for
-    # the triple band; blocks of snapshots keep each grid array near 64 kB
+    # transport against grad(P_m phi), machine-exact for the triple band;
+    # blocks of snapshots keep each grid array near 64 kB
     block = max(1, GRID_BLOCK_VALUES // grid.N**2)
     transport = np.empty(len(times))
     for b in range(0, len(times), block):
-        squares = np.zeros((2, len(snaps[b:b + block]), basis.K, basis.K))
-        squares[:, :, j[:m] - 1, k[:m] - 1] = (snaps[b:b + block], psi[b:b + block])
-        th_grid = _synthesize_square(squares[0], grid.N)
-        psi_x, psi_y = _gradient_square(squares[1], grid.N)
-        transport[b:b + block] = grid.weight * np.sum(
-            th_grid * (-psi_y * gphi[0] + psi_x * gphi[1]), axis=(1, 2)
-        )
+        squares = np.zeros((len(snaps[b:b + block]), basis.K, basis.K))
+        squares[:, j[:m] - 1, k[:m] - 1] = snaps[b:b + block]
+        transport[b:b + block] = _transport(squares, cfg.alpha, gphi)
     # viscous term: <theta, Lap P_m phi> = -sum lam theta v
     visc = -cfg.epsilon * np.sum(lam * snaps * v, axis=-1)
     integrand = (snaps @ v) * dchi + (transport + visc) * chi

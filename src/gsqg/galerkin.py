@@ -13,8 +13,8 @@ Two evaluators of the quadratic term share one interface, `.m` and
 shape (B, m) and the result has the same shape:
 
 - GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
-  closed form or by quadrature.  Assembly runs in Python loops and each
-  contraction costs O(m^2).
+  closed form by assemble_tensor in Python loops; each contraction costs
+  O(m^2).
 - GridProducts, which samples grad psi and grad theta on N x N interior nodes,
   multiplies pointwise and projects back with dense sine/cosine matrices.
   Along each axis the integrand of gamma_jkl is a product of three sines or
@@ -23,7 +23,9 @@ shape (B, m) and the result has the same shape:
   exact integral unless n is a nonzero multiple of 2(N+1): there the nodes
   see cos(n x) as the constant 1 (aliasing) and the rule returns pi, not 0.
   So 2(N+1) > 3K, Orszag's 3/2 de-aliasing rule, makes the projection exact,
-  and N = floor(3K/2) is the smallest such grid.
+  and N = floor(3K/2) is the smallest such grid.  Its bilinear(a, b) is the
+  one grid form of gamma; tensor() evaluates it on unit pairs, which is how
+  the closed-form tensor is checked.
 
 run_ensemble() advances B trajectories that differ only in epsilon as one
 (B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,7 +122,6 @@ class GalerkinTensor:
     l: np.ndarray
     vals: np.ndarray
     mode: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def nnz(self) -> int:
@@ -158,7 +159,7 @@ class GalerkinTensor:
             t = cls(
                 m=int(z["m"]), alpha=float(z["alpha"]),
                 j=z["j"], k=z["k"], l=z["l"], vals=z["vals"],
-                mode=str(z["mode"]), meta={"source": str(path)},
+                mode=str(z["mode"]),
             )
         if t.m < 1:
             raise ValueError(f"{path}: field 'm' = {t.m} must be >= 1")
@@ -197,85 +198,41 @@ def _sine_cos_integral(a: int, b: int, c: int) -> float:
     return val
 
 
-def assemble_tensor(
-    basis: EigenBasis, m: int, alpha: float, mode: str = "analytic",
-    grid: QuadratureGrid | None = None,
-) -> GalerkinTensor:
-    """Evaluate gamma_jkl for all mode triples below m.
-
-    'analytic' uses the closed-form triple sine/cosine product integrals;
-    'quadrature' evaluates the same integrals with the rectangle rule, which
-    is exact when N+1 >= 3K.  Both must agree to roundoff.
-    """
+def assemble_tensor(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor:
+    """gamma_jkl for all mode triples below m, from the closed-form triple
+    sine/cosine product integrals.  GridProducts(basis, m, alpha).tensor()
+    builds the same tensor by exact grid products."""
     if not 1 <= m <= basis.size:
         raise ValueError(f"mode count m={m} out of range [1, {basis.size}]")
     lam_pref = basis.eigenvalues[:m] ** (-alpha / 2.0)
     modes = basis.modes[:m]
-    meta = {"basis_K": basis.K}
-
-    if mode == "analytic":
-        triples_j, triples_k, triples_l, vals = [], [], [], []
-        index = {(mm.j, mm.k): i for i, mm in enumerate(modes)}
-        c0 = (2.0 / PI) ** 3
-        for ji, mj in enumerate(modes):
-            for ki, mk in enumerate(modes):
-                if ji == ki:
-                    continue
-                acc: dict[int, float] = {}
-                # x-factor sin(j1)cos(k1), y-factor cos(j2)sin(k2), coeff -j2*k1
-                for l1, ix in _sc_candidates(mj.j, mk.j):
-                    for l2, iy in _sc_candidates(mk.k, mj.k):
-                        li = index.get((l1, l2))
-                        if li is not None:
-                            acc[li] = acc.get(li, 0.0) - mj.k * mk.j * ix * iy
-                # x-factor cos(j1)sin(k1), y-factor sin(j2)cos(k2), coeff +j1*k2
-                for l1, ix in _sc_candidates(mk.j, mj.j):
-                    for l2, iy in _sc_candidates(mj.k, mk.k):
-                        li = index.get((l1, l2))
-                        if li is not None:
-                            acc[li] = acc.get(li, 0.0) + mj.j * mk.k * ix * iy
-                for li, v in acc.items():
-                    v *= c0 * lam_pref[ji]
-                    if v != 0.0:
-                        triples_j.append(ji)
-                        triples_k.append(ki)
-                        triples_l.append(li)
-                        vals.append(v)
-    elif mode == "quadrature":
-        K = max(max(mm.j for mm in modes), max(mm.k for mm in modes))
-        if grid is None:
-            grid = QuadratureGrid(3 * K)
-        if grid.N + 1 < 3 * K:
-            raise ValueError(
-                f"quadrature grid N={grid.N} violates the triple-product "
-                f"exactness rule N+1 >= 3K = {3 * K}"
-            )
-        meta["grid_N"] = grid.N
-        sub = build_rectangle_basis(basis.K)
-        e = np.zeros(sub.size)
-        S = _sine_matrix(grid.N, sub.K)
-        grads = []
-        for i in range(m):
-            e[:] = 0.0
-            e[i] = 1.0
-            grads.append(gradient(SpectralField(sub, e), grid).values)
-        grads = np.array(grads)  # (m, 2, N, N)
-        perp = np.stack([-grads[:, 1], grads[:, 0]], axis=1)
-        jj, kk = sub.mode_arrays()
-        triples_j, triples_k, triples_l, vals = [], [], [], []
-        for ji in range(m):
-            prods = np.einsum("cxy,kcxy->kxy", perp[ji], grads)  # over all k
-            coef = (2.0 / PI) * grid.weight * np.einsum("xa,kxy,yb->kab", S, prods, S)
-            proj = coef[:, jj - 1, kk - 1][:, :m]  # (m_k, m_l)
-            proj *= lam_pref[ji]
-            ks, ls = np.nonzero(np.abs(proj) > 1e-13)
-            triples_j.extend([ji] * len(ks))
-            triples_k.extend(ks.tolist())
-            triples_l.extend(ls.tolist())
-            vals.extend(proj[ks, ls].tolist())
-    else:
-        raise ValueError(f"unknown assembly mode {mode!r}")
-
+    triples_j, triples_k, triples_l, vals = [], [], [], []
+    index = {(mm.j, mm.k): i for i, mm in enumerate(modes)}
+    c0 = (2.0 / PI) ** 3
+    for ji, mj in enumerate(modes):
+        for ki, mk in enumerate(modes):
+            if ji == ki:
+                continue
+            acc: dict[int, float] = {}
+            # x-factor sin(j1)cos(k1), y-factor cos(j2)sin(k2), coeff -j2*k1
+            for l1, ix in _sc_candidates(mj.j, mk.j):
+                for l2, iy in _sc_candidates(mk.k, mj.k):
+                    li = index.get((l1, l2))
+                    if li is not None:
+                        acc[li] = acc.get(li, 0.0) - mj.k * mk.j * ix * iy
+            # x-factor cos(j1)sin(k1), y-factor sin(j2)cos(k2), coeff +j1*k2
+            for l1, ix in _sc_candidates(mk.j, mj.j):
+                for l2, iy in _sc_candidates(mj.k, mk.k):
+                    li = index.get((l1, l2))
+                    if li is not None:
+                        acc[li] = acc.get(li, 0.0) + mj.j * mk.k * ix * iy
+            for li, v in acc.items():
+                v *= c0 * lam_pref[ji]
+                if v != 0.0:
+                    triples_j.append(ji)
+                    triples_k.append(ki)
+                    triples_l.append(li)
+                    vals.append(v)
     return GalerkinTensor(
         m=m,
         alpha=alpha,
@@ -283,8 +240,7 @@ def assemble_tensor(
         k=np.array(triples_k, dtype=np.intp),
         l=np.array(triples_l, dtype=np.intp),
         vals=np.array(vals, dtype=float),
-        mode=mode,
-        meta=meta,
+        mode="analytic",
     )
 
 
@@ -319,7 +275,7 @@ class GridProducts:
         j, k = j[:m] - 1, k[:m] - 1
         K = int(max(j.max(), k.max())) + 1
         N = 3 * K // 2  # smallest N with 2(N+1) > 3K
-        self.m, self.K, self.N = m, K, N
+        self.m, self.alpha, self.K, self.N = m, alpha, K, N
         self._flat = j * K + k  # mode position in the flattened (K, K) array
         self._psi_scale = basis.eigenvalues[:m] ** (-alpha / 2.0)
         S = _sine_matrix(N, K)
@@ -332,20 +288,37 @@ class GridProducts:
         for a in (self._flat, self._psi_scale, self._left, self._right, self._proj):
             a.setflags(write=False)
 
-    def quadratic(self, theta: np.ndarray) -> np.ndarray:
-        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
-        for theta of shape (m,) or (B, m); the products broadcast over B."""
+    def bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """P_m(perp-grad Lambda^{-alpha} a . grad b) = (sum_jk gamma_jkl a_j b_k)_l
+        for a and b of one shape, (m,) or (B, m); the products broadcast over B."""
         K, N = self.K, self.N
-        lead = theta.shape[:-1]
+        lead = a.shape[:-1]
         F = np.zeros(lead + (2, K * K))
-        F[..., 0, self._flat] = self._psi_scale * theta
-        F[..., 1, self._flat] = theta
+        F[..., 0, self._flat] = self._psi_scale * a
+        F[..., 1, self._flat] = b
         D = (self._left @ F.reshape(lead + (2, K, K))).reshape(lead + (2, 2, N, K))
         D = D @ self._right
-        # u . grad theta with u = perp-grad psi = (-psi_y, psi_x)
+        # u . grad b with u = perp-grad psi = (-psi_y, psi_x)
         adv = D[..., 0, 0, :, :] * D[..., 1, 1, :, :] - D[..., 0, 1, :, :] * D[..., 1, 0, :, :]
         prod = self._proj @ adv @ self._S
         return prod.reshape(lead + (K * K,)).take(self._flat, axis=-1)
+
+    def quadratic(self, theta: np.ndarray) -> np.ndarray:
+        """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
+        for theta of shape (m,) or (B, m)."""
+        return self.bilinear(theta, theta)
+
+    def tensor(self) -> GalerkinTensor:
+        """gamma_jkl as bilinear() on unit pairs (e_j, e_k), one j at a time,
+        keeping the entries with |gamma_jkl| > 1e-13."""
+        eye = np.eye(self.m)
+        parts = []
+        for j in range(self.m):
+            g = self.bilinear(np.broadcast_to(eye[j], eye.shape), eye)  # (k, l)
+            k, l = np.nonzero(np.abs(g) > 1e-13)
+            parts.append((np.full(len(k), j, dtype=np.intp), k, l, g[k, l]))
+        j, k, l, vals = (np.concatenate(p) for p in zip(*parts))
+        return GalerkinTensor(self.m, self.alpha, j, k, l, vals, mode="grid")
 
 
 def evaluator_mode(m: int) -> str:

@@ -34,7 +34,9 @@ from .fractional import (
     lambda_neg_power_heat,
     lambda_pos_power_heat,
 )
-from .galerkin import GalerkinTensor, SimConfig, assemble_tensor, run, run_ensemble
+from .galerkin import (
+    GalerkinTensor, GridProducts, SimConfig, assemble_tensor, run, run_ensemble,
+)
 from .weakform import classical_transport, n2, n2_alt, n_total, test_function_catalog
 
 
@@ -112,7 +114,9 @@ def _antisymmetry(t: GalerkinTensor):
 
 @_timed
 def check_tensor_structure(m: int = 100, tensor: GalerkinTensor | None = None):
-    """Antisymmetry, diagonal vanishing, and analytic vs quadrature agreement."""
+    """Antisymmetry, diagonal vanishing, and agreement of the closed-form
+    tensor with the one GridProducts builds, the evaluator runs use from
+    GRID_MIN_M on."""
     tol = 1e-12
     if tensor is not None:
         anti, diag, worst = _antisymmetry(tensor)
@@ -121,13 +125,13 @@ def check_tensor_structure(m: int = 100, tensor: GalerkinTensor | None = None):
         return "tensor_structure", observed < tol, observed, tol, detail
 
     basis = build_rectangle_basis(int(math.ceil(math.sqrt(m))))
-    ta = assemble_tensor(basis, m, 0.5, mode="analytic")
-    tq = assemble_tensor(basis, m, 0.5, mode="quadrature")
+    ta = assemble_tensor(basis, m, 0.5)
+    tg = GridProducts(basis, m, 0.5).tensor()
     anti, diag, _ = _antisymmetry(ta)
-    _, diff = _coalesce(m, (ta.j, ta.k, ta.l, ta.vals), (tq.j, tq.k, tq.l, -tq.vals))
+    _, diff = _coalesce(m, (ta.j, ta.k, ta.l, ta.vals), (tg.j, tg.k, tg.l, -tg.vals))
     agree = float(np.abs(diff).max(initial=0.0))
     observed = max(anti, diag, agree)
-    detail = f"m={m} anti={anti:.1e} diag={diag:.1e} modes={agree:.1e}"
+    detail = f"m={m} anti={anti:.1e} diag={diag:.1e} grid={agree:.1e}"
     return "tensor_structure", observed < tol, observed, tol, detail
 
 

@@ -284,16 +284,26 @@ def n2_alt(
     return float(_b2(left, A, *shift, grad_phi) + _b2(left, A, *plain, grad_phi))
 
 
+def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray:
+    """int theta (perp-grad Lambda^{-alpha} theta) . G dx by quadrature.
+
+    a is the (..., K, K) coefficient square of theta and G the (2, N, N) grid
+    samples of the vector field; one value per leading index.
+    """
+    N = G.shape[-1]
+    psi_x, psi_y = _gradient_square(_eigenvalue_square(a.shape[-1]) ** (-alpha / 2.0) * a, N)
+    # perp-grad psi = (-psi_y, psi_x)
+    integrand = _synthesize_square(a, N) * (-psi_y * G[0] + psi_x * G[1])
+    return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
+
+
 def classical_transport(
     theta: SpectralField, alpha: float, phi: TestFunction, pad: float = 4.0
 ) -> float:
     """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
     _check_alpha(alpha)
     A, grid = _padded_square(theta, pad)
-    psi_x, psi_y = _gradient_square(_eigenvalue_square(A.shape[-1]) ** (-alpha / 2.0) * A, grid.N)
-    grad_phi = phi.grad_on(grid)
-    integrand = _synthesize_square(A, grid.N) * (-psi_y * grad_phi[0] + psi_x * grad_phi[1])
-    return float(grid.weight * integrand.sum())
+    return float(_transport(A, alpha, phi.grad_on(grid)))
 
 
 def n_total(

@@ -3,7 +3,7 @@ import pytest
 
 from gsqg.basis import build_rectangle_basis
 from gsqg.cli import ConfigError, load_config, main
-from gsqg.galerkin import assemble_tensor
+from gsqg.galerkin import GalerkinTensor, GridProducts, assemble_tensor
 from gsqg.snapshots import (
     RunManifest,
     Snapshot,
@@ -245,6 +245,15 @@ def test_cli_op_unknown_name(tmp_path, capsys):
 
 def test_cli_verify_quick(capsys):
     assert main(["verify", "--level", "quick"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_verify_grid_built_tensor(tmp_path, capsys):
+    path = tmp_path / "grid.npz"
+    GridProducts(build_rectangle_basis(8), 64, 0.5).tensor().save(path)
+    assert GalerkinTensor.load(path).mode == "grid"
+    assert main(["verify", "--level", "quick", "--tensor", str(path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 

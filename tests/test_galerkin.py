@@ -33,6 +33,9 @@ from gsqg.verify import check_tensor_structure
 
 PI = np.pi
 
+# mode counts on both sides of the tensor/grid switch, square and not
+SWITCH_SIDE_MS = (9, 16, 20, GRID_MIN_M - 1, GRID_MIN_M, 50, 64, 70, 100)
+
 
 @pytest.fixture(scope="module")
 def basis():
@@ -50,10 +53,35 @@ def test_tensor_antisymmetry_and_diagonal(tensor):
     assert np.abs(np.einsum("jjl->jl", dense)).max() < 1e-12
 
 
-def test_tensor_assembly_modes_agree(basis):
-    ta = assemble_tensor(basis, 16, 0.7, mode="analytic")
-    tq = assemble_tensor(basis, 16, 0.7, mode="quadrature")
-    assert np.abs(ta.to_dense() - tq.to_dense()).max() < 1e-12
+@settings(max_examples=20, deadline=None)
+@given(m=st.sampled_from(SWITCH_SIDE_MS), alpha=st.floats(0.01, 0.99))
+def test_analytic_tensor_equals_grid_tensor(m, alpha):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    ta = assemble_tensor(basis, m, alpha)
+    tg = GridProducts(basis, m, alpha).tensor()
+    assert (ta.mode, tg.mode) == ("analytic", "grid")
+    assert np.abs(ta.to_dense() - tg.to_dense()).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.sampled_from(SWITCH_SIDE_MS),
+    B=st.integers(1, 4),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_bilinear_form_contract(m, B, alpha, seed):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    gp = GridProducts(basis, m, alpha)
+    a, b = np.random.default_rng(seed).standard_normal((2, B, m))
+    for th in (a[0], a):
+        assert np.array_equal(gp.bilinear(th, th), gp.quadratic(th))
+    # gamma is not symmetric in (j, k): swapped roles of a and b fail here
+    dense = assemble_tensor(basis, m, alpha).to_dense()
+    want = np.einsum("jkl,bj,bk->bl", dense, a, b)
+    tol = 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(gp.bilinear(a, b) - want).max() < tol
+    assert np.abs(gp.bilinear(a[0], b[0]) - want[0]).max() < tol
 
 
 def test_tensor_entry_against_dense_dblquad(basis):
@@ -82,10 +110,20 @@ def test_tensor_entry_against_dense_dblquad(basis):
     assert got == pytest.approx(expected, abs=1e-10)
 
 
-def test_tensor_rejects_coarse_quadrature(basis):
-    with pytest.raises(ValueError, match="exactness"):
-        assemble_tensor(basis, 16, 0.5, mode="quadrature",
-                        grid=QuadratureGrid(basis.K))
+@pytest.mark.parametrize("m", (16, 36, 64, 100))
+def test_grid_products_use_the_smallest_exact_grid(m):
+    # N = floor(3K/2) is the least N with 2(N+1) > 3K; on N - 1 the triple
+    # product's wavenumber 3K = 2N aliases onto the constant mode
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    gp = GridProducts(basis, m, 0.5)
+    assert gp.N == 3 * basis.K // 2
+    assert 2 * (gp.N + 1) > 3 * basis.K >= 2 * gp.N
+    th = SpectralField(basis, np.random.default_rng(m).standard_normal(basis.size))
+    want = assemble_tensor(basis, m, 0.5).quadratic(th.coeffs[:m])
+    exact = nonlinear_term_grid(th, m, 0.5, QuadratureGrid(gp.N))
+    coarse = nonlinear_term_grid(th, m, 0.5, QuadratureGrid(gp.N - 1))
+    assert np.abs(exact - want).max() < 1e-12
+    assert np.abs(coarse - want).max() > 1e-3
 
 
 def test_rhs_zero_state(tensor, basis):
@@ -221,10 +259,6 @@ def test_tensor_save_load_roundtrip(tensor, tmp_path):
     assert back.m == tensor.m and back.alpha == tensor.alpha
     assert np.array_equal(back.vals, tensor.vals)
     assert np.array_equal(back.l, tensor.l)
-
-
-# mode counts on both sides of the tensor/grid switch, square and not
-SWITCH_SIDE_MS = (9, 16, 20, GRID_MIN_M - 1, GRID_MIN_M, 50, 64, 70, 100)
 
 
 @settings(max_examples=30, deadline=None)
