@@ -32,14 +32,16 @@ run_ensemble() advances B trajectories that differ only in epsilon as one
 m < GRID_MIN_M and grid products from there on; the tensor stays as the test
 oracle for the grid path.  Each member of a batch comes out bit-identical to
 its own run(): every batched operation is elementwise, a per-row reduction
-or a per-row matrix product.
+or a GEMM in which the batch only adds rows or columns, so each entry is the
+same dot product over the same k as in the member's own call (true of
+OpenBLAS at one and two threads, which the tests and CI run).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,6 +124,7 @@ class GalerkinTensor:
     l: np.ndarray
     vals: np.ndarray
     mode: str
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
@@ -138,10 +141,18 @@ class GalerkinTensor:
         weights = self.vals * theta.take(self.j, axis=-1) * theta.take(self.k, axis=-1)
         if theta.ndim == 1:
             return np.bincount(self.l, weights=weights, minlength=self.m)
-        # row b's terms go to bins b*m + l, each summed in the row-wise order
         B = len(theta)
-        bins = (self.l + self.m * np.arange(B)[:, None]).ravel()
+        bins = self._bins.get(B)
+        if bins is None:
+            bins = self._batch_bins(B)
         return np.bincount(bins, weights=weights.ravel(), minlength=B * self.m).reshape(B, self.m)
+
+    def _batch_bins(self, B: int) -> np.ndarray:
+        """Row b's terms go to bins b*m + l, each summed in the row-wise
+        order; built once per batch size and kept read-only."""
+        bins = (self.l + self.m * np.arange(B)[:, None]).ravel()
+        bins.setflags(write=False)
+        return self._bins.setdefault(B, bins)
 
     def save(self, path):
         np.savez(
@@ -264,8 +275,9 @@ class GridProducts:
 
     Built once per (basis, m, alpha); quadratic() then agrees with
     assemble_tensor(basis, m, alpha).quadratic to roundoff.  Each call
-    allocates its own work arrays and only reads the stored ones, so one
-    instance may serve concurrent trajectories.
+    allocates its own work arrays and only reads the stored ones (the
+    per-shape index cache is filled once and never changed), so one instance
+    may serve concurrent trajectories.
     """
 
     def __init__(self, basis: EigenBasis, m: int, alpha: float):
@@ -276,32 +288,67 @@ class GridProducts:
         K = int(max(j.max(), k.max())) + 1
         N = 3 * K // 2  # smallest N with 2(N+1) > 3K
         self.m, self.alpha, self.K, self.N = m, alpha, K, N
-        self._flat = j * K + k  # mode position in the flattened (K, K) array
+        self._j, self._k = j, k
         self._psi_scale = basis.eigenvalues[:m] ** (-alpha / 2.0)
         S = _sine_matrix(N, K)
         dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
         # (d/dx, d/dy) f = (dC F S^T, S F dC^T) for the (K, K) coefficients F
         self._left = np.concatenate([dC, S])
-        self._right = np.stack([S.T, dC.T])
+        self._St, self._dCt = np.ascontiguousarray(S.T), np.ascontiguousarray(dC.T)
         self._proj = (2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
         self._S = S
-        for a in (self._flat, self._psi_scale, self._left, self._right, self._proj):
+        # rows (h, p, f) of left @ F in the order (f, p) for the dC half h = 0
+        # and (reversed f, p) for the S half h = 1; see bilinear()
+        p = 2 * np.arange(N)
+        self._rows_x = np.concatenate([p, p + 1])
+        self._rows_y = np.concatenate([p + 2 * N + 1, p + 2 * N])
+        self._index = {}  # state shape -> (psi scatter, b scatter, gather)
+        for a in (self._psi_scale, self._left, self._St, self._dCt, self._proj,
+                  self._rows_x, self._rows_y):
             a.setflags(write=False)
+
+    def _indices(self, shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat positions of the modes of n = prod(shape[:-1]) states in the
+        (K, 2nK) input of bilinear() (a's squares, then b's) and in its
+        (nK, K) output."""
+        K, j, k = self.K, self._j, self._k
+        n = math.prod(shape[:-1])
+        b = np.arange(n).reshape(shape[:-1] + (1,))
+        index = (j * (2 * n * K) + b * K + k, j * (2 * n * K) + (n + b) * K + k,
+                 (j * n + b) * K + k)
+        for a in index:
+            a.setflags(write=False)
+        return self._index.setdefault(shape, index)
 
     def bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P_m(perp-grad Lambda^{-alpha} a . grad b) = (sum_jk gamma_jkl a_j b_k)_l
-        for a and b of one shape, (m,) or (B, m); the products broadcast over B."""
+        for a and b of one shape, (m,) or (B, m); the products broadcast over B.
+
+        The n = B states' 2n coefficient squares F_c (psi = Lambda^{-alpha/2} a
+        first, then b) sit side by side in one (K, 2nK) matrix, so each of the
+        five products below is one 2-d GEMM whatever n is, and an (m,) state
+        is simply n = 1.  The row reorder between the first two products puts
+        the psi and b derivatives of one member into matching contiguous
+        blocks, which keeps the pointwise product contiguous.
+        """
         K, N = self.K, self.N
-        lead = a.shape[:-1]
-        F = np.zeros(lead + (2, K * K))
-        F[..., 0, self._flat] = self._psi_scale * a
-        F[..., 1, self._flat] = b
-        D = (self._left @ F.reshape(lead + (2, K, K))).reshape(lead + (2, 2, N, K))
-        D = D @ self._right
+        index = self._index.get(a.shape)
+        s_a, s_b, gather = index if index is not None else self._indices(a.shape)
+        n = gather.size // self.m
+        F = np.zeros(2 * n * K * K)
+        F[s_a] = self._psi_scale * a
+        F[s_b] = b
+        # ndarray.dot, not @: on matrices this small the matmul ufunc's
+        # set-up costs more than the product (1.9 against 0.5 us at m = 64)
+        # L: rows (h, p, f) with h = dC or S and f = psi or b, columns (member, k)
+        L = self._left.dot(F.reshape(K, 2 * n * K)).reshape(4 * N, n * K)
+        # X = (psi_x, b_x) and Y = (b_y, psi_y), each with rows (f, p, member)
+        X = L.take(self._rows_x, axis=0).reshape(2 * n * N, K).dot(self._St)
+        Y = L.take(self._rows_y, axis=0).reshape(2 * n * N, K).dot(self._dCt)
         # u . grad b with u = perp-grad psi = (-psi_y, psi_x)
-        adv = D[..., 0, 0, :, :] * D[..., 1, 1, :, :] - D[..., 0, 1, :, :] * D[..., 1, 0, :, :]
-        prod = self._proj @ adv @ self._S
-        return prod.reshape(lead + (K * K,)).take(self._flat, axis=-1)
+        Z = (X * Y).reshape(2, N, n * N)
+        adv = Z[0] - Z[1]  # (p, (member, q))
+        return self._proj.dot(adv).reshape(n * K, N).dot(self._S).take(gather)
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
@@ -359,6 +406,13 @@ class GalerkinState:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("state coefficients must be finite")
 
+    @classmethod
+    def _checked(cls, t: float, coeffs: np.ndarray) -> "GalerkinState":
+        """A state whose coefficients the caller has already shown finite."""
+        state = object.__new__(cls)
+        state.t, state.coeffs = t, coeffs
+        return state
+
 
 def step(
     state: GalerkinState,
@@ -371,20 +425,30 @@ def step(
     """One classical RK4 step of the mode ODE, for one state or a batch (see
     rhs for the shapes of the state and eps).  k1 is the right-hand side at
     `state` when the caller already has it; the step then makes three rhs
-    calls instead of four."""
+    calls instead of four, and leaves k1 unchanged."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     th = state.coeffs
     if k1 is None:
         k1 = rhs(th, tensor, eps, eigvals)
-    k2 = rhs(th + 0.5 * dt * k1, tensor, eps, eigvals)
-    k3 = rhs(th + 0.5 * dt * k2, tensor, eps, eigvals)
+    h = 0.5 * dt
+    k2 = rhs(th + h * k1, tensor, eps, eigvals)
+    k3 = rhs(th + h * k2, tensor, eps, eigvals)
     k4 = rhs(th + dt * k3, tensor, eps, eigvals)
-    new = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # new = th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), built in k2 with the same
+    # operations in the same association, operands swapped only
+    new = k2
+    new *= 2.0
+    new += k1
+    k3 *= 2.0
+    new += k3
+    new += k4
+    new *= dt / 6.0
+    new += th
     mx = np.abs(new).max() if new.size else 0.0
-    if not np.isfinite(mx) or mx > BLOWUP_THRESHOLD:
+    if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
         raise _blowup(state.t + dt, float(mx), new, eps, dt, eigvals)
-    return GalerkinState(state.t + dt, new)
+    return GalerkinState._checked(state.t + dt, new)
 
 
 def _blowup(t, mx, new, eps, dt, eigvals) -> BlowUpError:
@@ -528,10 +592,14 @@ def run_ensemble(
     configs differ in more than epsilon, and the member when a config's
     stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
 
-    The loop does only per-step work.  The rhs evaluated at a recorded state
-    for the balance diagnostics doubles as the next step's k1, so a run makes
-    exactly 4 n_steps + 1 rhs calls; the diagnostics are reduced once, over
-    the stacked records, after the loop.
+    The loop keeps only what each step must: the state, its two dissipation
+    sums g = ||grad theta||^2 and h = ||psi||^2_{D(L^{1+a/2})}, and at each
+    record the state and the rhs there.  That rhs doubles as the next step's
+    k1, so a run makes exactly 4 n_steps + 1 rhs calls.  After the loop the
+    trapezoid integrals of g and h are one sequential cumsum over the steps,
+    and the norms and the rates 2 sum lambda theta k1 are reduced over the
+    stacked records; every sum is taken in the order a per-step update would
+    take it, so the diagnostics match one to the bit.
     """
     configs = list(configs)
     if not configs:
@@ -548,73 +616,63 @@ def run_ensemble(
     alpha = config.alpha
     dt = config.dt
     # the state is (B, m), or (m,) for one member: with a (1, m) state the
-    # per-call cost of batched indexing and stacked products made one run
-    # 1.9x as long at m = 16 and 1.3-1.8x at m = 64
+    # tensor's bin offsets and the per-row viscosities made one RK4 step
+    # 1.16x as long at m = 16 and 1.05x at m = 64
     B = len(configs)
     lead = (B,) if B > 1 else ()
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
     lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
-    lam_diss = lam ** (1.0 - alpha / 2.0)  # weight of ||psi||^2_{D(L^{1+a/2})}
+    # weights of g and h, the dissipation rates of the two balances
+    weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])
 
-    theta = np.broadcast_to(initial_data(config, basis), lead + (m,))
+    theta = np.broadcast_to(initial_data(config, basis), lead + (m,)).copy()
     n_steps = int(round(config.T / dt))
-    state = GalerkinState(0.0, theta.copy())
-
-    def dissipation(th):
-        """||grad theta||^2 and ||psi||^2_{D(L^{1+a/2})}."""
-        sq = th**2
-        return (lam * sq).sum(axis=-1), (lam_diss * sq).sum(axis=-1)
-
-    # every quantity below has shape lead, one entry per member
-    diss_energy = np.zeros(lead)[()]  # int ||grad theta||^2 ds, trapezoid per step
-    diss_ham = np.zeros(lead)[()]  # int ||psi||^2_{D(L^{1+a/2})} ds
-    recs = []  # per record: t, state, the dissipations, their rates and integrals
-
-    def record(st, g, h, k1):
-        """The rates of g and h come from k1 = rhs(state)."""
-        th = st.coeffs
-        recs.append((
-            st.t, th, g, h, 2.0 * np.sum(lam * th * k1, axis=-1),
-            2.0 * np.sum(lam_diss * th * k1, axis=-1), diss_energy, diss_ham,
-        ))
-
-    k1 = rhs(state.coeffs, evaluator, eps, lam)
-    g_prev, h_prev = dissipation(state.coeffs)
-    record(state, g_prev, h_prev, k1)
+    state = GalerkinState(0.0, theta)
+    gh = np.empty((n_steps + 1,) + lead + (2,))  # g and h at every step
+    gh[0] = (weights * theta[..., None, :] ** 2).sum(axis=-1)
+    k1 = rhs(theta, evaluator, eps, lam)
+    rec_steps, times, snaps, k1s = [0], [0.0], [theta], [k1]
     for i in range(1, n_steps + 1):
         try:
             state = step(state, evaluator, eps, dt, lam, k1)
         except BlowUpError as exc:
             exc.step = i
             raise
-        k1 = None
-        g_new, h_new = dissipation(state.coeffs)
-        diss_energy = diss_energy + 0.5 * dt * (g_prev + g_new)
-        diss_ham = diss_ham + 0.5 * dt * (h_prev + h_new)
-        g_prev, h_prev = g_new, h_new
+        th = state.coeffs
+        gh[i] = (weights * th[..., None, :] ** 2).sum(axis=-1)
         if i % config.stride == 0 or i == n_steps:
             # the rhs at a recorded state is also the next step's k1
-            k1 = rhs(state.coeffs, evaluator, eps, lam)
-            record(state, g_new, h_new, k1)
+            k1 = rhs(th, evaluator, eps, lam)
+            rec_steps.append(i)
+            times.append(state.t)
+            snaps.append(th)
+            k1s.append(k1)
+        else:
+            k1 = None
 
-    # snaps has shape (n_rec,) + lead + (m,), the other records (n_rec,) + lead
-    times, snaps, g, h, g_rate, h_rate, diss_energy, diss_ham = (
-        np.array(v) for v in zip(*recs))
+    # trapezoid: the integral to step i is the sum of the first i increments,
+    # accumulated one step at a time
+    incr = np.zeros_like(gh)
+    incr[1:] = 0.5 * dt * (gh[:-1] + gh[1:])
+    integral = np.cumsum(incr, axis=0)[rec_steps]
+    gh = gh[rec_steps]
+    # snaps has shape (n_rec,) + lead + (m,), the reductions (n_rec,) + lead
+    times, snaps = np.array(times), np.array(snaps)
+    rate = 2.0 * np.sum(weights * snaps[..., None, :] * np.array(k1s)[..., None, :], axis=-1)
     l2_sq = np.sum(snaps**2, axis=-1)
     ham = np.sum(lam_ham * snaps**2, axis=-1)
     # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
     # the Euler-Maclaurin dt^2 term, so the balance residuals track the RK4
     # trajectory error instead of the quadrature error
     em = dt**2 / 12.0
-    de = diss_energy - em * (g_rate - g_rate[0])
-    dh = diss_ham - em * (h_rate - h_rate[0])
+    diss = integral - em * (rate - rate[0])  # last axis: energy, Hamiltonian
     diag = {
         "l2_theta": np.sqrt(l2_sq),
-        "h1_theta": np.sqrt(g),
+        "h1_theta": np.sqrt(gh[..., 0]),
         "hdot_psi": np.sqrt(ham),
-        "hone_psi": np.sqrt(h),
-        "energy_residual": 0.5 * l2_sq + eps * de - 0.5 * l2_sq[0],
-        "hamiltonian_residual": 0.5 * ham + eps * dh - 0.5 * ham[0],
+        "hone_psi": np.sqrt(gh[..., 1]),
+        "energy_residual": 0.5 * l2_sq + eps * diss[..., 0] - 0.5 * l2_sq[0],
+        "hamiltonian_residual": 0.5 * ham + eps * diss[..., 1] - 0.5 * ham[0],
     }
     snaps = snaps.reshape(len(times), B, m)
     diag = {key: v.reshape(len(times), B) for key, v in diag.items()}

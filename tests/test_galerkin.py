@@ -293,11 +293,47 @@ def test_grid_products_orthogonality(m, alpha, seed):
     assert abs(np.dot(psi, q)) <= 1e-12 * scale
 
 
+# one instance serves every state shape in turn, the cache filling as it goes
+INTERLEAVED_BATCHES = (None, 3, 6, 2, 3)
+
+
+def _assert_rows_equal_solo_calls(evaluator, fresh, m):
+    rng = np.random.default_rng(m)
+    for B in INTERLEAVED_BATCHES:
+        states = rng.standard_normal(m if B is None else (B, m))
+        out = evaluator.quadratic(states)
+        assert out.shape == states.shape
+        for row, got in zip(np.atleast_2d(states), np.atleast_2d(out)):
+            assert np.array_equal(got, fresh().quadratic(row))
+
+
+@pytest.mark.parametrize("m", (40, 64, 256))
+def test_grid_products_index_cache_serves_interleaved_shapes(m):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    gp = GridProducts(basis, m, 0.35)
+    _assert_rows_equal_solo_calls(gp, lambda: GridProducts(basis, m, 0.35), m)
+    assert set(gp._index) == {(m,), (3, m), (6, m), (2, m)}
+    for index in gp._index.values():
+        assert all(not a.flags.writeable for a in index)
+
+
+@pytest.mark.parametrize("m", (16, 36))
+def test_tensor_bin_cache_serves_interleaved_shapes(m):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    tensor = assemble_tensor(basis, m, 0.35)
+    _assert_rows_equal_solo_calls(tensor, lambda: assemble_tensor(basis, m, 0.35), m)
+    assert set(tensor._bins) == {3, 6, 2}
+    assert all(not bins.flags.writeable for bins in tensor._bins.values())
+
+
 def test_grid_products_calls_are_independent_across_threads():
+    # the threads also fill the per-shape index cache of a fresh instance
     basis = build_rectangle_basis(8)
+    rng = np.random.default_rng(4)
+    states = [rng.standard_normal(64 if B is None else (B, 64))
+              for B in INTERLEAVED_BATCHES * 12]
+    serial = [GridProducts(basis, 64, 0.5).quadratic(th) for th in states]
     gp = GridProducts(basis, 64, 0.5)
-    states = np.random.default_rng(4).standard_normal((64, 64))
-    serial = [gp.quadratic(th) for th in states]
     with ThreadPoolExecutor(max_workers=4) as ex:
         threaded = list(ex.map(gp.quadratic, states))
     assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
@@ -357,7 +393,7 @@ def test_tensor_load_rejects_malformed_fields(tensor, tmp_path, field, value, me
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.sampled_from(SWITCH_SIDE_MS),
-    B=st.integers(1, 4),
+    B=st.integers(1, 6),
     alpha=st.floats(0.01, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -461,6 +497,47 @@ def test_run_blowup_carries_step_index_and_context(tmp_path):
     assert f"(step {exc.step})" in str(exc) and "stability number" in str(exc)
 
 
+class _PoisonedEvaluator:
+    """Wraps an evaluator; from call `at` on, member `row` of its output
+    holds `bad`."""
+
+    def __init__(self, inner, at, bad, row):
+        self.inner, self.at, self.bad, self.row = inner, at, bad, row
+        self.m, self.calls = inner.m, 0
+
+    def quadratic(self, theta):
+        self.calls += 1
+        out = self.inner.quadratic(theta)
+        if self.calls >= self.at:
+            np.atleast_2d(out)[self.row] = self.bad  # a view, also of an (m,) out
+        return out
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+@pytest.mark.parametrize("members", (1, 2))
+def test_nonfinite_state_mid_run_raises_blowup_at_its_step(monkeypatch, bad, members):
+    # at stride 1 step s makes rhs calls 4s - 2, 4s - 1, 4s (k2, k3, k4) and
+    # 4s + 1 (the record, which is step s + 1's k1); poison k3 of step 5
+    build = galerkin.nonlinearity
+    monkeypatch.setattr(galerkin, "nonlinearity",
+                        lambda *a: _PoisonedEvaluator(build(*a), 19, bad, members - 1))
+    cfg = SimConfig(alpha=0.5, m=16, dt=1e-3, T=0.02, stride=1, initial="random")
+    with pytest.raises(BlowUpError) as info, np.errstate(invalid="ignore"):
+        run_ensemble([replace(cfg, epsilon=e) for e in (0.01, 0.2)[:members]])
+    exc = info.value
+    assert exc.step == 5 and exc.t == pytest.approx(5e-3)
+    assert exc.epsilon == (0.01, 0.2)[members - 1]
+    assert not exc.max_coeff <= galerkin.BLOWUP_THRESHOLD
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_state_built_by_a_caller_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GalerkinState(0.0, np.array([bad]))
+    with pytest.raises(ValueError, match="finite"):
+        GalerkinState(0.0, np.array([[0.0, 1.0], [bad, 0.0]]))
+
+
 def _counting_rhs(monkeypatch):
     calls = []
 
@@ -543,6 +620,99 @@ def test_run_diagnostics_equal_per_record_recomputation(m, members):
             }
             for key, val in expect.items():
                 assert tr.diagnostics[key][i] == val, (key, i)
+
+
+def _run_per_step_oracle(configs):
+    """run_ensemble with the diagnostics kept up to date inside the loop: the
+    trapezoid integrals advance every step and the rates are taken at every
+    record.  Returns (times, snaps, diagnostics) per member."""
+    config, B, m, dt = configs[0], len(configs), configs[0].m, configs[0].dt
+    basis = build_rectangle_basis(config.basis_cutoff())
+    lam = basis.eigenvalues[:m]
+    evaluator = galerkin.nonlinearity(basis, m, config.alpha)
+    lead = (B,) if B > 1 else ()
+    eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
+    lam_ham, lam_diss = lam ** (-config.alpha / 2), lam ** (1 - config.alpha / 2)
+    n_steps = int(round(config.T / dt))
+    theta = np.broadcast_to(initial_data(config, basis), lead + (m,))
+    state = GalerkinState(0.0, theta.copy())
+
+    def dissipation(th):
+        sq = th**2
+        return (lam * sq).sum(axis=-1), (lam_diss * sq).sum(axis=-1)
+
+    diss_energy = diss_ham = np.zeros(lead)[()]
+    recs = []
+
+    def record(st, g, h, k1):
+        th = st.coeffs
+        recs.append((
+            st.t, th, g, h, 2.0 * np.sum(lam * th * k1, axis=-1),
+            2.0 * np.sum(lam_diss * th * k1, axis=-1), diss_energy, diss_ham,
+        ))
+
+    k1 = rhs(state.coeffs, evaluator, eps, lam)
+    g_prev, h_prev = dissipation(state.coeffs)
+    record(state, g_prev, h_prev, k1)
+    for i in range(1, n_steps + 1):
+        state = step(state, evaluator, eps, dt, lam, k1)
+        k1 = None
+        g_new, h_new = dissipation(state.coeffs)
+        diss_energy = diss_energy + 0.5 * dt * (g_prev + g_new)
+        diss_ham = diss_ham + 0.5 * dt * (h_prev + h_new)
+        g_prev, h_prev = g_new, h_new
+        if i % config.stride == 0 or i == n_steps:
+            k1 = rhs(state.coeffs, evaluator, eps, lam)
+            record(state, g_new, h_new, k1)
+
+    times, snaps, g, h, g_rate, h_rate, de, dh = (np.array(v) for v in zip(*recs))
+    l2_sq = np.sum(snaps**2, axis=-1)
+    ham = np.sum(lam_ham * snaps**2, axis=-1)
+    em = dt**2 / 12.0
+    diag = {
+        "l2_theta": np.sqrt(l2_sq),
+        "h1_theta": np.sqrt(g),
+        "hdot_psi": np.sqrt(ham),
+        "hone_psi": np.sqrt(h),
+        "energy_residual": 0.5 * l2_sq + eps * (de - em * (g_rate - g_rate[0])) - 0.5 * l2_sq[0],
+        "hamiltonian_residual":
+            0.5 * ham + eps * (dh - em * (h_rate - h_rate[0])) - 0.5 * ham[0],
+    }
+    snaps = snaps.reshape(len(times), B, m)
+    diag = {key: v.reshape(len(times), B) for key, v in diag.items()}
+    return [(times, snaps[:, b], {key: v[:, b] for key, v in diag.items()}) for b in range(B)]
+
+
+@pytest.mark.parametrize("m", (16, 64))
+@pytest.mark.parametrize("stride", (1, 7, 10))
+@pytest.mark.parametrize("members", (1, 3))
+def test_run_ensemble_equals_per_step_oracle(m, stride, members):
+    # the trapezoid integrals, taken after the loop by one cumsum, and the
+    # rates, reduced over the stacked records, match the per-step loop
+    cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=stride,
+                    initial="random_rough", seed=6)
+    configs = [replace(cfg, epsilon=e) for e in (0.3, 0.02, 0.0)[:members]]
+    for tr, (times, snaps, diag) in zip(run_ensemble(configs), _run_per_step_oracle(configs)):
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.snaps, snaps)
+        assert tr.diagnostics.keys() == diag.keys()
+        for key, val in diag.items():
+            assert np.array_equal(tr.diagnostics[key], val), key
+
+
+def test_viscous_balance_residuals_converge_at_fourth_order():
+    # residuals well above round-off at both step sizes, so their ratio
+    # measures the scheme: 7.27e-5 and 5.43e-6 here, order 3.74; without the
+    # endpoint correction the trapezoid's dt^2 error gives order ~2
+    cfg = SimConfig(alpha=0.5, epsilon=0.5, m=64, T=1.0, stride=1,
+                    initial="random", seed=1)
+    res = []
+    for dt in (1e-2, 5e-3):
+        d = run(replace(cfg, dt=dt)).diagnostics
+        res.append(max(np.abs(d["energy_residual"]).max(),
+                       np.abs(d["hamiltonian_residual"]).max()))
+    assert res[1] > 1e-9
+    assert math.log2(res[0] / res[1]) >= 3.0
 
 
 def test_rk4_trajectory_error_is_fourth_order():
