@@ -31,7 +31,6 @@ from .commutators import (
     multiplier_catalog,
 )
 from .weakform import (
-    TestFunction,
     classical_transport,
     n1,
     n2,
@@ -66,7 +65,7 @@ __all__ = [
     "lambda_pos_power_heat", "sobolev_norm",
     "Multiplier", "comm_lambda_grad", "comm_lambda_mult",
     "comm_neg_lambda_mult", "monitor_bounds", "multiplier_catalog",
-    "TestFunction", "classical_transport", "n1", "n2", "n2_alt", "n_total",
+    "classical_transport", "n1", "n2", "n2_alt", "n_total",
     "test_function_catalog",
     "BlowUpError", "GalerkinTensor", "SimConfig", "Trajectory",
     "assemble_tensor", "run", "run_ensemble",

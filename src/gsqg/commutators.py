@@ -38,6 +38,9 @@ from .fractional import sobolev_norm
 #: weight values beyond this are treated as boundary-singular and excluded
 WEIGHT_CLIP = 1e8
 
+#: a commutator norm at most this times the field's norm is round-off of zero
+ROUNDOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class Multiplier:
@@ -57,14 +60,10 @@ class Multiplier:
         return sample(self._grad_values, grid.N)
 
     def _values(self, X, Y):
-        return np.asarray(self.fn(X, Y), dtype=float) + np.zeros_like(X)
+        return _on_nodes(self.fn, X, Y)
 
     def _grad_values(self, X, Y):
-        z = np.zeros_like(X)
-        return np.stack(
-            [np.asarray(self.grad_x(X, Y), dtype=float) + z,
-             np.asarray(self.grad_y(X, Y), dtype=float) + z]
-        )
+        return np.stack([_on_nodes(self.grad_x, X, Y), _on_nodes(self.grad_y, X, Y)])
 
     def linf_norm(self, grid: QuadratureGrid) -> float:
         return float(np.abs(self.on(grid)).max())
@@ -73,15 +72,22 @@ class Multiplier:
         g = self.grad_on(grid)
         return float(self.linf_norm(grid) + np.abs(g).max())
 
-    def holder_seminorm(self, grid: QuadratureGrid, gamma: float, stride: int = 4) -> float:
-        """Empirical sup |a(x)-a(y)| / |x-y|^gamma over subsampled node pairs."""
+    def holder_seminorm(self, grid: QuadratureGrid, gamma: float) -> float:
+        """Empirical sup |a(x)-a(y)| / |x-y|^gamma over pairs of nodes on every
+        fourth grid line."""
         X, Y = grid.meshgrid()
-        pts = np.stack([X[::stride, ::stride].ravel(), Y[::stride, ::stride].ravel()], 1)
-        vals = self.on(grid)[::stride, ::stride].ravel()
+        sub = (slice(None, None, 4),) * 2
+        pts = np.stack([X[sub].ravel(), Y[sub].ravel()], 1)
+        vals = self.on(grid)[sub].ravel()
         diff = np.abs(vals[:, None] - vals[None, :])
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         mask = dist > 0
         return float((diff[mask] / dist[mask] ** gamma).max())
+
+
+def _on_nodes(fn: Callable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """fn(X, Y) with X's shape, without a copy; a constant fn may return a scalar."""
+    return np.broadcast_to(np.asarray(fn(X, Y), dtype=float), X.shape)
 
 
 def multiplier_catalog() -> dict[str, Multiplier]:
@@ -123,7 +129,6 @@ class BoundReport:
     lhs_norm: float
     rhs_norm: float
     ratio: float
-    params: dict
 
     def __post_init__(self):
         if not (np.isfinite(self.lhs_norm) and np.isfinite(self.rhs_norm)):
@@ -142,10 +147,8 @@ def padded_grid(basis: EigenBasis) -> QuadratureGrid:
     return QuadratureGrid(3 * basis.K)
 
 
-def comm_lambda_grad(
-    psi: SpectralField, s: float, pad: float = 4.0, perp: bool = False
-) -> GridField:
-    """[Lambda^s, grad] psi (or the perpendicular variant) on the padded grid."""
+def comm_lambda_grad(psi: SpectralField, s: float, pad: float = 4.0) -> GridField:
+    """[Lambda^s, grad] psi on the padded grid."""
     if not 0.0 < s < 2.0:
         raise ValueError(f"require s in (0, 2), got {s}")
     big = padded_basis(psi.basis, pad)
@@ -153,8 +156,6 @@ def comm_lambda_grad(
         raise ValueError("padding smaller than the field band")
     grid = padded_grid(big)
     out = _synthesize_square(_lambda_grad_coeffs(_coeff_square(psi, big.K), s, grid.N), grid.N)
-    if perp:
-        out = np.stack([-out[1], out[0]])
     return GridField(grid, out)
 
 
@@ -231,7 +232,8 @@ def monitor_bounds(
     'gain' (D(Lambda^{1-s}) bound for [Lambda^s, a]f).
     """
     d = 2.0
-    params = {"s": s, "p": p, "q": q, "gamma": gamma, "pad": pad}
+    # the field's factor of every rhs
+    f_norm = sobolev_norm(f, 2.0 * s) if kind == "gain" else _lp_norm_field(f, p)
 
     if kind == "lambda_grad":
         comm = comm_lambda_grad(f, s, pad)
@@ -241,7 +243,7 @@ def monitor_bounds(
         weight = boundary_distance_grid(grid) ** (-s - 1.0 - d / p)
         wa = np.abs(a.on(grid)) * weight
         wa = np.where(weight > WEIGHT_CLIP, 0.0, wa)
-        rhs = _lp_norm(wa, grid, q) * _lp_norm_field(f, p)
+        rhs = _lp_norm(wa, grid, q) * f_norm
     elif kind == "neg_mult":
         if not s < d / p:
             raise ValueError(f"neg_mult requires s < d/p = {d / p}, got s={s}")
@@ -253,7 +255,7 @@ def monitor_bounds(
             _lp_norm(vals, grid, p) ** 2
             + _lp_norm(np.hypot(grad_vals[0], grad_vals[1]), grid, p) ** 2
         ) ** 0.5
-        rhs = a.w1inf_norm(grid) * _lp_norm_field(f, p)
+        rhs = a.w1inf_norm(grid) * f_norm
     elif kind == "pos_mult":
         if not s < gamma:
             raise ValueError(f"pos_mult requires s < gamma, got s={s}, gamma={gamma}")
@@ -266,19 +268,24 @@ def monitor_bounds(
         comm = comm_lambda_mult(a, f, s, pad)
         grid = padded_grid(comm.basis)
         lhs = _lp_norm(synthesize(comm, grid).values, grid, 1.0 / inv_r)
-        rhs = a.holder_seminorm(grid, gamma) * _lp_norm_field(f, p)
+        rhs = a.holder_seminorm(grid, gamma) * f_norm
     elif kind == "gain":
         comm = comm_lambda_mult(a, f, s, pad)
         grid = padded_grid(comm.basis)
         lhs = sobolev_norm(comm, 2.0 * (1.0 - s))
-        rhs = a.w1inf_norm(grid) * sobolev_norm(f, 2.0 * s)
+        rhs = a.w1inf_norm(grid) * f_norm
     else:
         raise ValueError(f"unknown bound kind {kind!r}")
 
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+    if rhs > 0:
+        ratio = lhs / rhs
+    else:
+        # a zero multiplier norm (a constant's Holder seminorm) makes the
+        # commutator vanish exactly, up to round-off of the field
+        ratio = 0.0 if lhs <= ROUNDOFF * f_norm else np.inf
     if not np.isfinite(ratio):
         raise ValueError(f"non-finite observed ratio for kind {kind!r}")
-    return BoundReport(kind, lhs, rhs, ratio, params)
+    return BoundReport(kind, lhs, rhs, ratio)
 
 
 def _lp_norm_field(f: SpectralField, p: float) -> float:

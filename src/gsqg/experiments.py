@@ -21,7 +21,7 @@ from .basis import (
     analyze,
     gradient,
 )
-from .commutators import padded_basis, padded_grid
+from .commutators import Multiplier, padded_basis, padded_grid
 from .fractional import sobolev_norm
 from .galerkin import (
     SimConfig,
@@ -31,7 +31,7 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import TestFunction, _b1, _b2, _n2_shift_exponents, _perp_left, _transport
+from .weakform import _b1, _b2, _n2_shift_exponents, _perp_left, _transport
 
 PI = np.pi
 
@@ -44,7 +44,7 @@ GRID_BLOCK_VALUES = 2**13
 class SpaceTimeTest:
     """Separable phi(x, y) chi(t) with chi vanishing at t = 0 and t = T."""
 
-    spatial: TestFunction
+    spatial: Multiplier
     T: float
     chi: Callable = field(repr=False)
     dchi: Callable = field(repr=False)
@@ -55,7 +55,7 @@ class SpaceTimeTest:
                 raise ValueError(f"chi must vanish at t={t}")
 
 
-def sine_window_test(spatial: TestFunction, T: float) -> SpaceTimeTest:
+def sine_window_test(spatial: Multiplier, T: float) -> SpaceTimeTest:
     """chi(t) = sin^4(pi t / T): the catalog time window."""
     w = PI / T
     return SpaceTimeTest(
@@ -139,6 +139,16 @@ def negative_norm_diff(
     return sobolev_norm(diff, -nu)
 
 
+def _consecutive_diffs(finals: list[SpectralField]) -> dict:
+    """dneg_nu: D(Lambda^{-nu}) distances of consecutive final states."""
+    return {
+        f"dneg_{nu}": np.array(
+            [negative_norm_diff(a, b, nu) for a, b in zip(finals, finals[1:])]
+        )
+        for nu in (0.5, 1.0)
+    }
+
+
 def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
     """Galerkin truncation study: pairwise final-state distances over m."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
@@ -154,15 +164,6 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
         "final_l2": np.array([f.l2_norm() for f in finals]),
         "max_l2": np.array([tr.diagnostics["l2_theta"].max() for tr in trajs]),
     }
-    pair_diffs = {
-        f"dneg_{nu}": np.array(
-            [
-                negative_norm_diff(finals[i], finals[i + 1], nu)
-                for i in range(len(finals) - 1)
-            ]
-        )
-        for nu in (0.5, 1.0)
-    }
 
     # tail decay of the projection error of the initial datum
     big = replace(template, m=basis.size)
@@ -175,7 +176,7 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
     if len(ms) >= 2 and np.all(tails > 0):
         slope = np.polyfit(np.log(ms), np.log(tails), 1)[0]
         fits["tail_decay_exponent"] = float(slope)
-    return SweepReport("m", list(m_list), metrics, pair_diffs, fits)
+    return SweepReport("m", list(m_list), metrics, _consecutive_diffs(finals), fits)
 
 
 def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
@@ -204,23 +205,14 @@ def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
         "uni_tt_margin": max_l2 / theta0_norm,
         "dt_surrogate_hm4": np.array(surrogate),
     }
-    finals = [tr.final_state() for tr in trajs]
-    pair_diffs = {
-        f"dneg_{nu}": np.array(
-            [
-                negative_norm_diff(finals[i], finals[i + 1], nu)
-                for i in range(len(finals) - 1)
-            ]
-        )
-        for nu in (0.5, 1.0)
-    }
+    pair_diffs = _consecutive_diffs([tr.final_state() for tr in trajs])
     return SweepReport("epsilon", list(eps_list), metrics, pair_diffs)
 
 
 def weak_continuity_terms(
     traj_eps: Trajectory,
     traj_ref: Trajectory,
-    phi: TestFunction,
+    phi: Multiplier,
     delta: float,
     pad: float = 4.0,
 ) -> dict:

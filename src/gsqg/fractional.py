@@ -79,10 +79,11 @@ class HeatQuadRule:
         return t, w * t  # dt = t du
 
 
-def default_heat_rule(basis: EigenBasis, n_nodes: int = 513) -> HeatQuadRule:
-    """Window [1e-8/lambda_max, 40/lambda_min] resolving decay at both ends."""
+def default_heat_rule(basis: EigenBasis) -> HeatQuadRule:
+    """Window [1e-8/lambda_max, 40/lambda_min] resolving decay at both ends,
+    with 513 nodes."""
     lam = basis.eigenvalues
-    return HeatQuadRule(1e-8 / lam.max(), 40.0 / lam.min(), n_nodes)
+    return HeatQuadRule(1e-8 / lam.max(), 40.0 / lam.min(), 513)
 
 
 def lambda_neg_power_heat(

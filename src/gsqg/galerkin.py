@@ -61,12 +61,15 @@ from .basis import (
 PI = np.pi
 
 #: smallest mode count at which run() evaluates the nonlinearity by grid
-#: products.  Per call on a 2-core Xeon VM (OpenBLAS, one thread) the tensor
-#: took 13-17 us against the grid's 14-20 us at m = 36, and 19-23 us against
-#: 18-20 us at m = 40: below the switch the grid's fixed cost of a dozen
-#: small array operations dominates, above it the tensor's O(m^2) contraction.
-#: run_suite("quick") took 1.3 s with this switch and 1.5-1.7 s with grid
-#: products at every m.
+#: products.  Below it the grid's fixed cost of a dozen small array
+#: operations dominates, above it the tensor's O(m^2) contraction.  On a
+#: 2-core Xeon VM (OpenBLAS, one thread) one state at m = 16 took 8.9 us by
+#: the tensor and 19.7 us by grid products per call.  run_suite("quick")
+#: holds both sides: its weak_residual check makes 12,002 one-state rhs calls
+#: at m = 16, while the sweep and simulate runs at m = 64 and 256 sit above
+#: the switch.  run_suite("quick") took 0.53-0.63 s (median 0.56 s) in process
+#: with this switch and 0.64-0.82 s (median 0.70 s) with grid products at
+#: every m.
 GRID_MIN_M = 40
 
 #: coefficient magnitude treated as integrator blow-up (the exact ODE cannot
@@ -87,9 +90,8 @@ class BlowUpError(RuntimeError):
     run_ensemble adds the step index `step`.
     """
 
-    def __init__(self, t: float, max_coeff: float, dt: float | None = None,
-                 epsilon: float | None = None, stability: float | None = None,
-                 step: int | None = None):
+    def __init__(self, t: float, max_coeff: float, dt: float, epsilon: float,
+                 stability: float, step: int | None = None):
         super().__init__(t, max_coeff)
         self.t = t
         self.max_coeff = max_coeff
@@ -100,17 +102,12 @@ class BlowUpError(RuntimeError):
 
     def __str__(self) -> str:
         at = f"t={self.t}" if self.step is None else f"t={self.t} (step {self.step})"
-        msg = (
+        return (
             f"integrator blow-up at {at}: max |coefficient| = {self.max_coeff:.3e} "
-            f"exceeds {BLOWUP_THRESHOLD:.0e}"
+            f"exceeds {BLOWUP_THRESHOLD:.0e}; epsilon={self.epsilon}, dt={self.dt}, "
+            f"stability number epsilon*lambda_max*dt = {self.stability:.3g} "
+            f"(RK4 limit {RK4_REAL_LIMIT})"
         )
-        if self.epsilon is not None:
-            msg += (
-                f"; epsilon={self.epsilon}, dt={self.dt}, stability number "
-                f"epsilon*lambda_max*dt = {self.stability:.3g} "
-                f"(RK4 limit {RK4_REAL_LIMIT})"
-            )
-        return msg
 
 
 @dataclass

@@ -174,10 +174,10 @@ def check_viscous_balances(m: int = 64, T: float = 1.0):
 
 
 @_timed
-def check_heat_oracles(K: int = 8):
+def check_heat_oracles():
     """Heat-kernel quadrature vs diagonal fractional powers, monotone in nodes."""
     tol = 1e-6
-    basis = build_rectangle_basis(K)
+    basis = build_rectangle_basis(8)
     f = _random_field(basis, seed=2)
     worst = 0.0
     monotone = True
@@ -325,12 +325,12 @@ def check_weak_continuity():
 
 
 @_timed
-def check_bound_monitors(n_fields: int = 20):
+def check_bound_monitors():
     """Observed commutator-estimate ratios finite and stable across fields."""
     basis = build_rectangle_basis(5)
     a = multiplier_catalog()["bump4"]
     ratios = []
-    for seed in range(n_fields):
+    for seed in range(20):
         f = _random_field(basis, seed=100 + seed)
         rep = monitor_bounds("neg_mult", a, f, s=0.5)
         ratios.append(rep.ratio)

@@ -15,9 +15,8 @@ place of a synthesize-gradient-analyze round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .basis import (
     _gradient_coeffs,
     _gradient_square,
     _synthesize_square,
-    sample,
 )
 from .commutators import (
     Multiplier,
@@ -42,54 +40,8 @@ from .commutators import (
 PI = np.pi
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Analytic test function vanishing to order >= 4 at the boundary.
-
-    Carries closed-form first and second derivatives.
-    """
-
-    name: str
-    phi: Callable = field(repr=False)
-    dx: Callable = field(repr=False)
-    dy: Callable = field(repr=False)
-    dxx: Callable = field(repr=False)
-    dxy: Callable = field(repr=False)
-    dyy: Callable = field(repr=False)
-
-    def __post_init__(self):
-        mx = Multiplier(f"{self.name}.dx", self.dx, self.dxx, self.dxy)
-        my = Multiplier(f"{self.name}.dy", self.dy, self.dxy, self.dyy)
-        object.__setattr__(self, "_grad_mults", (mx, my))
-
-    def on(self, grid: QuadratureGrid) -> np.ndarray:
-        """phi on the grid nodes (read-only, shared between callers)."""
-        return sample(self.phi, grid.N)
-
-    def grad_on(self, grid: QuadratureGrid) -> np.ndarray:
-        """grad(phi) on the grid nodes (read-only, shared between callers)."""
-        return sample(self._grad, grid.N)
-
-    def laplacian_on(self, grid: QuadratureGrid) -> np.ndarray:
-        """Laplacian of phi on the grid nodes (read-only, shared between callers)."""
-        return sample(self._laplacian, grid.N)
-
-    def _grad(self, X, Y):
-        return np.stack([self.dx(X, Y), self.dy(X, Y)])
-
-    def _laplacian(self, X, Y):
-        return self.dxx(X, Y) + self.dyy(X, Y)
-
-    def grad_multipliers(self) -> tuple[Multiplier, Multiplier]:
-        """The two components of grad(phi) as multipliers with analytic gradients.
-
-        Built once per test function, so their grid samples are reused.
-        """
-        return self._grad_mults
-
-
 def _quartic_profile():
-    """p(t) = (t (pi - t))^4 and its first two derivatives."""
+    """p(t) = (t (pi - t))^4 and its derivative."""
 
     def q(t):
         return t * (PI - t)
@@ -100,88 +52,71 @@ def _quartic_profile():
     def dp(t):
         return 4.0 * q(t) ** 3 * (PI - 2.0 * t)
 
-    def d2p(t):
-        return 12.0 * q(t) ** 2 * (PI - 2.0 * t) ** 2 - 8.0 * q(t) ** 3
-
-    return p, dp, d2p
+    return p, dp
 
 
-def _make_quartic() -> TestFunction:
-    p, dp, d2p = _quartic_profile()
+def _make_quartic() -> Multiplier:
+    p, dp = _quartic_profile()
     c = 1.0 / p(PI / 2.0) ** 2
-    return TestFunction(
+    return Multiplier(
         "quartic",
-        phi=lambda x, y: c * p(x) * p(y),
-        dx=lambda x, y: c * dp(x) * p(y),
-        dy=lambda x, y: c * p(x) * dp(y),
-        dxx=lambda x, y: c * d2p(x) * p(y),
-        dxy=lambda x, y: c * dp(x) * dp(y),
-        dyy=lambda x, y: c * p(x) * d2p(y),
+        lambda x, y: c * p(x) * p(y),
+        lambda x, y: c * dp(x) * p(y),
+        lambda x, y: c * p(x) * dp(y),
     )
 
 
-def _make_sine_bump() -> TestFunction:
-    s4 = lambda t: np.sin(t) ** 4
-    ds4 = lambda t: 4.0 * np.sin(t) ** 3 * np.cos(t)
-    d2s4 = lambda t: 12.0 * np.sin(t) ** 2 * np.cos(t) ** 2 - 4.0 * np.sin(t) ** 4
-    return TestFunction(
+def _s4(t):
+    return np.sin(t) ** 4
+
+
+def _ds4(t):
+    return 4.0 * np.sin(t) ** 3 * np.cos(t)
+
+
+def _make_sine_bump() -> Multiplier:
+    return Multiplier(
         "sine_bump",
-        phi=lambda x, y: s4(x) * s4(y),
-        dx=lambda x, y: ds4(x) * s4(y),
-        dy=lambda x, y: s4(x) * ds4(y),
-        dxx=lambda x, y: d2s4(x) * s4(y),
-        dxy=lambda x, y: ds4(x) * ds4(y),
-        dyy=lambda x, y: s4(x) * d2s4(y),
+        lambda x, y: _s4(x) * _s4(y),
+        lambda x, y: _ds4(x) * _s4(y),
+        lambda x, y: _s4(x) * _ds4(y),
     )
 
 
-def _make_skew_bump() -> TestFunction:
+def _make_skew_bump() -> Multiplier:
     """Non-separable: sine bump modulated by sin(x + 2y)."""
-    s4 = lambda t: np.sin(t) ** 4
-    ds4 = lambda t: 4.0 * np.sin(t) ** 3 * np.cos(t)
-    d2s4 = lambda t: 12.0 * np.sin(t) ** 2 * np.cos(t) ** 2 - 4.0 * np.sin(t) ** 4
     g = lambda x, y: 1.0 + 0.5 * np.sin(x + 2.0 * y)
     gx = lambda x, y: 0.5 * np.cos(x + 2.0 * y)
     gy = lambda x, y: np.cos(x + 2.0 * y)
-    gxx = lambda x, y: -0.5 * np.sin(x + 2.0 * y)
-    gxy = lambda x, y: -np.sin(x + 2.0 * y)
-    gyy = lambda x, y: -2.0 * np.sin(x + 2.0 * y)
-    return TestFunction(
+    return Multiplier(
         "skew_bump",
-        phi=lambda x, y: s4(x) * s4(y) * g(x, y),
-        dx=lambda x, y: ds4(x) * s4(y) * g(x, y) + s4(x) * s4(y) * gx(x, y),
-        dy=lambda x, y: s4(x) * ds4(y) * g(x, y) + s4(x) * s4(y) * gy(x, y),
-        dxx=lambda x, y: d2s4(x) * s4(y) * g(x, y)
-        + 2.0 * ds4(x) * s4(y) * gx(x, y)
-        + s4(x) * s4(y) * gxx(x, y),
-        dxy=lambda x, y: ds4(x) * ds4(y) * g(x, y)
-        + ds4(x) * s4(y) * gy(x, y)
-        + s4(x) * ds4(y) * gx(x, y)
-        + s4(x) * s4(y) * gxy(x, y),
-        dyy=lambda x, y: s4(x) * d2s4(y) * g(x, y)
-        + 2.0 * s4(x) * ds4(y) * gy(x, y)
-        + s4(x) * s4(y) * gyy(x, y),
+        lambda x, y: _s4(x) * _s4(y) * g(x, y),
+        lambda x, y: _ds4(x) * _s4(y) * g(x, y) + _s4(x) * _s4(y) * gx(x, y),
+        lambda x, y: _s4(x) * _ds4(y) * g(x, y) + _s4(x) * _s4(y) * gy(x, y),
     )
 
 
-def test_function_catalog() -> dict[str, TestFunction]:
-    """A fresh dict of test functions built once, so their grid samples are reused."""
+def test_function_catalog() -> dict[str, Multiplier]:
+    """Closed-form test functions phi with analytic gradients, each vanishing
+    to order >= 4 at the boundary.
+
+    A fresh dict of functions built once, so their grid samples are reused.
+    """
     return {tf.name: tf for tf in _test_functions()}
 
 
 @lru_cache(maxsize=1)
-def _test_functions() -> tuple[TestFunction, ...]:
+def _test_functions() -> tuple[Multiplier, ...]:
     return (_make_quartic(), _make_sine_bump(), _make_skew_bump())
 
 
 @dataclass
 class WeakFormValue:
-    """n_total = (n1 - n2) / 2 with the parameters that produced it."""
+    """n_total = (n1 - n2) / 2 with its two halves."""
 
     n1: float
     n2: float
     n_total: float
-    params: dict
 
     def __post_init__(self):
         if not np.isclose(self.n_total, 0.5 * (self.n1 - self.n2), rtol=1e-12, atol=1e-300):
@@ -236,14 +171,14 @@ def _padded_square(psi: SpectralField, pad: float):
     return _coeff_square(psi, big.K), padded_grid(big)
 
 
-def n1(psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0) -> float:
+def n1(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
     """int [Lambda^alpha, perp-grad] psi . grad(phi) psi dx."""
     _check_alpha(alpha)
     A, grid = _padded_square(psi, pad)
     return float(_b1(A, A, alpha, phi.grad_on(grid)))
 
 
-def n2(psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0) -> float:
+def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
     """int Lambda^{-1+alpha} perp-grad(psi) . Lambda^{1-alpha}[Lambda^alpha, grad phi] psi dx.
 
     Computed via the rewriting Lambda^{-alpha}[Lambda^alpha, grad phi]psi =
@@ -263,7 +198,7 @@ def _n2_shift_exponents(alpha: float, delta: float):
 
 def n2_alt(
     psi: SpectralField,
-    phi: TestFunction,
+    phi: Multiplier,
     alpha: float,
     delta: float | None = None,
     pad: float = 4.0,
@@ -298,7 +233,7 @@ def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray
 
 
 def classical_transport(
-    theta: SpectralField, alpha: float, phi: TestFunction, pad: float = 4.0
+    theta: SpectralField, alpha: float, phi: Multiplier, pad: float = 4.0
 ) -> float:
     """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
     _check_alpha(alpha)
@@ -307,9 +242,9 @@ def classical_transport(
 
 
 def n_total(
-    psi: SpectralField, phi: TestFunction, alpha: float, pad: float = 4.0
+    psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0
 ) -> WeakFormValue:
     """N(psi, phi) = (N1 - N2)/2 with its two halves."""
     v1 = n1(psi, phi, alpha, pad)
     v2 = n2(psi, phi, alpha, pad)
-    return WeakFormValue(v1, v2, 0.5 * (v1 - v2), {"alpha": alpha, "pad": pad})
+    return WeakFormValue(v1, v2, 0.5 * (v1 - v2))

@@ -4,6 +4,7 @@ from scipy.special import roots_legendre
 
 from gsqg.basis import SpectralField, build_rectangle_basis, embed
 from gsqg.commutators import (
+    Multiplier,
     comm_lambda_grad,
     comm_lambda_mult,
     comm_neg_lambda_mult,
@@ -125,12 +126,36 @@ def test_comm_lambda_grad_single_mode_oracle():
 
 
 def test_monitor_bounds_reports(field):
-    a = multiplier_catalog()["bump4"]
-    rep = monitor_bounds("neg_mult", a, field, s=0.5)
-    assert rep.kind == "neg_mult"
-    assert np.isfinite(rep.ratio) and rep.ratio > 0
-    rep = monitor_bounds("gain", a, field, s=0.5)
-    assert np.isfinite(rep.ratio)
+    kinds = [
+        ("lambda_grad", {"s": 0.5}),
+        ("neg_mult", {"s": 0.5}),
+        ("pos_mult", {"s": 0.3, "gamma": 0.5}),
+        ("pos_mult", {"s": 0.3, "gamma": 1.0}),
+        ("gain", {"s": 0.5}),
+    ]
+    for kind, exps in kinds:
+        for name, a in multiplier_catalog().items():
+            rep = monitor_bounds(kind, a, field, **exps)
+            assert rep.kind == kind
+            assert np.isfinite(rep.ratio) and rep.ratio >= 0, (kind, name)
+            # a constant commutes with Lambda^s: only round-off remains
+            if kind != "lambda_grad":
+                assert (rep.ratio < 1e-12) == (name == "one"), (kind, name)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_pos_mult_of_a_constant_reads_zero(field, gamma):
+    # the rhs is exactly 0 (a constant's Holder seminorm), the lhs round-off
+    rep = monitor_bounds("pos_mult", multiplier_catalog()["one"], field, s=0.3, gamma=gamma)
+    assert rep.rhs_norm == 0.0
+    assert 0.0 < rep.lhs_norm < 1e-12
+    assert rep.ratio == 0.0
+
+
+def test_nonzero_commutator_over_a_zero_rhs_raises(field, monkeypatch):
+    monkeypatch.setattr(Multiplier, "holder_seminorm", lambda self, grid, gamma: 0.0)
+    with pytest.raises(ValueError, match="non-finite observed ratio"):
+        monitor_bounds("pos_mult", multiplier_catalog()["cos_xy"], field, s=0.3, gamma=0.5)
 
 
 def test_monitor_bounds_ratio_stability(basis):

@@ -53,10 +53,10 @@ def _comm_lambda_grad_perp(psi_b, s, grid):
     return np.stack([-out[1], out[0]])
 
 
-def _comm_neg_mult(mult, f_b, s, grid):
-    """[Lambda^{-s}, a] f_b in the basis of f_b, by grid products."""
+def _comm_neg_mult(a_grid, f_b, s, grid):
+    """[Lambda^{-s}, a] f_b in the basis of f_b, by grid products with the
+    grid samples a_grid of a."""
     big = f_b.basis
-    a_grid = mult.on(grid)
     af = analyze(GridField(grid, a_grid * synthesize(f_b, grid).values), big)
     lam_f = synthesize(apply_lambda_power(f_b, -s), grid).values
     term2 = analyze(GridField(grid, a_grid * lam_f), big)
@@ -78,8 +78,8 @@ def _n2_pair(psi_left, psi_right, phi, grid, lexp, s, rexp):
     left = [apply_lambda_power(analyze(GridField(grid, c), big), lexp) for c in pg.values]
     f = apply_lambda_power(psi_right, rexp)
     total = 0.0
-    for comp, mult in zip(left, phi.grad_multipliers()):
-        right = apply_lambda_power(SpectralField(big, -_comm_neg_mult(mult, f, s, grid)), 1.0)
+    for comp, a_grid in zip(left, phi.grad_on(grid)):
+        right = apply_lambda_power(SpectralField(big, -_comm_neg_mult(a_grid, f, s, grid)), 1.0)
         total += float(np.dot(comp.coeffs, right.coeffs))
     return total
 
