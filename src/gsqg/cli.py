@@ -1,9 +1,10 @@
 """Command-line entry point: simulate, verify, sweep, and operator access.
 
-Config files are INI text with a single [run] section; keys are lower-case
-(T is written t_final since INI keys are case-insensitive).  A manifest
-written by `simulate` is itself a valid config, so runs can be reproduced
-bit-exactly from their manifests.
+Config files are INI text with a single [run] section whose keys are the
+SimConfig field names (T is written t_final since INI keys are
+case-insensitive) and whose values are literal, with no `%` interpolation.
+A manifest written by `simulate` is itself a valid config, so runs can be
+reproduced bit-exactly from their manifests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import configparser
 import datetime
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,23 +35,20 @@ from .snapshots import (
     RunManifest,
     Snapshot,
     read_snapshot,
+    run_file_parser,
     write_diagnostics_csv,
     write_snapshot,
     write_table_csv,
 )
 from .verify import format_report, run_suite
 
-CONFIG_KEYS = {
-    "alpha": float,
-    "epsilon": float,
-    "m": int,
-    "pad": float,
-    "dt": float,
-    "t_final": float,
-    "stride": int,
-    "initial": str,
-    "seed": int,
-}
+#: INI keys are case-insensitive, so the SimConfig field T is written t_final
+_RENAMED = {"T": "t_final"}
+#: the [run] keys: INI key -> (SimConfig field, parser), in field order, which
+#: is the order manifests write them; the parser is the type of the default
+_RUN_KEYS = {_RENAMED.get(f.name, f.name): (f.name, type(f.default)) for f in fields(SimConfig)}
+#: a key older versions wrote that changed nothing: still parsed, then dropped
+_RETIRED = {"pad": (None, float)}
 
 
 class ConfigError(ValueError):
@@ -58,7 +56,7 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> SimConfig:
-    cp = configparser.ConfigParser()
+    cp = run_file_parser()
     try:
         read = cp.read(path)
     except configparser.Error as exc:
@@ -67,43 +65,32 @@ def load_config(path) -> SimConfig:
         raise ConfigError(f"{path}: config file not found or unreadable")
     if not cp.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
+    keys = _RUN_KEYS | _RETIRED
     kwargs = {}
     for key, raw in cp["run"].items():
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(
                 f"{path}: unknown key {key!r} in [run] "
-                f"(known: {', '.join(sorted(CONFIG_KEYS))})"
+                f"(known: {', '.join(sorted(keys))})"
             )
+        name, parse = keys[key]
         try:
-            kwargs[key] = CONFIG_KEYS[key](raw)
+            value = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
-    # older versions wrote a `pad` key that changed nothing: read, then dropped
-    kwargs.pop("pad", None)
-    if "t_final" in kwargs:
-        kwargs["T"] = kwargs.pop("t_final")
+        if name is not None:
+            kwargs[name] = value
     try:
         return SimConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "m": cfg.m,
-        "dt": cfg.dt,
-        "t_final": cfg.T,
-        "stride": cfg.stride,
-        "initial": cfg.initial,
-        "seed": cfg.seed,
-    }
-
-
-def _make_manifest(cfg: SimConfig, tensor_mode: str, out_dir: str) -> RunManifest:
+def make_manifest(cfg: SimConfig, tensor_mode: str, out_dir) -> RunManifest:
+    """The manifest of a run of `cfg`; its [run] section is a config that
+    load_config reads back as `cfg`."""
     return RunManifest(
-        config=config_to_dict(cfg),
+        config={key: getattr(cfg, name) for key, (name, _) in _RUN_KEYS.items()},
         tool_version=__version__,
         tensor_mode=tensor_mode,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -122,7 +109,7 @@ def cmd_simulate(args) -> int:
         snap = Snapshot(cfg.m, cfg.alpha, cfg.epsilon, float(t), traj.snaps[i])
         write_snapshot(out / f"snapshot_{i:06d}.bin", snap)
     write_diagnostics_csv(out / "diagnostics.csv", traj.times, traj.diagnostics)
-    _make_manifest(cfg, evaluator_mode(cfg.m), out).dump(out / "manifest.ini")
+    make_manifest(cfg, evaluator_mode(cfg.m), out).dump(out / "manifest.ini")
     print(f"wrote {len(traj.times)} snapshots to {out}")
     return 0
 
@@ -161,7 +148,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     write_table_csv(out / f"sweep_{args.kind}.csv", columns, rows)
     evaluators = ",".join(dict.fromkeys(evaluator_mode(m) for m in ms))
-    _make_manifest(cfg, evaluators, out).dump(out / "manifest.ini")
+    make_manifest(cfg, evaluators, out).dump(out / "manifest.ini")
     for name, val in rep.fits.items():
         print(f"{name}: {val:.4f}")
     print(f"wrote sweep report to {out / f'sweep_{args.kind}.csv'}")

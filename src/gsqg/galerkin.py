@@ -380,18 +380,19 @@ def nonlinearity(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor | Gr
 
 def rhs(
     theta: np.ndarray, tensor: GalerkinTensor | GridProducts,
-    eps: float | np.ndarray, eigvals: np.ndarray,
+    visc: float | np.ndarray, eigvals: np.ndarray | None,
 ) -> np.ndarray:
     """d theta / dt = -N(theta) - eps lambda theta, with N(theta) from the
     evaluator `tensor` (a GalerkinTensor or GridProducts).
 
-    theta is one state (m,) or a batch (B, m); eps is a scalar or one
-    viscosity per row, shape (B,)."""
+    theta is one state (m,) or a batch (B, m).  The viscous diagonal eps lambda
+    is visc * eigvals, for a scalar visc = eps; with eigvals None it is visc
+    itself, shape (m,) or (B, m), which run_ensemble builds once per run."""
     if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
-    if getattr(eps, "ndim", 0):
-        eps = eps[:, None]
-    return -tensor.quadratic(theta) - eps * eigvals * theta
+    if eigvals is not None:
+        visc = visc * eigvals
+    return -tensor.quadratic(theta) - visc * theta
 
 
 @dataclass
@@ -414,24 +415,26 @@ class GalerkinState:
 def step(
     state: GalerkinState,
     tensor: GalerkinTensor | GridProducts,
-    eps: float | np.ndarray,
     dt: float,
-    eigvals: np.ndarray,
     k1: np.ndarray | None = None,
+    *,
+    eps: float | np.ndarray,
+    visc: np.ndarray,
 ) -> GalerkinState:
-    """One classical RK4 step of the mode ODE, for one state or a batch (see
-    rhs for the shapes of the state and eps).  k1 is the right-hand side at
-    `state` when the caller already has it; the step then makes three rhs
-    calls instead of four, and leaves k1 unchanged."""
+    """One classical RK4 step of the mode ODE, for one state or a batch, with
+    visc the viscous diagonal (see rhs); eps, a scalar or (B,), only names the
+    member in a BlowUpError.  k1 is the right-hand side at `state` when the
+    caller already has it: the step then makes three rhs calls, not four, and
+    leaves k1 unchanged."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     th = state.coeffs
     if k1 is None:
-        k1 = rhs(th, tensor, eps, eigvals)
+        k1 = rhs(th, tensor, visc, None)
     h = 0.5 * dt
-    k2 = rhs(th + h * k1, tensor, eps, eigvals)
-    k3 = rhs(th + h * k2, tensor, eps, eigvals)
-    k4 = rhs(th + dt * k3, tensor, eps, eigvals)
+    k2 = rhs(th + h * k1, tensor, visc, None)
+    k3 = rhs(th + h * k2, tensor, visc, None)
+    k4 = rhs(th + dt * k3, tensor, visc, None)
     # new = th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), built in k2 with the same
     # operations in the same association, operands swapped only
     new = k2
@@ -444,16 +447,18 @@ def step(
     new += th
     mx = np.abs(new).max() if new.size else 0.0
     if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
-        raise _blowup(state.t + dt, float(mx), new, eps, dt, eigvals)
+        raise _blowup(state.t + dt, float(mx), new, eps, dt, visc)
     return GalerkinState._checked(state.t + dt, new)
 
 
-def _blowup(t, mx, new, eps, dt, eigvals) -> BlowUpError:
+def _blowup(t, mx, new, eps, dt, visc) -> BlowUpError:
     """The BlowUpError of a step, naming the first row that crossed."""
     row_max = np.abs(new.reshape(-1, new.shape[-1])).max(axis=-1)
     b = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))  # nan counts as crossed
     e = float(np.ravel(eps)[b]) if np.ndim(eps) else float(eps)
-    return BlowUpError(t, mx, dt, e, e * float(eigvals.max()) * dt)
+    # eps >= 0 and rounding is monotone: the row's largest entry is eps lambda_max
+    visc_max = np.broadcast_to(visc, new.shape).reshape(len(row_max), -1)[b].max()
+    return BlowUpError(t, mx, dt, e, float(visc_max) * dt)
 
 
 @dataclass
@@ -474,6 +479,12 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.T <= 0:
             raise ValueError("T must be positive")
+        # a run takes round(T / dt) steps; 1e-9 absorbs 0.05 / 1e-3 = 50.00000000000001
+        steps = self.T / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(
+                f"T (t_final) = {self.T} is not a whole number of dt = {self.dt} steps")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.epsilon < 0:
@@ -618,20 +629,21 @@ def run_ensemble(
     B = len(configs)
     lead = (B,) if B > 1 else ()
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
+    visc = np.multiply.outer(eps, lam)  # the viscous diagonal, (m,) or (B, m)
     lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
     # weights of g and h, the dissipation rates of the two balances
     weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])
 
     theta = np.broadcast_to(initial_data(config, basis), lead + (m,)).copy()
-    n_steps = int(round(config.T / dt))
+    n_steps = round(config.T / dt)
     state = GalerkinState(0.0, theta)
     gh = np.empty((n_steps + 1,) + lead + (2,))  # g and h at every step
     gh[0] = (weights * theta[..., None, :] ** 2).sum(axis=-1)
-    k1 = rhs(theta, evaluator, eps, lam)
+    k1 = rhs(theta, evaluator, visc, None)
     rec_steps, times, snaps, k1s = [0], [0.0], [theta], [k1]
     for i in range(1, n_steps + 1):
         try:
-            state = step(state, evaluator, eps, dt, lam, k1)
+            state = step(state, evaluator, dt, k1, eps=eps, visc=visc)
         except BlowUpError as exc:
             exc.step = i
             raise
@@ -639,7 +651,7 @@ def run_ensemble(
         gh[i] = (weights * th[..., None, :] ** 2).sum(axis=-1)
         if i % config.stride == 0 or i == n_steps:
             # the rhs at a recorded state is also the next step's k1
-            k1 = rhs(th, evaluator, eps, lam)
+            k1 = rhs(th, evaluator, visc, None)
             rec_steps.append(i)
             times.append(state.t)
             snaps.append(th)

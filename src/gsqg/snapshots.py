@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +82,16 @@ def write_table_csv(path, columns: list[str], rows: list[list[float]]):
             fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
+def run_file_parser() -> configparser.ConfigParser:
+    """The parser of every run file, configs and manifests alike.  Values are
+    literal: with interpolation off, a `%` in a path is kept as written."""
+    return configparser.ConfigParser(interpolation=None)
+
+
 @dataclass
 class RunManifest:
-    """Resolved configuration plus provenance; serializes to INI text."""
+    """Resolved configuration plus provenance; serializes to INI text, the
+    config as the [run] section and every other field under [manifest]."""
 
     config: dict
     tool_version: str
@@ -93,14 +100,10 @@ class RunManifest:
     output_dir: str
 
     def dumps(self) -> str:
-        cp = configparser.ConfigParser()
+        cp = run_file_parser()
         cp["run"] = {k: str(v) for k, v in self.config.items()}
-        cp["manifest"] = {
-            "tool_version": self.tool_version,
-            "tensor_mode": self.tensor_mode,
-            "created": self.created,
-            "output_dir": self.output_dir,
-        }
+        provenance = (f.name for f in fields(self) if f.name != "config")
+        cp["manifest"] = {name: getattr(self, name) for name in provenance}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -110,15 +113,10 @@ class RunManifest:
 
     @classmethod
     def loads(cls, text: str) -> "RunManifest":
-        cp = configparser.ConfigParser()
+        cp = run_file_parser()
         cp.read_string(text)
-        return cls(
-            config=dict(cp["run"]),
-            tool_version=cp["manifest"]["tool_version"],
-            tensor_mode=cp["manifest"]["tensor_mode"],
-            created=cp["manifest"]["created"],
-            output_dir=cp["manifest"]["output_dir"],
-        )
+        provenance = {f.name: cp["manifest"][f.name] for f in fields(cls) if f.name != "config"}
+        return cls(config=dict(cp["run"]), **provenance)
 
     @classmethod
     def load(cls, path) -> "RunManifest":

@@ -1,9 +1,14 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsqg.basis import build_rectangle_basis
-from gsqg.cli import ConfigError, load_config, main
-from gsqg.galerkin import GalerkinTensor, GridProducts, assemble_tensor
+from gsqg.cli import ConfigError, load_config, main, make_manifest
+from gsqg.galerkin import GalerkinTensor, GridProducts, SimConfig, assemble_tensor
 from gsqg.snapshots import (
     RunManifest,
     Snapshot,
@@ -59,15 +64,55 @@ def test_snapshot_rejects_corruption(tmp_path):
 
 
 def test_manifest_roundtrip():
-    m = RunManifest(
-        config={"alpha": 0.5, "m": 16}, tool_version="1.0.0",
-        tensor_mode="analytic", created="2026-01-01T00:00:00+00:00",
-        output_dir="out",
-    )
+    cfg = SimConfig(alpha=0.3, epsilon=0.1, m=20, dt=1e-3, T=0.05, stride=7,
+                    initial="file:runs/100% done/%(m)s.bin", seed=5)
+    m = make_manifest(cfg, "analytic", "out%1")
     back = RunManifest.loads(m.dumps())
-    assert back.tool_version == "1.0.0"
-    assert float(back.config["alpha"]) == 0.5
-    assert int(back.config["m"]) == 16
+    assert back.config == {k: str(v) for k, v in m.config.items()}
+    assert list(back.config) == [
+        "alpha", "epsilon", "m", "dt", "t_final", "stride", "initial", "seed"]
+    for f in fields(RunManifest)[1:]:
+        assert getattr(back, f.name) == getattr(m, f.name)
+    assert back.output_dir == "out%1"
+
+
+# floats as configs write them (0.1, 1e-3) and any others; T on the dt grid
+_floats = st.sampled_from([0.1, 1e-3, 0.25, 5e-4, 0.01]) | st.floats(
+    min_value=1e-9, max_value=1e3, allow_nan=False, allow_infinity=False)
+# file: paths holding `%`, `%(m)s` and inner spaces, which must stay literal
+_paths = st.lists(
+    st.sampled_from(["%", "%(m)s", "%1", " ", "100%", "%%"])
+    | st.text(alphabet="abXY019_-./() ", max_size=8),
+    min_size=1, max_size=5,
+).map(lambda parts: "file:snap" + "".join(parts) + ".bin")
+
+
+@st.composite
+def sim_configs(draw):
+    dt = draw(_floats)
+    return SimConfig(
+        alpha=draw(st.sampled_from([0.1, 0.5]) | st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        epsilon=draw(st.just(0.0) | _floats),
+        m=draw(st.integers(1, 10**6)),
+        dt=dt,
+        T=draw(st.integers(1, 10**6)) * dt,
+        stride=draw(st.integers(1, 10**6)),
+        initial=draw(st.sampled_from(
+            ["single_mode", "two_mode", "random", "random_rough", "bump"]) | _paths),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=sim_configs())
+def test_manifest_of_any_config_loads_back_equal(tmp_path, cfg):
+    # the [run] section is derived from SimConfig's fields, so every field,
+    # every float and every literal path comes back as written
+    path = tmp_path / "manifest.ini"
+    make_manifest(cfg, "grid", tmp_path).dump(path)
+    assert load_config(path) == cfg
 
 
 def test_load_config(config_path):
@@ -293,3 +338,46 @@ def test_cli_sweep_manifest_names_every_evaluator(config_path, tmp_path):
     assert main(["sweep", "modes", "--config", str(config_path), "--values", "16,64",
                  "--out", str(tmp_path / "sw")]) == 0
     assert RunManifest.load(tmp_path / "sw" / "manifest.ini").tensor_mode == "analytic,grid"
+
+
+def test_cli_out_dir_with_percent_writes_a_manifest_that_reruns(config_path, tmp_path):
+    # values are literal: an output path holding `%` is no interpolation syntax
+    first, second = tmp_path / "out%1", tmp_path / "re %(m)s"
+    assert main(["simulate", "--config", str(config_path), "--out", str(first)]) == 0
+    manifest = RunManifest.load(first / "manifest.ini")
+    assert manifest.output_dir == str(first)
+    assert main(["simulate", "--config", str(first / "manifest.ini"), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.ini")
+    assert names == sorted(p.name for p in second.iterdir() if p.name != "manifest.ini")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ("%(m)s.bin", "snap%1.bin"))
+def test_initial_file_path_with_percent_is_read_literally(tmp_path, name):
+    coeffs = np.random.default_rng(2).standard_normal(16)
+    write_snapshot(tmp_path / name, Snapshot(16, 0.5, 0.0, 0.0, coeffs))
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("single_mode", f"file:{tmp_path / name}"))
+    assert load_config(p).initial == f"file:{tmp_path / name}"
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    assert np.array_equal(read_snapshot(out / "snapshot_000000.bin").coeffs, coeffs)
+
+
+@pytest.mark.parametrize("t_final", ("0.1004", "0.0996", "1e-4"))
+def test_cli_t_final_off_the_dt_grid_exits_2_naming_it(tmp_path, capsys, t_final):
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("t_final = 0.1", f"t_final = {t_final}"))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "t_final" in err and "dt = 0.001" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "run.ini"
+    p.write_text(example)
+    assert load_config(p) == SimConfig(alpha=0.5, epsilon=0.01, m=16, dt=1e-3, T=0.5)

@@ -61,6 +61,17 @@ def test_weak_residual_dt_convergence(viscous_config):
     assert residuals[0] / residuals[1] > 4.0  # order >= 2
 
 
+def test_off_grid_t_final_is_refused_before_the_residual_window_slips(viscous_config):
+    # a run ends at round(T / dt) steps, so an off-grid T used to end the
+    # trajectory at t = 0.25 while the test window ended at T: the residual
+    # read 9.2e-10 at T = 0.2504 and 9.3e-10 at T = 0.2496, against 4.7e-12
+    st = sine_window_test(catalog()["sine_bump"], T=viscous_config.T)
+    assert weak_residual(run(viscous_config), st) < 1e-11
+    for T in (0.2504, 0.2496):
+        with pytest.raises(ValueError, match=r"T \(t_final\) = .* dt = 0.001"):
+            replace(viscous_config, T=T)
+
+
 def test_weak_residual_epsilon_term_linear(viscous_config):
     # the residual of an inviscid-identity evaluation of a viscous run
     # isolates the eps term, so it scales linearly in eps

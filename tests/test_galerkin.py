@@ -163,7 +163,7 @@ def test_step_single_mode_exponential(tensor, basis):
     lam = basis.eigenvalues[:16]
     th = np.zeros(16)
     th[0] = 1.0
-    st = step(GalerkinState(0.0, th), tensor, 1.0, 1e-3, lam)
+    st = step(GalerkinState(0.0, th), tensor, 1e-3, eps=1.0, visc=1.0 * lam)
     exact = np.exp(-lam[0] * 1e-3)
     assert abs(st.coeffs[0] - exact) < 1e-14
     assert np.abs(st.coeffs[1:]).max() == 0.0
@@ -175,7 +175,20 @@ def test_step_blowup_detection(tensor, basis):
     with pytest.raises(BlowUpError):
         st = GalerkinState(0.0, th)
         for _ in range(50):
-            st = step(st, tensor, 0.0, 1.0, lam)
+            st = step(st, tensor, 1.0, eps=0.0, visc=0.0 * lam)
+
+
+@pytest.mark.parametrize("T, dt", [(0.05, 1e-3), (0.1, 1e-3), (1.0, 0.1), (0.3, 0.1), (7e-4, 1e-4)])
+def test_t_final_on_the_dt_grid_is_accepted_and_reached(T, dt):
+    # 0.05 / 1e-3 is 50.00000000000001, 0.3 / 0.1 is 2.9999999999999996
+    cfg = SimConfig(m=4, dt=dt, T=T, stride=1)
+    assert run(cfg).times[-1] == pytest.approx(T, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", (1e-4, 4e-4, 0.0015, 0.9999))
+def test_t_final_off_the_dt_grid_is_refused(T):
+    with pytest.raises(ValueError, match="not a whole number of dt = 0.001 steps"):
+        SimConfig(dt=1e-3, T=T)
 
 
 def test_inviscid_l2_conservation():
@@ -357,7 +370,8 @@ def test_run_above_switch_matches_tensor_rk4():
     tensor = assemble_tensor(basis, cfg.m, cfg.alpha)
     state = GalerkinState(0.0, tr.snaps[0])
     for _ in range(100):
-        state = step(state, tensor, cfg.epsilon, cfg.dt, basis.eigenvalues[:cfg.m])
+        state = step(state, tensor, cfg.dt, eps=cfg.epsilon,
+                     visc=cfg.epsilon * basis.eigenvalues[:cfg.m])
     assert np.abs(state.coeffs - tr.snaps[-1]).max() < 1e-12
 
 
@@ -414,7 +428,8 @@ def test_rhs_batched_state_and_viscosities_equal_row_wise(m):
     evaluator = galerkin.nonlinearity(basis, m, 0.4)
     states = np.random.default_rng(m).standard_normal((3, m))
     eps = np.array([0.1, 0.0, 3e-3])
-    batched = rhs(states, evaluator, eps, lam)
+    # the batch takes its viscous diagonal built, one row per member
+    batched = rhs(states, evaluator, eps[:, None] * lam, None)
     for b in range(3):
         assert np.array_equal(batched[b], rhs(states[b], evaluator, eps[b], lam))
 
@@ -477,7 +492,8 @@ def test_step_blowup_names_the_member_that_crossed(tensor, basis):
     th = np.zeros((2, 16))
     th[1] = 1e11
     with pytest.raises(BlowUpError) as info:
-        step(GalerkinState(0.0, th), tensor, np.array([0.0, 0.5]), 1.0, lam)
+        eps = np.array([0.0, 0.5])
+        step(GalerkinState(0.0, th), tensor, 1.0, eps=eps, visc=eps[:, None] * lam)
     exc = info.value
     assert exc.epsilon == 0.5 and exc.dt == 1.0
     assert exc.stability == 0.5 * lam.max() * 1.0
@@ -576,8 +592,9 @@ def test_step_with_given_k1_equals_step(m, batch):
     th = rng.standard_normal((3, m) if batch else m)
     eps = np.array([0.1, 0.0, 3e-3]) if batch else 0.02
     state = GalerkinState(0.3, th)
-    plain = step(state, evaluator, eps, 1e-3, lam)
-    given = step(state, evaluator, eps, 1e-3, lam, k1=rhs(th, evaluator, eps, lam))
+    visc = np.multiply.outer(eps, lam)
+    plain = step(state, evaluator, 1e-3, eps=eps, visc=visc)
+    given = step(state, evaluator, 1e-3, rhs(th, evaluator, visc, None), eps=eps, visc=visc)
     assert given.t == plain.t
     assert np.array_equal(given.coeffs, plain.coeffs)
 
@@ -651,18 +668,19 @@ def _run_per_step_oracle(configs):
             2.0 * np.sum(lam_diss * th * k1, axis=-1), diss_energy, diss_ham,
         ))
 
-    k1 = rhs(state.coeffs, evaluator, eps, lam)
+    visc = np.asarray(eps)[..., None] * lam
+    k1 = rhs(state.coeffs, evaluator, visc, None)
     g_prev, h_prev = dissipation(state.coeffs)
     record(state, g_prev, h_prev, k1)
     for i in range(1, n_steps + 1):
-        state = step(state, evaluator, eps, dt, lam, k1)
+        state = step(state, evaluator, dt, k1, eps=eps, visc=visc)
         k1 = None
         g_new, h_new = dissipation(state.coeffs)
         diss_energy = diss_energy + 0.5 * dt * (g_prev + g_new)
         diss_ham = diss_ham + 0.5 * dt * (h_prev + h_new)
         g_prev, h_prev = g_new, h_new
         if i % config.stride == 0 or i == n_steps:
-            k1 = rhs(state.coeffs, evaluator, eps, lam)
+            k1 = rhs(state.coeffs, evaluator, visc, None)
             record(state, g_new, h_new, k1)
 
     times, snaps, g, h, g_rate, h_rate, de, dh = (np.array(v) for v in zip(*recs))
