@@ -206,9 +206,18 @@ def synthesize(f: SpectralField, grid: QuadratureGrid) -> GridField:
 
 
 def _synthesize_square(A: np.ndarray, N: int) -> np.ndarray:
-    """(2/pi) S A S^T on N interior nodes, for (..., K, K) coefficient squares."""
-    S = _sine_matrix(N, A.shape[-1])
-    return (2.0 / PI) * (S @ A @ S.T)
+    """(2/pi) S_r A S_c^T on N interior nodes, for (..., r, c) coefficient
+    rectangles: the rows carry the x band 1..r, the columns the y band 1..c.
+
+    The longer band's product runs first, so the two products take
+    N r c + N^2 min(r, c) multiply-adds rather than those of the zero-padded
+    square.
+    """
+    r, c = A.shape[-2:]
+    S_r, S_c = _sine_matrix(N, r), _sine_matrix(N, c)
+    if r >= c:
+        return (2.0 / PI) * ((S_r @ A) @ S_c.T)
+    return (2.0 / PI) * (S_r @ (A @ S_c.T))
 
 
 def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
@@ -219,14 +228,19 @@ def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
     if g.is_vector:
         raise ValueError("analyze expects a scalar field; handle components separately")
     _check_grid(basis, g.grid)
-    return SpectralField(basis, _gather_square(_analyze_square(g.values, basis.K), basis))
+    return SpectralField(
+        basis, _gather_square(_analyze_square(g.values, basis.K, basis.K), basis))
 
 
-def _analyze_square(G: np.ndarray, K: int) -> np.ndarray:
-    """(2/pi) w S^T G S, for (..., N, N) grid samples, as (..., K, K) squares."""
+def _analyze_square(G: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(2/pi) w S_rows^T G S_cols, for (..., N, N) grid samples, as
+    (..., rows, cols) coefficient rectangles; the shorter band's product runs
+    first."""
     grid = QuadratureGrid(G.shape[-1])
-    S = _sine_matrix(grid.N, K)
-    return (2.0 / PI) * grid.weight * (S.T @ G @ S)
+    S_r, S_c = _sine_matrix(grid.N, rows), _sine_matrix(grid.N, cols)
+    if rows <= cols:
+        return (2.0 / PI) * grid.weight * ((S_r.T @ G) @ S_c)
+    return (2.0 / PI) * grid.weight * (S_r.T @ (G @ S_c))
 
 
 def gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -247,22 +261,27 @@ def _gradient_square(A: np.ndarray, N: int):
 
 
 @lru_cache(maxsize=64)
-def _gradient_projection(N: int, K: int) -> np.ndarray:
-    """D with analyze(gradient(f)) = (D A, A D^T) on the N grid, A the square of f.
+def _gradient_projection(N: int, K_out: int, K_in: int) -> np.ndarray:
+    """The (K_out, K_in) map D with analyze(gradient(f)) onto the cutoff
+    K_out >= K_in equal to (D A, A D^T) on the N grid, A the (K_in, K_in)
+    square of f; the rest of each projected component is zero.
 
-    analyze(d/dx) is (2/pi)^2 w S^T C diag(1..K) A S^T S, and S^T S =
-    (N+1)/2 I for K <= N, so D = (2/(N+1)) S^T C diag(1..K).  Read-only.
+    analyze(d/dx) is (2/pi)^2 w S_out^T C_in diag(1..K_in) A S_in^T S_out, and
+    S_in^T S_out = (N+1)/2 [I 0] for K_out <= N, so
+    D = (2/(N+1)) S_out^T C_in diag(1..K_in).  Read-only.
     """
-    D = (2.0 / (N + 1)) * (_sine_matrix(N, K).T @ _cosine_matrix(N, K)) * np.arange(1, K + 1)
+    D = (2.0 / (N + 1)) * (_sine_matrix(N, K_out).T @ _cosine_matrix(N, K_in)) * np.arange(
+        1, K_in + 1)
     D.setflags(write=False)
     return D
 
 
-def _gradient_coeffs(A: np.ndarray, N: int) -> np.ndarray:
-    """The projected gradient analyze(gradient(f)) of (..., K, K) squares A,
-    as (..., 2, K, K) squares, without leaving coefficient space."""
-    D = _gradient_projection(N, A.shape[-1])
-    return np.stack([D @ A, A @ D.T], axis=-3)
+def _gradient_coeffs(A: np.ndarray, N: int, K_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projected gradient analyze(gradient(f)) onto the cutoff K_out of
+    (..., K, K) squares A, without leaving coefficient space: the blocks that
+    carry data, d/dx as (..., K_out, K) and d/dy as (..., K, K_out)."""
+    D = _gradient_projection(N, K_out, A.shape[-1])
+    return D @ A, A @ D.T
 
 
 @lru_cache(maxsize=64)

@@ -102,9 +102,10 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    traj = run(cfg)
+    # only after run(): a refused config leaves no directory behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traj = run(cfg)
     for i, t in enumerate(traj.times):
         snap = Snapshot(cfg.m, cfg.alpha, cfg.epsilon, float(t), traj.snaps[i])
         write_snapshot(out / f"snapshot_{i:06d}.bin", snap)
@@ -128,8 +129,6 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep values list is empty")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "modes":
         ms = [int(v) for v in values]
@@ -137,6 +136,9 @@ def cmd_sweep(args) -> int:
     else:
         ms = [cfg.m]
         rep = viscosity_sweep(cfg, [float(v) for v in values])
+    # only after the sweep: a refused config leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     columns = [rep.parameter] + list(rep.metrics) + list(rep.pair_diffs)
     rows = []

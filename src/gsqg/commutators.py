@@ -3,8 +3,12 @@
 All operators act on band-limited fields and are realized with padded
 quadrature projections: pointwise products and gradients live on a grid fine
 enough for the padded band, and every non-band-limited intermediate is
-projected back onto the padded sine basis.  The estimates' constants are
-never asserted; monitor_bounds reports observed ratios only.
+projected back onto the padded sine basis.  A field keeps its own (K, K)
+coefficient square and the transforms touch only the rows and columns that
+carry data: it is synthesized from its K band, and a projected gradient is
+the pair of rectangles (K', K) for d/dx and (K, K') for d/dy, K' the padded
+cutoff.  The estimates' constants are never asserted; monitor_bounds reports
+observed ratios only.
 """
 
 from __future__ import annotations
@@ -152,22 +156,24 @@ def comm_lambda_grad(psi: SpectralField, s: float, pad: float = 4.0) -> GridFiel
     if not 0.0 < s < 2.0:
         raise ValueError(f"require s in (0, 2), got {s}")
     big = padded_basis(psi.basis, pad)
-    if big.K < psi.basis.K:
-        raise ValueError("padding smaller than the field band")
     grid = padded_grid(big)
-    out = _synthesize_square(_lambda_grad_coeffs(_coeff_square(psi, big.K), s, grid.N), grid.N)
-    return GridField(grid, out)
+    comm = _lambda_grad_coeffs(_coeff_square(psi), s, grid.N, big.K)
+    return GridField(grid, np.stack([_synthesize_square(c, grid.N) for c in comm]))
 
 
-def _lambda_grad_coeffs(A: np.ndarray, s: float, N: int) -> np.ndarray:
-    """[Lambda^s, grad] of (..., K, K) squares as (..., 2, K, K) squares.
+def _lambda_grad_coeffs(A: np.ndarray, s: float, N: int, K_out: int):
+    """[Lambda^s, grad] of (..., K, K) squares projected onto the cutoff
+    K_out >= K, as the x block (..., K_out, K) and the y block (..., K, K_out).
 
     Both terms go through the same projection of the gradient onto the sine
     basis, so the truncation of the slowly converging sine series of grad(psi)
     cancels as s -> 0.
     """
-    lam_s = _eigenvalue_square(A.shape[-1]) ** (s / 2.0)
-    return lam_s * _gradient_coeffs(A, N) - _gradient_coeffs(lam_s * A, N)
+    K = A.shape[-1]
+    lam_s = _eigenvalue_square(K_out) ** (s / 2.0)
+    dx, dy = _gradient_coeffs(A, N, K_out)
+    lam_dx, lam_dy = _gradient_coeffs(lam_s[:K, :K] * A, N, K_out)
+    return lam_s[:, :K] * dx - lam_dx, lam_s[:K, :] * dy - lam_dy
 
 
 def comm_neg_lambda_mult(
@@ -191,21 +197,26 @@ def comm_lambda_mult(
 def _comm_mult(a: Multiplier, f: SpectralField, s: float, pad: float) -> SpectralField:
     big = padded_basis(f.basis, pad)
     grid = padded_grid(big)
-    c = _mult_coeffs(a.on(grid)[None], _coeff_square(f, big.K), s)
-    return SpectralField(big, _gather_square(c[..., 0, :, :], big))
+    (c,) = _mult_coeffs(a.on(grid)[None], _coeff_square(f), s, [(big.K, big.K)])
+    return SpectralField(big, _gather_square(c, big))
 
 
-def _mult_coeffs(a_grid: np.ndarray, F: np.ndarray, s: float) -> np.ndarray:
+def _mult_coeffs(a_grid: np.ndarray, F: np.ndarray, s: float, bands) -> list[np.ndarray]:
     """[Lambda^s, a] F for M multipliers sampled as (M, N, N) on the grid and
-    (..., K, K) squares F, as (..., M, K, K) squares.
+    (..., K, K) squares F, each projected onto its own band (rows, cols) of
+    bands, both >= K: one (..., rows, cols) rectangle per multiplier.
 
-    F and Lambda^s F are synthesized once for all M multipliers.
+    F and Lambda^s F are synthesized once, from the K band, for all M
+    multipliers.
     """
     N, K = a_grid.shape[-1], F.shape[-1]
-    lam_s = _eigenvalue_square(K) ** (s / 2.0)
-    g = _synthesize_square(np.stack([F, lam_s * F], axis=-3), N)
-    p = _analyze_square(a_grid[:, None] * g[..., None, :, :, :], K)
-    return lam_s * p[..., 0, :, :] - p[..., 1, :, :]
+    lam_s = _eigenvalue_square(max(max(band) for band in bands)) ** (s / 2.0)
+    g = _synthesize_square(np.stack([F, lam_s[:K, :K] * F], axis=-3), N)
+    out = []
+    for a, (rows, cols) in zip(a_grid, bands):
+        p = _analyze_square(a * g, rows, cols)
+        out.append(lam_s[:rows, :cols] * p[..., 0, :, :] - p[..., 1, :, :])
+    return out
 
 
 def _lp_norm(values: np.ndarray, grid: QuadratureGrid, p: float) -> float:

@@ -239,10 +239,11 @@ def weak_continuity_terms(
     grad_phi = phi.grad_on(grid)
     shift, plain = _n2_shift_exponents(alpha, delta)
 
-    # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares
+    # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares on
+    # their own band; the forms project onto the padded cutoff big.K
     jj, kk = basis.mode_arrays()
     n_t = len(traj_eps.times)
-    psi = np.zeros((2, n_t, big.K, big.K))
+    psi = np.zeros((2, n_t, basis.K, basis.K))
     for sq, tr in zip(psi, (traj_eps, traj_ref)):
         m = tr.config.m
         sq[:, jj[:m] - 1, kk[:m] - 1] = basis.eigenvalues[:m] ** (-alpha / 2.0) * tr.snaps
@@ -251,15 +252,19 @@ def weak_continuity_terms(
     # (r, r) for N(psi_eps) and N(psi_ref)
     d, e, r = 0, 1, 2
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
-    # the largest grid array of a block holds 16 (N, N) samples per snapshot
+    # a _b2 call holds 16 (N, N) samples per snapshot at once: its 8
+    # synthesized squares and their products with one multiplier
     block = max(1, GRID_BLOCK_VALUES // (16 * grid.N**2))
     for b in range(0, n_t, block):
         pe, pr = psi[:, b:b + block]
         fields = np.stack([pe - pr, pe, pr])
-        left = _perp_left(fields, grid.N)
-        v1[:, b:b + block] = _b1(fields[[d, r, e, r]], fields[[e, d, e, r]], alpha, grad_phi)
-        vs[:, b:b + block] = _b2(left[[d, r, e, r]], fields[[e, d, e, r]], *shift, grad_phi)
-        vp[:, b:b + block] = _b2(left[[d, e, e, r]], fields[[r, d, e, r]], *plain, grad_phi)
+        left = _perp_left(fields, grid.N, big.K)
+        v1[:, b:b + block] = _b1(
+            fields[[d, r, e, r]], fields[[e, d, e, r]], alpha, grad_phi, big.K)
+        vs[:, b:b + block] = _b2(
+            [c[[d, r, e, r]] for c in left], fields[[e, d, e, r]], *shift, grad_phi)
+        vp[:, b:b + block] = _b2(
+            [c[[d, e, e, r]] for c in left], fields[[r, d, e, r]], *plain, grad_phi)
     terms = np.stack([v1[0], v1[1], -vs[0], -vs[1], -vp[0], -vp[1]], axis=1)
     n_eps, n_ref = 0.5 * (v1[2:] - vs[2:] - vp[2:])
     two_dn = 2.0 * (n_eps - n_ref)

@@ -461,6 +461,10 @@ def _blowup(t, mx, new, eps, dt, visc) -> BlowUpError:
     return BlowUpError(t, mx, dt, e, float(visc_max) * dt)
 
 
+#: the named initial data of initial_data(); "file:PATH" reads a snapshot
+INITIAL_DATA = ("single_mode", "two_mode", "random", "random_rough", "bump")
+
+
 @dataclass
 class SimConfig:
     """Validated run parameters for one Galerkin trajectory."""
@@ -493,6 +497,10 @@ class SimConfig:
             raise ValueError("stride must be >= 1")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
+        if self.initial not in INITIAL_DATA and not self.initial.startswith("file:"):
+            raise ValueError(
+                f"unknown initial datum {self.initial!r} for key 'initial' "
+                f"(known: {', '.join(INITIAL_DATA)}, file:PATH)")
         if self.alpha >= 1.0:
             warnings.warn(
                 f"alpha={self.alpha} is outside the singular-velocity "

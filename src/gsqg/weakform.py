@@ -8,9 +8,13 @@ All functionals are quadratic in psi and evaluated with padded projections.
 
 Every weak form is built from two bilinear forms on (..., K, K) coefficient
 squares, _b1 (the N1 pairing) and _b2 (one N2 pairing), which take a leading
-batch axis.  Where a gradient is only projected back onto the sine basis,
-they apply the exact coefficient-space map basis._gradient_projection in
-place of a synthesize-gradient-analyze round trip.
+batch axis.  A field stays on its own K band and is never zero-padded to the
+padded cutoff K'.  Where a gradient is only projected back onto the sine
+basis, they apply the exact coefficient-space map basis._gradient_projection,
+a (K', K) rectangle, in place of a synthesize-gradient-analyze round trip, so
+d/dx lives on (K', K) and d/dy on (K, K').  _b1 synthesizes those rectangles
+and _b2 analyzes each multiplier product only onto the rectangle of the
+left factor it is paired with.
 """
 
 from __future__ import annotations
@@ -119,7 +123,9 @@ class WeakFormValue:
     n_total: float
 
     def __post_init__(self):
-        if not np.isclose(self.n_total, 0.5 * (self.n1 - self.n2), rtol=1e-12, atol=1e-300):
+        half = 0.5 * (self.n1 - self.n2)
+        # np.isclose(n_total, half, rtol=1e-12, atol=1e-300) on two floats
+        if not abs(self.n_total - half) <= 1e-300 + 1e-12 * abs(half):
             raise ValueError("n_total must equal (n1 - n2)/2")
 
 
@@ -128,54 +134,64 @@ def _check_alpha(alpha: float):
         raise ValueError(f"constitutive exponent alpha must lie in (0, 1), got {alpha}")
 
 
-def _b1(a: np.ndarray, b: np.ndarray, alpha: float, grad_phi: np.ndarray) -> float | np.ndarray:
+def _b1(
+    a: np.ndarray, b: np.ndarray, alpha: float, grad_phi: np.ndarray, K_pad: int
+) -> float | np.ndarray:
     """int [Lambda^alpha, perp-grad] a . grad(phi) b dx.
 
     a and b are (..., K, K) coefficient squares, grad_phi the (2, N, N) grid
-    samples of grad(phi); one value per leading index.  The commutator and b
-    are synthesized in one stacked call.
+    samples of grad(phi) and K_pad the cutoff the commutator is projected
+    onto; one value per leading index.  The commutator's (K_pad, K) and
+    (K, K_pad) blocks and b are synthesized from their own bands.
     """
     N = grad_phi.shape[-1]
-    g = _synthesize_square(
-        np.concatenate([_lambda_grad_coeffs(a, alpha, N), b[..., None, :, :]], axis=-3), N
-    )
+    c_x, c_y = (_synthesize_square(c, N) for c in _lambda_grad_coeffs(a, alpha, N, K_pad))
     # perp of the commutator (c_x, c_y) is (-c_y, c_x)
-    integrand = (g[..., 0, :, :] * grad_phi[1] - g[..., 1, :, :] * grad_phi[0]) * g[..., 2, :, :]
+    integrand = (c_x * grad_phi[1] - c_y * grad_phi[0]) * _synthesize_square(b, N)
     return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
 
 
-def _perp_left(a: np.ndarray, N: int) -> np.ndarray:
-    """P perp-grad a = (-P d/dy a, P d/dx a) of (..., K, K) squares, as
-    (..., 2, K, K) squares: the left factor of _b2 before its power."""
-    g = _gradient_coeffs(a, N)
-    return np.stack([-g[..., 1, :, :], g[..., 0, :, :]], axis=-3)
+def _perp_left(a: np.ndarray, N: int, K_pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """P perp-grad a = (-P d/dy a, P d/dx a) of (..., K, K) squares projected
+    onto the cutoff K_pad, as its (..., K, K_pad) and (..., K_pad, K) blocks:
+    the left factor of _b2 before its power."""
+    d_x, d_y = _gradient_coeffs(a, N, K_pad)
+    return -d_y, d_x
 
 
 def _b2(
-    left: np.ndarray, b: np.ndarray, lexp: float, s: float, rexp: float, grad_phi: np.ndarray
+    left, b: np.ndarray, lexp: float, s: float, rexp: float, grad_phi: np.ndarray
 ) -> float | np.ndarray:
     """<Lambda^lexp P perp-grad a, -Lambda [Lambda^{-s}, grad phi] Lambda^rexp b>.
 
-    left is _perp_left(a, N) for (..., K, K) squares a, b a (..., K, K)
+    left is _perp_left(a, N, K_pad) for (..., K, K) squares a, b a (..., K, K)
     square and grad_phi the (2, N, N) samples of grad(phi) used as the two
-    multipliers; one value per leading index.
+    multipliers; each multiplier's commutator is projected only onto the
+    block of its left component.  One value per leading index.
     """
-    lam = _eigenvalue_square(b.shape[-1])
-    right = lam**0.5 * _mult_coeffs(grad_phi, lam ** (rexp / 2.0) * b, -s)
-    return -np.sum(lam ** (lexp / 2.0) * left * right, axis=(-3, -2, -1))
+    K = b.shape[-1]
+    bands = [comp.shape[-2:] for comp in left]
+    lam = _eigenvalue_square(max(max(band) for band in bands))
+    right = _mult_coeffs(grad_phi, lam[:K, :K] ** (rexp / 2.0) * b, -s, bands)
+    total = 0.0
+    for comp, r, (rows, cols) in zip(left, right, bands):
+        lam_b = lam[:rows, :cols]
+        total = total - np.sum(lam_b ** (lexp / 2.0) * comp * (lam_b**0.5 * r), axis=(-2, -1))
+    return total
 
 
 def _padded_square(psi: SpectralField, pad: float):
-    """psi as a coefficient square on the padded basis, and that basis's grid."""
+    """psi's own coefficient square, the grid of its padded basis and the
+    padded cutoff."""
     big = padded_basis(psi.basis, pad)
-    return _coeff_square(psi, big.K), padded_grid(big)
+    return _coeff_square(psi), padded_grid(big), big.K
 
 
 def n1(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
     """int [Lambda^alpha, perp-grad] psi . grad(phi) psi dx."""
     _check_alpha(alpha)
-    A, grid = _padded_square(psi, pad)
-    return float(_b1(A, A, alpha, phi.grad_on(grid)))
+    A, grid, K_pad = _padded_square(psi, pad)
+    return float(_b1(A, A, alpha, phi.grad_on(grid), K_pad))
 
 
 def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
@@ -186,8 +202,9 @@ def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> f
     multiplier commutators are needed.
     """
     _check_alpha(alpha)
-    A, grid = _padded_square(psi, pad)
-    return float(_b2(_perp_left(A, grid.N), A, -1.0 + alpha, alpha, alpha, phi.grad_on(grid)))
+    A, grid, K_pad = _padded_square(psi, pad)
+    left = _perp_left(A, grid.N, K_pad)
+    return float(_b2(left, A, -1.0 + alpha, alpha, alpha, phi.grad_on(grid)))
 
 
 def _n2_shift_exponents(alpha: float, delta: float):
@@ -212,8 +229,8 @@ def n2_alt(
         raise ValueError(
             f"delta must lie in (0, min(alpha, 1-alpha)) = (0, {dmax}), got {delta}"
         )
-    A, grid = _padded_square(psi, pad)
-    left = _perp_left(A, grid.N)
+    A, grid, K_pad = _padded_square(psi, pad)
+    left = _perp_left(A, grid.N, K_pad)
     grad_phi = phi.grad_on(grid)
     shift, plain = _n2_shift_exponents(alpha, delta)
     return float(_b2(left, A, *shift, grad_phi) + _b2(left, A, *plain, grad_phi))
@@ -237,7 +254,7 @@ def classical_transport(
 ) -> float:
     """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
     _check_alpha(alpha)
-    A, grid = _padded_square(theta, pad)
+    A, grid, _ = _padded_square(theta, pad)
     return float(_transport(A, alpha, phi.grad_on(grid)))
 
 

@@ -175,13 +175,22 @@ def test_cli_dt_zero_names_key(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def _refused(tmp_path, capsys, argv, *words):
+    """argv exits 2 with every word in its message and leaves no --out directory."""
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
 def test_cli_unstable_config_exits_2_before_integrating(tmp_path, capsys):
     p = tmp_path / "run.ini"
     p.write_text(CONFIG.replace("m = 16", "m = 256").replace("epsilon = 0.01", "epsilon = 10"))
-    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "epsilon=10.0, dt=0.001" in err and "stability number" in err
-    assert not list((tmp_path / "o").glob("snapshot_*.bin"))
+    _refused(tmp_path, capsys, ["simulate", "--config", str(p)],
+             "epsilon=10.0, dt=0.001", "stability number")
+    _refused(tmp_path, capsys, ["sweep", "viscosity", "--config", str(p), "--values", "10,1"],
+             "stability number")
 
 
 def test_cli_simulate_outputs(config_path, tmp_path, capsys):
@@ -373,6 +382,20 @@ def test_cli_t_final_off_the_dt_grid_exits_2_naming_it(tmp_path, capsys, t_final
     err = capsys.readouterr().err
     assert "t_final" in err and "dt = 0.001" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_unknown_initial_exits_2_naming_the_key(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("single_mode", "nosuch"))
+    _refused(tmp_path, capsys, ["simulate", "--config", str(p)], "'initial'", "'nosuch'")
+    _refused(tmp_path, capsys, ["sweep", "viscosity", "--config", str(p), "--values", "0.1"],
+             "'initial'", "'nosuch'")
+
+
+def test_cli_missing_initial_file_leaves_no_directory(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("single_mode", f"file:{tmp_path / 'absent.bin'}"))
+    _refused(tmp_path, capsys, ["simulate", "--config", str(p)], "absent.bin")
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -258,6 +258,12 @@ def test_initial_data_catalog(basis):
         initial_data(SimConfig(m=16, initial="nope"), basis)
 
 
+def test_sim_config_refuses_unknown_initial_naming_the_key():
+    with pytest.raises(ValueError, match="'nope' for key 'initial'"):
+        SimConfig(initial="nope")
+    assert SimConfig(initial="file:any/path.bin").initial == "file:any/path.bin"
+
+
 def test_initial_data_deterministic(basis):
     cfg = SimConfig(m=16, initial="random", seed=42)
     a = initial_data(cfg, basis)

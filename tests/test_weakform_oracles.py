@@ -1,9 +1,11 @@
 """The coefficient-space weak forms against the grid route they replaced.
 
-The grid route synthesizes every gradient and every multiplier product on the
-padded grid and analyzes it back onto the sine basis, one field and one
+The grid route embeds every field into the padded basis (zero padding),
+synthesizes every gradient and every multiplier product on the padded grid
+and analyzes it back onto the full padded sine basis, one field and one
 snapshot at a time.  It stays here as the oracle of weakform._b1/_b2, of the
-batched weak_continuity_terms and of basis._gradient_projection.
+batched weak_continuity_terms, of the band-limited commutators and of
+basis._gradient_projection.
 """
 
 import numpy as np
@@ -23,7 +25,14 @@ from gsqg.basis import (
     perp_gradient,
     synthesize,
 )
-from gsqg.commutators import padded_basis, padded_grid
+from gsqg.commutators import (
+    comm_lambda_grad,
+    comm_lambda_mult,
+    comm_neg_lambda_mult,
+    multiplier_catalog,
+    padded_basis,
+    padded_grid,
+)
 from gsqg.experiments import weak_continuity_terms
 from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, Trajectory
@@ -53,14 +62,14 @@ def _comm_lambda_grad_perp(psi_b, s, grid):
     return np.stack([-out[1], out[0]])
 
 
-def _comm_neg_mult(a_grid, f_b, s, grid):
-    """[Lambda^{-s}, a] f_b in the basis of f_b, by grid products with the
+def _comm_mult(a_grid, f_b, s, grid):
+    """[Lambda^s, a] f_b in the basis of f_b, by grid products with the
     grid samples a_grid of a."""
     big = f_b.basis
     af = analyze(GridField(grid, a_grid * synthesize(f_b, grid).values), big)
-    lam_f = synthesize(apply_lambda_power(f_b, -s), grid).values
+    lam_f = synthesize(apply_lambda_power(f_b, s), grid).values
     term2 = analyze(GridField(grid, a_grid * lam_f), big)
-    return apply_lambda_power(af, -s).coeffs - term2.coeffs
+    return apply_lambda_power(af, s).coeffs - term2.coeffs
 
 
 def _n1_pair(psi_a, psi_b, phi, alpha, grid):
@@ -79,7 +88,7 @@ def _n2_pair(psi_left, psi_right, phi, grid, lexp, s, rexp):
     f = apply_lambda_power(psi_right, rexp)
     total = 0.0
     for comp, a_grid in zip(left, phi.grad_on(grid)):
-        right = apply_lambda_power(SpectralField(big, -_comm_neg_mult(a_grid, f, s, grid)), 1.0)
+        right = apply_lambda_power(SpectralField(big, -_comm_mult(a_grid, f, -s, grid)), 1.0)
         total += float(np.dot(comp.coeffs, right.coeffs))
     return total
 
@@ -150,7 +159,7 @@ def _close(got, want):
 
 alphas = st.floats(0.05, 0.95)
 cutoffs = st.integers(3, 12)
-pads = st.sampled_from([1.0, 2.0, 4.0])
+pads = st.sampled_from([1.0, 2.0, 4.0, 8.0])
 seeds = st.integers(0, 2**32 - 1)
 phis = st.sampled_from(sorted(catalog()))
 
@@ -196,16 +205,56 @@ def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_
 
 
 @settings(max_examples=30, deadline=None)
-@given(K=cutoffs, seed=seeds, grid_of=st.sampled_from(["K", "K+1", "3K"]))
-def test_gradient_projection_equals_analyzed_gradient(K, seed, grid_of):
-    N = {"K": K, "K+1": K + 1, "3K": 3 * K}[grid_of]
+@given(K=cutoffs, pad=pads, seed=seeds, grid_of=st.sampled_from(["K'", "K'+1", "3K'"]))
+def test_gradient_projection_equals_analyzed_gradient(K, pad, seed, grid_of):
+    # f on the cutoff K, its sampled gradient analyzed onto the padded K' >= K
     basis = build_rectangle_basis(K)
+    big = padded_basis(basis, pad)
+    N = {"K'": big.K, "K'+1": big.K + 1, "3K'": 3 * big.K}[grid_of]
     grid = QuadratureGrid(N)
     f = SpectralField(basis, np.random.default_rng(seed).standard_normal(basis.size))
     g = gradient(f, grid).values
-    want = np.stack([_coeff_square(analyze(GridField(grid, c), basis)) for c in g])
-    D = _gradient_projection(N, K)
+    want = np.stack([_coeff_square(analyze(GridField(grid, c), big)) for c in g])
+    D = _gradient_projection(N, big.K, K)
     A = _coeff_square(f)
-    got = np.stack([D @ A, A @ D.T])
+    # d/dx fills the (K', K) block, d/dy the (K, K') block, the rest is zero
+    got = np.zeros_like(want)
+    got[0, :, :K] = D @ A
+    got[1, :K, :] = A @ D.T
+    assert D.shape == (big.K, K)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not D.flags.writeable
+
+
+def _rel_close(got, want, scale):
+    return np.abs(got - want).max() <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.floats(0.01, 0.99), K=cutoffs, pad=pads, seed=seeds,
+       name=st.sampled_from(sorted(multiplier_catalog())))
+def test_commutators_equal_zero_padded_route(s, K, pad, seed, name):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    f = SpectralField(basis, rng.standard_normal(basis.size) / basis.eigenvalues)
+    a = multiplier_catalog()[name]
+    f_b, grid = _padded(f, pad)
+    a_grid = a.on(grid)
+    # each commutator is a difference of two terms of about this size; a
+    # constant multiplier makes it round-off of zero
+    scale = max(np.abs(a_grid).max(), 1.0) * np.abs(apply_lambda_power(f_b, s).coeffs).max()
+
+    got = comm_neg_lambda_mult(a, f, s, pad)
+    assert got.basis is f_b.basis
+    assert _rel_close(got.coeffs, _comm_mult(a_grid, f_b, -s, grid), scale)
+
+    got = comm_lambda_mult(a, f, s, pad)
+    assert got.basis is f_b.basis
+    assert _rel_close(got.coeffs, _comm_mult(a_grid, f_b, s, grid), scale)
+
+    got = comm_lambda_grad(f, s, pad)
+    perp = _comm_lambda_grad_perp(f_b, s, grid)
+    assert got.grid == grid
+    # the oracle returns the perp (-c_y, c_x) of the commutator (c_x, c_y)
+    grad_scale = np.abs(gradient(apply_lambda_power(f_b, s), grid).values).max()
+    assert _rel_close(got.values, np.stack([perp[1], -perp[0]]), grad_scale)
