@@ -24,6 +24,7 @@ from .basis import (
 from .commutators import Multiplier, padded_basis, padded_grid
 from .fractional import sobolev_norm
 from .galerkin import (
+    BLOCK_VALUES,
     SimConfig,
     Trajectory,
     build_rectangle_basis,
@@ -34,10 +35,6 @@ from .galerkin import (
 from .weakform import _b1, _b2, _n2_shift_exponents, _perp_left, _transport
 
 PI = np.pi
-
-#: grid values in one stacked (snapshots, N, N) array of a snapshot block
-#: (64 kB), which bounds the memory of the batched snapshot transforms
-GRID_BLOCK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
     j, k = basis.mode_arrays()
     # transport against grad(P_m phi), machine-exact for the triple band;
     # blocks of snapshots keep each grid array near 64 kB
-    block = max(1, GRID_BLOCK_VALUES // grid.N**2)
+    block = max(1, BLOCK_VALUES // grid.N**2)
     transport = np.empty(len(times))
     for b in range(0, len(times), block):
         squares = np.zeros((len(snaps[b:b + block]), basis.K, basis.K))
@@ -254,7 +251,7 @@ def weak_continuity_terms(
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
     # a _b2 call holds 16 (N, N) samples per snapshot at once: its 8
     # synthesized squares and their products with one multiplier
-    block = max(1, GRID_BLOCK_VALUES // (16 * grid.N**2))
+    block = max(1, BLOCK_VALUES // (16 * grid.N**2))
     for b in range(0, n_t, block):
         pe, pr = psi[:, b:b + block]
         fields = np.stack([pe - pr, pe, pr])

@@ -10,11 +10,13 @@ stream-function (Hamiltonian) balances alongside the state.
 
 Two evaluators of the quadratic term share one interface, `.m` and
 `.quadratic(theta)`, where theta is one state of shape (m,) or a batch of
-shape (B, m) and the result has the same shape:
+shape (B, m) and the result has the same shape.  For the RK4 loop each also
+has a native layout of the state, `.native(theta)` and `.modes(x, shape)`
+convert to and from it, and `.neg_quadratic(x)` returns -N(x) in it:
 
 - GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
   closed form by assemble_tensor in Python loops; each contraction costs
-  O(m^2).
+  O(m^2).  Its native layout is mode order.
 - GridProducts, which samples grad psi and grad theta on N x N interior nodes,
   multiplies pointwise and projects back with dense sine/cosine matrices.
   Along each axis the integrand of gamma_jkl is a product of three sines or
@@ -23,9 +25,11 @@ shape (B, m) and the result has the same shape:
   exact integral unless n is a nonzero multiple of 2(N+1): there the nodes
   see cos(n x) as the constant 1 (aliasing) and the rule returns pi, not 0.
   So 2(N+1) > 3K, Orszag's 3/2 de-aliasing rule, makes the projection exact,
-  and N = floor(3K/2) is the smallest such grid.  Its bilinear(a, b) is the
-  one grid form of gamma; tensor() evaluates it on unit pairs, which is how
-  the closed-form tensor is checked.
+  and N = floor(3K/2) is the smallest such grid.  Its native layout is the
+  (K, n, K) array of the n states' coefficient squares side by side.  Its
+  bilinear(a, b) is the one grid form of gamma, the native contraction
+  converted from and to mode order; tensor() evaluates it on unit pairs,
+  which is how the closed-form tensor is checked.
 
 run_ensemble() advances B trajectories that differ only in epsilon as one
 (B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
@@ -63,14 +67,25 @@ PI = np.pi
 #: smallest mode count at which run() evaluates the nonlinearity by grid
 #: products.  Below it the grid's fixed cost of a dozen small array
 #: operations dominates, above it the tensor's O(m^2) contraction.  On a
-#: 2-core Xeon VM (OpenBLAS, one thread) one state at m = 16 took 8.9 us by
-#: the tensor and 19.7 us by grid products per call.  run_suite("quick")
-#: holds both sides: its weak_residual check makes 12,002 one-state rhs calls
-#: at m = 16, while the sweep and simulate runs at m = 64 and 256 sit above
-#: the switch.  run_suite("quick") took 0.53-0.63 s (median 0.56 s) in process
-#: with this switch and 0.64-0.82 s (median 0.70 s) with grid products at
-#: every m.
+#: shared 2-core Xeon VM (OpenBLAS, one thread; minimum of 9 x 2000 calls,
+#: three runs, between which the machine's speed drifted by 2x) one
+#: right-hand side of the RK4 loop, neg_quadratic in the native layout plus
+#: the viscous term, took for one state 9.0-9.7 us by the tensor and
+#: 16.2-17.5 us by grid products at m = 16; at m = 30 the two were within 8%
+#: of each other and at m = 36 the grid was 7-27% faster.  For six states
+#: the grid was ahead from m = 16 (10.9-21.5 against 16.0-26.1 us), so this
+#: switch is stale for batched runs below it.  run_suite("quick") holds both
+#: sides: its weak_residual check makes 12,002 one-state evaluations at
+#: m = 16, while the sweep and simulate runs at m = 64 and 256 sit above the
+#: switch.  In process, in three sets of seven interleaved rounds, its median
+#: took 0.25, 0.42 and 0.40 s with this switch and 0.30, 0.52 and 0.42 s with
+#: grid products at every m.
 GRID_MIN_M = 40
+
+#: values in one block of stacked states (64 kB): run_ensemble converts,
+#: checks and reduces its steps' states a block at a time, and the snapshot
+#: transforms of experiments run over blocks of the same size
+BLOCK_VALUES = 2**13
 
 #: coefficient magnitude treated as integrator blow-up (the exact ODE cannot
 #: leave the initial L2 sphere, so crossings indicate integrator failure)
@@ -122,6 +137,9 @@ class GalerkinTensor:
     vals: np.ndarray
     mode: str
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (j then k, -vals) for neg_quadratic, left writeable: take() copies a
+    # read-only index array on every call
+    _negated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
@@ -135,14 +153,34 @@ class GalerkinTensor:
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
         for theta of shape (m,) or (B, m)."""
-        weights = self.vals * theta.take(self.j, axis=-1) * theta.take(self.k, axis=-1)
+        return -self.neg_quadratic(theta)
+
+    def neg_quadratic(self, theta: np.ndarray) -> np.ndarray:
+        """-N(theta) = -(sum_jk gamma_jkl theta_j theta_k)_l in mode order, the
+        tensor's native layout, for theta of shape (m,) or (B, m).  One gather
+        of the concatenated (j, k) indices feeds the negated values."""
+        if self._negated is None:  # built at the first contraction
+            self._negated = (np.concatenate([self.j, self.k]), -self.vals)
+        jk, neg_vals = self._negated
+        n = len(neg_vals)
         if theta.ndim == 1:
-            return np.bincount(self.l, weights=weights, minlength=self.m)
+            pairs = theta.take(jk)
+            return np.bincount(self.l, neg_vals * pairs[:n] * pairs[n:], self.m)
+        pairs = theta.take(jk, axis=1)
+        weights = neg_vals * pairs[:, :n] * pairs[:, n:]
         B = len(theta)
         bins = self._bins.get(B)
         if bins is None:
             bins = self._batch_bins(B)
         return np.bincount(bins, weights=weights.ravel(), minlength=B * self.m).reshape(B, self.m)
+
+    def native(self, theta: np.ndarray) -> np.ndarray:
+        """theta in the native layout, which for the tensor is mode order."""
+        return theta
+
+    def modes(self, x: np.ndarray, shape: tuple) -> np.ndarray:
+        """Native states x in mode order: the tensor's layout already is."""
+        return x
 
     def _batch_bins(self, B: int) -> np.ndarray:
         """Row b's terms go to bins b*m + l, each summed in the row-wise
@@ -271,10 +309,17 @@ class GridProducts:
     """P_m(u . grad theta) by grid products that are exact on the first m modes.
 
     Built once per (basis, m, alpha); quadratic() then agrees with
-    assemble_tensor(basis, m, alpha).quadratic to roundoff.  Each call
-    allocates its own work arrays and only reads the stored ones (the
-    per-shape index cache is filled once and never changed), so one instance
-    may serve concurrent trajectories.
+    assemble_tensor(basis, m, alpha).quadratic to roundoff.
+
+    Its native layout holds n states as one (K, n, K) array, member b's
+    coefficient of mode (j, k) at [j - 1, b, k - 1] and zeros off the first m
+    modes: the coefficient squares side by side, which is also the layout its
+    contraction produces.  native() and modes() convert from and to mode
+    order through index arrays cached per state shape; neg_quadratic()
+    contracts native states with no scatter or gather.  Each call allocates
+    its own work arrays and only reads the stored ones (the index cache is
+    filled once per shape and never changed), so one instance may serve
+    concurrent trajectories.
     """
 
     def __init__(self, basis: EigenBasis, m: int, alpha: float):
@@ -286,66 +331,99 @@ class GridProducts:
         N = 3 * K // 2  # smallest N with 2(N+1) > 3K
         self.m, self.alpha, self.K, self.N = m, alpha, K, N
         self._j, self._k = j, k
-        self._psi_scale = basis.eigenvalues[:m] ** (-alpha / 2.0)
+        # Lambda^{-alpha/2} on the square, zero off the modes
+        self._psi_scale = np.zeros((K, 1, K))
+        self._psi_scale[j, 0, k] = basis.eigenvalues[:m] ** (-alpha / 2.0)
+        # the projection fills every entry of the square; when the modes do
+        # not fill it, the 0/1 mask keeps the state zero off them
+        self._mask = None
+        if m < K * K:
+            self._mask = np.zeros((K, 1, K))
+            self._mask[j, 0, k] = 1.0
         S = _sine_matrix(N, K)
         dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
         # (d/dx, d/dy) f = (dC F S^T, S F dC^T) for the (K, K) coefficients F
         self._left = np.concatenate([dC, S])
         self._St, self._dCt = np.ascontiguousarray(S.T), np.ascontiguousarray(dC.T)
-        self._proj = (2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
+        # negated, so that the contraction comes out as -N
+        self._neg_proj = -(2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
         self._S = S
-        # rows (h, p, f) of left @ F in the order (f, p) for the dC half h = 0
-        # and (reversed f, p) for the S half h = 1; see bilinear()
+        # rows (h, p, f) of left @ F: first (f, p) of the dC half h = 0, for
+        # the x derivatives, then (reversed f, p) of the S half h = 1, for the
+        # y derivatives; see _neg_product().  Left writeable: take() copies a
+        # read-only index array on every call
         p = 2 * np.arange(N)
-        self._rows_x = np.concatenate([p, p + 1])
-        self._rows_y = np.concatenate([p + 2 * N + 1, p + 2 * N])
-        self._index = {}  # state shape -> (psi scatter, b scatter, gather)
-        for a in (self._psi_scale, self._left, self._St, self._dCt, self._proj,
-                  self._rows_x, self._rows_y):
-            a.setflags(write=False)
+        self._rows = np.concatenate([p, p + 1, p + 2 * N + 1, p + 2 * N])
+        self._index = {}  # mode-order state shape -> flat positions in the square
+        for a in (self._psi_scale, self._mask, self._left, self._St, self._dCt,
+                  self._neg_proj):
+            if a is not None:
+                a.setflags(write=False)
 
-    def _indices(self, shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat positions of the modes of n = prod(shape[:-1]) states in the
-        (K, 2nK) input of bilinear() (a's squares, then b's) and in its
-        (nK, K) output."""
-        K, j, k = self.K, self._j, self._k
+    def _positions(self, shape: tuple) -> np.ndarray:
+        """Flat positions in the (K, n, K) native layout of the entries of
+        mode-order states of `shape`, n = prod(shape[:-1])."""
+        pos = self._index.get(shape)
+        if pos is not None:
+            return pos
         n = math.prod(shape[:-1])
         b = np.arange(n).reshape(shape[:-1] + (1,))
-        index = (j * (2 * n * K) + b * K + k, j * (2 * n * K) + (n + b) * K + k,
-                 (j * n + b) * K + k)
-        for a in index:
-            a.setflags(write=False)
-        return self._index.setdefault(shape, index)
+        pos = (self._j * n + b) * self.K + self._k
+        pos.setflags(write=False)
+        return self._index.setdefault(shape, pos)
 
-    def bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """P_m(perp-grad Lambda^{-alpha} a . grad b) = (sum_jk gamma_jkl a_j b_k)_l
-        for a and b of one shape, (m,) or (B, m); the products broadcast over B.
+    def native(self, theta: np.ndarray) -> np.ndarray:
+        """theta, of shape (m,) or (B, m), in the native (K, n, K) layout
+        with n = 1 or B."""
+        pos = self._positions(theta.shape)
+        x = np.zeros(pos.size // self.m * self.K * self.K)
+        x[pos] = theta
+        return x.reshape(self.K, -1, self.K)
 
-        The n = B states' 2n coefficient squares F_c (psi = Lambda^{-alpha/2} a
-        first, then b) sit side by side in one (K, 2nK) matrix, so each of the
-        five products below is one 2-d GEMM whatever n is, and an (m,) state
-        is simply n = 1.  The row reorder between the first two products puts
-        the psi and b derivatives of one member into matching contiguous
-        blocks, which keeps the pointwise product contiguous.
+    def modes(self, x: np.ndarray, shape: tuple) -> np.ndarray:
+        """Native states x, (..., K, n, K), in mode order: (...) + shape for
+        the mode-order state shape, (m,) or (n, m)."""
+        return x.reshape(x.shape[:-3] + (-1,)).take(self._positions(shape), axis=-1)
+
+    def neg_quadratic(self, x: np.ndarray) -> np.ndarray:
+        """-N(theta) for states x in the native layout, in that layout."""
+        return self._neg_product(x, x)
+
+    def _neg_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """-P_m(perp-grad Lambda^{-alpha} a . grad b) for native a and b.
+
+        Psi = Lambda^{-alpha/2} a and b, each (K, n, K), are concatenated into
+        one (K, 2nK) matrix F of 2n coefficient squares side by side, so each
+        of the five products below is one 2-d GEMM whatever n is.  The row
+        reorder after the first product puts the psi and b derivatives of one
+        member into matching contiguous blocks, which keeps the pointwise
+        product contiguous.
         """
         K, N = self.K, self.N
-        index = self._index.get(a.shape)
-        s_a, s_b, gather = index if index is not None else self._indices(a.shape)
-        n = gather.size // self.m
-        F = np.zeros(2 * n * K * K)
-        F[s_a] = self._psi_scale * a
-        F[s_b] = b
+        n = a.shape[1]
+        F = np.concatenate([self._psi_scale * a, b], axis=1).reshape(K, 2 * n * K)
         # ndarray.dot, not @: on matrices this small the matmul ufunc's
         # set-up costs more than the product (1.9 against 0.5 us at m = 64)
         # L: rows (h, p, f) with h = dC or S and f = psi or b, columns (member, k)
-        L = self._left.dot(F.reshape(K, 2 * n * K)).reshape(4 * N, n * K)
+        L = self._left.dot(F).reshape(4 * N, n * K)
         # X = (psi_x, b_x) and Y = (b_y, psi_y), each with rows (f, p, member)
-        X = L.take(self._rows_x, axis=0).reshape(2 * n * N, K).dot(self._St)
-        Y = L.take(self._rows_y, axis=0).reshape(2 * n * N, K).dot(self._dCt)
+        XY = L.take(self._rows, axis=0).reshape(2, 2 * n * N, K)
+        X = XY[0].dot(self._St)
+        Y = XY[1].dot(self._dCt)
         # u . grad b with u = perp-grad psi = (-psi_y, psi_x)
         Z = (X * Y).reshape(2, N, n * N)
         adv = Z[0] - Z[1]  # (p, (member, q))
-        return self._proj.dot(adv).reshape(n * K, N).dot(self._S).take(gather)
+        out = self._neg_proj.dot(adv).reshape(n * K, N).dot(self._S).reshape(K, n, K)
+        if self._mask is not None:
+            out *= self._mask
+        return out
+
+    def bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """P_m(perp-grad Lambda^{-alpha} a . grad b) = (sum_jk gamma_jkl a_j b_k)_l
+        for a and b of one shape, (m,) or (B, m); the products broadcast over
+        B.  The native contraction, converted from and to mode order."""
+        out = self._neg_product(self.native(a), self.native(b))
+        return -self.modes(out, a.shape)
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
@@ -428,15 +506,28 @@ def step(
     leaves k1 unchanged."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
+
+    def f(x):
+        return rhs(x, tensor, visc, None)
+
     th = state.coeffs
-    if k1 is None:
-        k1 = rhs(th, tensor, visc, None)
+    new = _rk4(f, th, f(th) if k1 is None else k1, dt)
+    mx = np.abs(new).max() if new.size else 0.0
+    if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
+        raise _blowup(state.t + dt, float(mx), new, eps, dt, visc)
+    return GalerkinState._checked(state.t + dt, new)
+
+
+def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = None):
+    """th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), the classical RK4 step from th
+    with k1 = f(th) given, written to `out` (by default into k2's array).
+    f must return a new array; k1 is left unchanged."""
     h = 0.5 * dt
-    k2 = rhs(th + h * k1, tensor, visc, None)
-    k3 = rhs(th + h * k2, tensor, visc, None)
-    k4 = rhs(th + dt * k3, tensor, visc, None)
-    # new = th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), built in k2 with the same
-    # operations in the same association, operands swapped only
+    k2 = f(th + h * k1)
+    k3 = f(th + h * k2)
+    k4 = f(th + dt * k3)
+    # built in k2 with the same operations in the same association as the
+    # formula, operands swapped only
     new = k2
     new *= 2.0
     new += k1
@@ -444,11 +535,7 @@ def step(
     new += k3
     new += k4
     new *= dt / 6.0
-    new += th
-    mx = np.abs(new).max() if new.size else 0.0
-    if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
-        raise _blowup(state.t + dt, float(mx), new, eps, dt, visc)
-    return GalerkinState._checked(state.t + dt, new)
+    return np.add(new, th, out=new if out is None else out)
 
 
 def _blowup(t, mx, new, eps, dt, visc) -> BlowUpError:
@@ -479,8 +566,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # a nan fails every comparison, so finiteness is tested first
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.T <= 0:
             raise ValueError("T must be positive")
         # a run takes round(T / dt) steps; 1e-9 absorbs 0.05 / 1e-3 = 50.00000000000001
@@ -491,8 +579,10 @@ class SimConfig:
                 f"T (t_final) = {self.T} is not a whole number of dt = {self.dt} steps")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if not 0.0 < self.alpha <= 2.0:
@@ -608,14 +698,21 @@ def run_ensemble(
     configs differ in more than epsilon, and the member when a config's
     stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
 
-    The loop keeps only what each step must: the state, its two dissipation
-    sums g = ||grad theta||^2 and h = ||psi||^2_{D(L^{1+a/2})}, and at each
-    record the state and the rhs there.  That rhs doubles as the next step's
-    k1, so a run makes exactly 4 n_steps + 1 rhs calls.  After the loop the
-    trapezoid integrals of g and h are one sequential cumsum over the steps,
-    and the norms and the rates 2 sum lambda theta k1 are reduced over the
-    stacked records; every sum is taken in the order a per-step update would
-    take it, so the diagnostics match one to the bit.
+    The loop runs in the evaluator's native layout (the (K, n, K) coefficient
+    squares of GridProducts, mode order for the tensor), whose neg_quadratic
+    returns -N, so the right-hand side is nq(x) - visc x.  Each step writes
+    its new state into a block of about 64 kB (BLOCK_VALUES) of stacked
+    states and, at a record, evaluates the rhs there, which is also the next
+    step's k1: a run makes exactly 4 n_steps + 1 evaluations.  Once per block
+    the states go back to mode order in one take, which gives the records'
+    states, the blow-up test (BlowUpError names the first step that crossed,
+    as step() does) and the dissipation sums g = ||grad theta||^2 and
+    h = ||psi||^2_{D(L^{1+a/2})} of every step.  After the loop the record
+    rhs's go back to mode order, the trapezoid integrals of g and h are one
+    sequential cumsum over the steps, and the norms and the rates
+    2 sum lambda theta k1 are reduced over the stacked records; every sum is
+    taken in the order a per-step update would take it, so the diagnostics
+    match one to the bit.
     """
     configs = list(configs)
     if not configs:
@@ -636,46 +733,66 @@ def run_ensemble(
     # 1.16x as long at m = 16 and 1.05x at m = 64
     B = len(configs)
     lead = (B,) if B > 1 else ()
+    shape = lead + (m,)
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
-    visc = np.multiply.outer(eps, lam)  # the viscous diagonal, (m,) or (B, m)
+    visc_modes = np.multiply.outer(eps, lam)  # the viscous diagonal, (m,) or (B, m)
+    visc = evaluator.native(visc_modes)
+    neg_quadratic = evaluator.neg_quadratic
+
+    def f(x):
+        return neg_quadratic(x) - visc * x
+
     lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
     # weights of g and h, the dissipation rates of the two balances
     weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])
 
-    theta = np.broadcast_to(initial_data(config, basis), lead + (m,)).copy()
+    theta = np.broadcast_to(initial_data(config, basis), shape).copy()
     n_steps = round(config.T / dt)
-    state = GalerkinState(0.0, theta)
+    # step i ends at t[i], accumulated one dt at a time as step() does
+    t = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])
+    rec = np.r_[np.arange(0, n_steps, config.stride), n_steps]  # recorded steps
     gh = np.empty((n_steps + 1,) + lead + (2,))  # g and h at every step
     gh[0] = (weights * theta[..., None, :] ** 2).sum(axis=-1)
-    k1 = rhs(theta, evaluator, visc, None)
-    rec_steps, times, snaps, k1s = [0], [0.0], [theta], [k1]
-    for i in range(1, n_steps + 1):
-        try:
-            state = step(state, evaluator, dt, k1, eps=eps, visc=visc)
-        except BlowUpError as exc:
-            exc.step = i
-            raise
-        th = state.coeffs
-        gh[i] = (weights * th[..., None, :] ** 2).sum(axis=-1)
-        if i % config.stride == 0 or i == n_steps:
-            # the rhs at a recorded state is also the next step's k1
-            k1 = rhs(th, evaluator, visc, None)
-            rec_steps.append(i)
-            times.append(state.t)
-            snaps.append(th)
-            k1s.append(k1)
-        else:
-            k1 = None
+    snaps = np.empty((len(rec),) + shape)
+    snaps[0] = theta
+    x = evaluator.native(theta)
+    k1 = f(x)
+    k1s = [k1]
+    block = np.empty((min(n_steps, max(1, BLOCK_VALUES // x.size)),) + x.shape)
+    slots = list(block)
+    done = 0  # steps taken and checked
+    # the steps computed after a crossing, before its block is checked, may
+    # overflow.  An overflow or nan anywhere in a step leaves its state
+    # non-finite, so these warnings only ever precede a BlowUpError, which
+    # names the crossing instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps:
+            nb = min(len(slots), n_steps - done)
+            for i, slot in zip(range(done + 1, done + nb + 1), slots):
+                x = _rk4(f, x, f(x) if k1 is None else k1, dt, slot)
+                if i % config.stride == 0 or i == n_steps:
+                    k1 = f(x)
+                    k1s.append(k1)
+                else:
+                    k1 = None
+            states = evaluator.modes(block[:nb], shape)
+            if not np.abs(states).max() <= BLOWUP_THRESHOLD:  # nan fails too
+                raise _blowup_in_block(states, done, t, eps, dt, visc_modes)
+            gh[done + 1:done + nb + 1] = (weights * states[..., None, :] ** 2).sum(axis=-1)
+            lo, hi = np.searchsorted(rec, (done, done + nb), side="right")
+            snaps[lo:hi] = states[rec[lo:hi] - done - 1]
+            done += nb
 
     # trapezoid: the integral to step i is the sum of the first i increments,
     # accumulated one step at a time
     incr = np.zeros_like(gh)
     incr[1:] = 0.5 * dt * (gh[:-1] + gh[1:])
-    integral = np.cumsum(incr, axis=0)[rec_steps]
-    gh = gh[rec_steps]
-    # snaps has shape (n_rec,) + lead + (m,), the reductions (n_rec,) + lead
-    times, snaps = np.array(times), np.array(snaps)
-    rate = 2.0 * np.sum(weights * snaps[..., None, :] * np.array(k1s)[..., None, :], axis=-1)
+    integral = np.cumsum(incr, axis=0)[rec]
+    gh = gh[rec]
+    times = t[rec]
+    # snaps and k1s have shape (n_rec,) + lead + (m,), the reductions (n_rec,) + lead
+    k1s = evaluator.modes(np.stack(k1s), shape)
+    rate = 2.0 * np.sum(weights * snaps[..., None, :] * k1s[..., None, :], axis=-1)
     l2_sq = np.sum(snaps**2, axis=-1)
     ham = np.sum(lam_ham * snaps**2, axis=-1)
     # endpoint-corrected trapezoid: subtracting (dt^2/12)(g'(t) - g'(0)) kills
@@ -703,6 +820,16 @@ def run_ensemble(
         )
         for b, cfg in enumerate(configs)
     ]
+
+
+def _blowup_in_block(states, done, t, eps, dt, visc) -> BlowUpError:
+    """The BlowUpError of the first of a block's mode-order states that
+    crossed, the state after step done + 1 first, as step() raises it."""
+    row_max = np.abs(states.reshape(len(states), -1)).max(axis=-1)
+    r = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))
+    exc = _blowup(float(t[done + r + 1]), float(row_max[r]), states[r], eps, dt, visc)
+    exc.step = done + r + 1
+    return exc
 
 
 def nonlinear_term_grid(

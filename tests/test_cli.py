@@ -182,6 +182,7 @@ def _refused(tmp_path, capsys, argv, *words):
     err = capsys.readouterr().err
     assert all(w in err for w in words), err
     assert not out.exists()
+    return err
 
 
 def test_cli_unstable_config_exits_2_before_integrating(tmp_path, capsys):
@@ -390,6 +391,38 @@ def test_cli_unknown_initial_exits_2_naming_the_key(tmp_path, capsys):
     _refused(tmp_path, capsys, ["simulate", "--config", str(p)], "'initial'", "'nosuch'")
     _refused(tmp_path, capsys, ["sweep", "viscosity", "--config", str(p), "--values", "0.1"],
              "'initial'", "'nosuch'")
+
+
+@pytest.mark.parametrize("key", ("epsilon", "dt"))
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_cli_non_finite_epsilon_or_dt_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    # a nan epsilon used to integrate and exit 3 with a nan stability
+    # number, a nan dt to be reported against t_final
+    p = tmp_path / "run.ini"
+    line = {"epsilon": "epsilon = 0.01", "dt": "dt = 1e-3"}[key]
+    p.write_text(CONFIG.replace(line, f"{key} = {value}"))
+    err = _refused(tmp_path, capsys, ["simulate", "--config", str(p)],
+                   f"{key} must be finite", f"got {value}")
+    assert "t_final" not in err
+    _refused(tmp_path, capsys, ["sweep", "viscosity", "--config", str(p), "--values", "0.1"],
+             f"{key} must be finite")
+
+
+def test_cli_sweep_refuses_a_nan_viscosity_value(config_path, tmp_path, capsys):
+    _refused(tmp_path, capsys,
+             ["sweep", "viscosity", "--config", str(config_path), "--values", "0.1,nan"],
+             "epsilon must be finite", "got nan")
+
+
+def test_cli_negative_seed_exits_2_naming_the_key(config_path, tmp_path, capsys):
+    # seed = -1 used to fail in the random generator with a message naming no key
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("seed = 0", "seed = -1"))
+    _refused(tmp_path, capsys, ["simulate", "--config", str(p)], "seed must be >= 0, got -1")
+    _refused(tmp_path, capsys, ["simulate", "--config", str(config_path), "--seed", "-1"],
+             "seed must be >= 0, got -1")
+    _refused(tmp_path, capsys, ["sweep", "viscosity", "--config", str(config_path),
+                                "--values", "0.1", "--seed", "-1"], "seed must be >= 0")
 
 
 def test_cli_missing_initial_file_leaves_no_directory(tmp_path, capsys):

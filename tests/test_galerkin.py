@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -243,6 +244,22 @@ def test_config_validation():
         SimConfig(epsilon=-1.0)
 
 
+@pytest.mark.parametrize("field", ("epsilon", "dt"))
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+def test_config_refuses_non_finite_epsilon_and_dt_naming_the_key(field, value):
+    # nan fails every comparison: it used to pass the epsilon >= 0 test and
+    # to reach the t_final check as "dt = nan"
+    with pytest.raises(ValueError, match=f"^{field} must be finite") as info:
+        SimConfig(**{field: value})
+    assert "t_final" not in str(info.value)
+
+
+def test_config_refuses_negative_seed_naming_the_key():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimConfig(seed=-1)
+    assert SimConfig(seed=0).seed == 0
+
+
 def test_alpha_above_one_flagged():
     with pytest.warns(UserWarning, match="alpha=1.5"):
         SimConfig(alpha=1.5)
@@ -332,8 +349,7 @@ def test_grid_products_index_cache_serves_interleaved_shapes(m):
     gp = GridProducts(basis, m, 0.35)
     _assert_rows_equal_solo_calls(gp, lambda: GridProducts(basis, m, 0.35), m)
     assert set(gp._index) == {(m,), (3, m), (6, m), (2, m)}
-    for index in gp._index.values():
-        assert all(not a.flags.writeable for a in index)
+    assert all(not pos.flags.writeable for pos in gp._index.values())
 
 
 @pytest.mark.parametrize("m", (16, 36))
@@ -519,13 +535,19 @@ def test_run_blowup_carries_step_index_and_context(tmp_path):
     assert f"(step {exc.step})" in str(exc) and "stability number" in str(exc)
 
 
-class _PoisonedEvaluator:
-    """Wraps an evaluator; from call `at` on, member `row` of its output
-    holds `bad`."""
+class _CountedEvaluator:
+    """Wraps an evaluator and counts its evaluations, quadratic() and the
+    loop's neg_quadratic() alike, so run_ensemble and a loop of step() see
+    the same sequence.  From evaluation `at` on, member `row` of each output
+    holds N = bad, written in mode order (states of `shape`) so that the
+    entries of a GridProducts square off the modes stay zero."""
 
-    def __init__(self, inner, at, bad, row):
-        self.inner, self.at, self.bad, self.row = inner, at, bad, row
-        self.m, self.calls = inner.m, 0
+    def __init__(self, inner, at=math.inf, bad=np.nan, row=0, shape=None):
+        self.inner, self.at, self.bad, self.row, self.shape = inner, at, bad, row, shape
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def quadratic(self, theta):
         self.calls += 1
@@ -534,22 +556,75 @@ class _PoisonedEvaluator:
             np.atleast_2d(out)[self.row] = self.bad  # a view, also of an (m,) out
         return out
 
+    def neg_quadratic(self, x):
+        self.calls += 1
+        out = self.inner.neg_quadratic(x)
+        if self.calls >= self.at:
+            modes = self.inner.modes(out, self.shape)
+            np.atleast_2d(modes)[self.row] = -self.bad
+            out = self.inner.native(modes)
+        return out
+
+
+def _poison(monkeypatch, at, bad, members):
+    """Make galerkin.nonlinearity build evaluators whose last member reads
+    N = bad from evaluation `at` on."""
+    build = galerkin.nonlinearity
+
+    def poisoned(basis, m, alpha):
+        shape = (members, m) if members > 1 else (m,)
+        return _CountedEvaluator(build(basis, m, alpha), at, bad, members - 1, shape)
+
+    monkeypatch.setattr(galerkin, "nonlinearity", poisoned)
+
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 @pytest.mark.parametrize("members", (1, 2))
 def test_nonfinite_state_mid_run_raises_blowup_at_its_step(monkeypatch, bad, members):
-    # at stride 1 step s makes rhs calls 4s - 2, 4s - 1, 4s (k2, k3, k4) and
-    # 4s + 1 (the record, which is step s + 1's k1); poison k3 of step 5
-    build = galerkin.nonlinearity
-    monkeypatch.setattr(galerkin, "nonlinearity",
-                        lambda *a: _PoisonedEvaluator(build(*a), 19, bad, members - 1))
+    # at stride 1 step s makes evaluations 4s - 2, 4s - 1, 4s (k2, k3, k4) and
+    # 4s + 1 (the record, which is step s + 1's k1); poison k3 of step 5.
+    # Warnings are errors: the steps the loop computes after the crossing,
+    # before it checks their block, must not leak a RuntimeWarning
+    _poison(monkeypatch, 19, bad, members)
     cfg = SimConfig(alpha=0.5, m=16, dt=1e-3, T=0.02, stride=1, initial="random")
-    with pytest.raises(BlowUpError) as info, np.errstate(invalid="ignore"):
+    with pytest.raises(BlowUpError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
         run_ensemble([replace(cfg, epsilon=e) for e in (0.01, 0.2)[:members]])
     exc = info.value
     assert exc.step == 5 and exc.t == pytest.approx(5e-3)
     assert exc.epsilon == (0.01, 0.2)[members - 1]
     assert not exc.max_coeff <= galerkin.BLOWUP_THRESHOLD
+
+
+@pytest.mark.parametrize("bad", (np.nan, 1e20))
+@pytest.mark.parametrize("m, members, at_step", [
+    (16, 1, 1), (60, 3, 1), (64, 1, 1), (16, 2, 290), (60, 1, 290), (64, 2, 290),
+])
+def test_blowup_in_any_block_names_what_step_names(monkeypatch, bad, m, members, at_step):
+    # 300 steps at stride 1 span several blocks and end on a partial one,
+    # which holds step 290; poisoning k3 of a step makes it the first to
+    # cross.  A finite poison overflows in the steps after the crossing
+    n_steps = 300
+    cfg = SimConfig(alpha=0.5, m=m, dt=1e-3, T=n_steps * 1e-3, stride=1, initial="random")
+    configs = [replace(cfg, epsilon=e) for e in (0.01, 0.2, 0.05)[:members]]
+    if at_step > 1:
+        ev = galerkin.nonlinearity(build_rectangle_basis(cfg.basis_cutoff()), m, 0.5)
+        shape = (members, m) if members > 1 else (m,)
+        block = galerkin.BLOCK_VALUES // ev.native(np.zeros(shape)).size
+        # more than one block, and at_step in the last, partial one
+        assert block <= n_steps - n_steps % block < at_step <= n_steps
+    _poison(monkeypatch, 4 * at_step - 1, bad, members)
+    with pytest.raises(BlowUpError) as got, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_ensemble(configs)
+    with pytest.raises(BlowUpError) as want, np.errstate(all="ignore"):
+        _run_per_step_oracle(configs)
+    got, want = got.value, want.value
+    assert got.step == want.step == at_step
+    assert str(got) == str(want)
+    for name in ("t", "max_coeff", "dt", "epsilon", "stability"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.epsilon == configs[-1].epsilon
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
@@ -560,15 +635,16 @@ def test_state_built_by_a_caller_must_be_finite(bad):
         GalerkinState(0.0, np.array([[0.0, 1.0], [bad, 0.0]]))
 
 
-def _counting_rhs(monkeypatch):
-    calls = []
+def _counting_evaluators(monkeypatch):
+    made = []
+    build = galerkin.nonlinearity
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rhs(*args, **kwargs)
+    def counting(*args):
+        made.append(_CountedEvaluator(build(*args)))
+        return made[-1]
 
-    monkeypatch.setattr(galerkin, "rhs", counting)
-    return calls
+    monkeypatch.setattr(galerkin, "nonlinearity", counting)
+    return made
 
 
 @pytest.mark.parametrize("m", (16, 64))
@@ -576,15 +652,16 @@ def _counting_rhs(monkeypatch):
 @pytest.mark.parametrize("members", (1, 3))
 def test_run_makes_four_rhs_calls_per_step_plus_one(monkeypatch, m, stride, members):
     # the rhs at each recorded state feeds the balance diagnostics and is
-    # reused as the next step's k1, so records cost no extra rhs call
+    # reused as the next step's k1, so records cost no extra evaluation of
+    # the nonlinearity
     cfg = SimConfig(alpha=0.5, m=m, dt=1e-3, T=0.05, stride=stride, initial="random", seed=2)
-    calls = _counting_rhs(monkeypatch)
+    made = _counting_evaluators(monkeypatch)
     if members == 1:
         trajs = [run(cfg)]
     else:
         trajs = run_ensemble([replace(cfg, epsilon=e) for e in (0.1, 0.01, 0.0)[:members]])
     n_steps = 50
-    assert len(calls) == 4 * n_steps + 1
+    assert len(made) == 1 and made[0].calls == 4 * n_steps + 1
     assert len(trajs[0].times) == 1 + -(-n_steps // stride)
 
 
@@ -679,7 +756,11 @@ def _run_per_step_oracle(configs):
     g_prev, h_prev = dissipation(state.coeffs)
     record(state, g_prev, h_prev, k1)
     for i in range(1, n_steps + 1):
-        state = step(state, evaluator, dt, k1, eps=eps, visc=visc)
+        try:
+            state = step(state, evaluator, dt, k1, eps=eps, visc=visc)
+        except BlowUpError as exc:
+            exc.step = i
+            raise
         k1 = None
         g_new, h_new = dissipation(state.coeffs)
         diss_energy = diss_energy + 0.5 * dt * (g_prev + g_new)
@@ -707,21 +788,30 @@ def _run_per_step_oracle(configs):
     return [(times, snaps[:, b], {key: v[:, b] for key, v in diag.items()}) for b in range(B)]
 
 
-@pytest.mark.parametrize("m", (16, 64))
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# tensor (m = 16) and grid products on squares the modes fill (m = 64) or
+# not (m = 40 on K = 7, m = 60 on K = 8)
+@pytest.mark.parametrize("m", (16, 40, 60, 64))
 @pytest.mark.parametrize("stride", (1, 7, 10))
-@pytest.mark.parametrize("members", (1, 3))
+@pytest.mark.parametrize("members", (1, 3, 6))
 def test_run_ensemble_equals_per_step_oracle(m, stride, members):
-    # the trapezoid integrals, taken after the loop by one cumsum, and the
-    # rates, reduced over the stacked records, match the per-step loop
-    cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=stride,
+    # the loop in the evaluator's native layout with its per-block checks
+    # and sums, the trapezoid integrals taken after it by one cumsum and the
+    # rates reduced over the stacked records match the per-step loop of
+    # step() and rhs() bit for bit; 300 steps span more than one block of
+    # states and end on a partial block, except for one state at m = 16
+    cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.3, stride=stride,
                     initial="random_rough", seed=6)
-    configs = [replace(cfg, epsilon=e) for e in (0.3, 0.02, 0.0)[:members]]
+    configs = [replace(cfg, epsilon=e) for e in (0.3, 0.02, 0.0, 0.1, 1e-3, 0.05)[:members]]
     for tr, (times, snaps, diag) in zip(run_ensemble(configs), _run_per_step_oracle(configs)):
-        assert np.array_equal(tr.times, times)
-        assert np.array_equal(tr.snaps, snaps)
+        assert _same_bits(tr.times, times)
+        assert _same_bits(tr.snaps, snaps)
         assert tr.diagnostics.keys() == diag.keys()
         for key, val in diag.items():
-            assert np.array_equal(tr.diagnostics[key], val), key
+            assert _same_bits(tr.diagnostics[key], val), key
 
 
 def test_viscous_balance_residuals_converge_at_fourth_order():
