@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import build_rectangle_basis, restrict
+from .basis import SpectralField, build_rectangle_basis, restrict
 from .commutators import comm_lambda_mult, comm_neg_lambda_mult, multiplier_catalog
 from .experiments import mode_sweep, viscosity_sweep
 from .fractional import (
@@ -130,12 +130,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep values list is empty")
 
+    parse = int if args.kind == "modes" else float
+    values = [_parsed(parse, v, f"--values item {v!r}") for v in values]
     if args.kind == "modes":
-        ms = [int(v) for v in values]
-        rep = mode_sweep(cfg, ms)
+        ms = values
+        rep = mode_sweep(cfg, values)
     else:
         ms = [cfg.m]
-        rep = viscosity_sweep(cfg, [float(v) for v in values])
+        rep = viscosity_sweep(cfg, values)
     # only after the sweep: a refused config leaves no directory behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,10 +159,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _op_param(params: dict, key: str) -> float:
-    if key not in params:
-        raise ConfigError(f"operator requires parameter {key}=<value>")
-    return float(params[key])
+#: gsqg op NAME -> (library function, parameter, parser of its value); the
+#: commutators also take the multiplier named by `-p a=NAME` (default one)
+_OPS = {
+    "lambda_pow": (apply_lambda_power, "s", float),
+    "heat": (heat_semigroup, "t", float),
+    "lambda_neg_heat": (lambda_neg_power_heat, "s", float),
+    "lambda_pos_heat": (lambda_pos_power_heat, "s", float),
+    "project": (project, "m", int),
+    "comm_neg_mult": (comm_neg_lambda_mult, "s", float),
+    "comm_mult": (comm_lambda_mult, "s", float),
+}
+
+
+def _parsed(parse, raw: str, what: str):
+    """parse(raw), or a ConfigError naming `what`."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def cmd_op(args) -> int:
@@ -168,8 +185,6 @@ def cmd_op(args) -> int:
     basis = build_rectangle_basis(int(math.ceil(math.sqrt(snap.m))))
     coeffs = np.zeros(basis.size)
     coeffs[: snap.m] = snap.coeffs
-    from .basis import SpectralField
-
     f = SpectralField(basis, coeffs)
     params = {}
     for item in args.param:
@@ -178,32 +193,23 @@ def cmd_op(args) -> int:
         k, v = item.split("=", 1)
         params[k] = v
 
-    name = args.name
-    if name == "lambda_pow":
-        out_field = apply_lambda_power(f, _op_param(params, "s"))
-    elif name == "heat":
-        out_field = heat_semigroup(f, _op_param(params, "t"))
-    elif name == "lambda_neg_heat":
-        out_field = lambda_neg_power_heat(f, _op_param(params, "s"))
-    elif name == "lambda_pos_heat":
-        out_field = lambda_pos_power_heat(f, _op_param(params, "s"))
-    elif name == "project":
-        out_field = project(f, int(_op_param(params, "m")))
-    elif name in ("comm_neg_mult", "comm_mult"):
+    if args.name not in _OPS:
+        raise ConfigError(
+            f"unknown operator {args.name!r} (available: {', '.join(_OPS)})")
+    fn, key, parse = _OPS[args.name]
+    if key not in params:
+        raise ConfigError(f"operator requires parameter {key}=<value>")
+    value = _parsed(parse, params[key], f"parameter {key}")
+    if fn in (comm_neg_lambda_mult, comm_lambda_mult):
         cat = multiplier_catalog()
         a_name = params.get("a", "one")
         if a_name not in cat:
             raise ConfigError(
                 f"unknown multiplier {a_name!r} (available: {', '.join(cat)})"
             )
-        op = comm_neg_lambda_mult if name == "comm_neg_mult" else comm_lambda_mult
-        out_field = restrict(op(cat[a_name], f, _op_param(params, "s")), basis)
+        out_field = restrict(fn(cat[a_name], f, value), basis)
     else:
-        known = (
-            "lambda_pow, heat, lambda_neg_heat, lambda_pos_heat, project, "
-            "comm_neg_mult, comm_mult"
-        )
-        raise ConfigError(f"unknown operator {name!r} (available: {known})")
+        out_field = fn(f, value)
 
     out_snap = Snapshot(
         snap.m, snap.alpha, snap.epsilon, snap.t, out_field.coeffs[: snap.m]

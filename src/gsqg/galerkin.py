@@ -64,22 +64,18 @@ from .basis import (
 
 PI = np.pi
 
-#: smallest mode count at which run() evaluates the nonlinearity by grid
-#: products.  Below it the grid's fixed cost of a dozen small array
-#: operations dominates, above it the tensor's O(m^2) contraction.  On a
-#: shared 2-core Xeon VM (OpenBLAS, one thread; minimum of 9 x 2000 calls,
-#: three runs, between which the machine's speed drifted by 2x) one
-#: right-hand side of the RK4 loop, neg_quadratic in the native layout plus
-#: the viscous term, took for one state 9.0-9.7 us by the tensor and
-#: 16.2-17.5 us by grid products at m = 16; at m = 30 the two were within 8%
-#: of each other and at m = 36 the grid was 7-27% faster.  For six states
-#: the grid was ahead from m = 16 (10.9-21.5 against 16.0-26.1 us), so this
-#: switch is stale for batched runs below it.  run_suite("quick") holds both
-#: sides: its weak_residual check makes 12,002 one-state evaluations at
-#: m = 16, while the sweep and simulate runs at m = 64 and 256 sit above the
-#: switch.  In process, in three sets of seven interleaved rounds, its median
-#: took 0.25, 0.42 and 0.40 s with this switch and 0.30, 0.52 and 0.42 s with
-#: grid products at every m.
+#: smallest mode count at which run_ensemble evaluates the nonlinearity by
+#: grid products, below it by the closed-form tensor; the switch reads m
+#: only, so an ensemble member keeps the bits of its solo run.  Below it runs
+#: the one-state traffic of run_suite("quick"), above all its weak_residual
+#: check's 12,002 evaluations at m = 16, where one grid evaluation costs
+#: about twice a tensor one (grid products at every m took the benchmark's
+#: verify_quick median from 3.41-3.56 to 4.22-4.41 reference units, +22-26%,
+#: in three interleaved 20 s pairs).  From it on run simulate and the
+#: viscosity sweeps at m = 64 and 256 (simulate_m256, sweep_visc_m64), where
+#: the tensor's O(m^2) contraction loses (0.81 against 0.03 ms per call at
+#: m = 256).  The one-state crossover lies near m = 30, but no workload runs
+#: 30 <= m < 40 and moving the switch would change the bits of such runs.
 GRID_MIN_M = 40
 
 #: values in one block of stacked states (64 kB): run_ensemble converts,
@@ -315,11 +311,11 @@ class GridProducts:
     coefficient of mode (j, k) at [j - 1, b, k - 1] and zeros off the first m
     modes: the coefficient squares side by side, which is also the layout its
     contraction produces.  native() and modes() convert from and to mode
-    order through index arrays cached per state shape; neg_quadratic()
-    contracts native states with no scatter or gather.  Each call allocates
-    its own work arrays and only reads the stored ones (the index cache is
-    filled once per shape and never changed), so one instance may serve
-    concurrent trajectories.
+    order through the flat positions of the modes, computed on each call
+    (the RK4 loop converts once per block of states); neg_quadratic()
+    contracts native states with no scatter or gather.  No attribute changes
+    after __init__ and each call allocates its own work arrays, so one
+    instance may serve concurrent trajectories.
     """
 
     def __init__(self, basis: EigenBasis, m: int, alpha: float):
@@ -354,7 +350,6 @@ class GridProducts:
         # read-only index array on every call
         p = 2 * np.arange(N)
         self._rows = np.concatenate([p, p + 1, p + 2 * N + 1, p + 2 * N])
-        self._index = {}  # mode-order state shape -> flat positions in the square
         for a in (self._psi_scale, self._mask, self._left, self._St, self._dCt,
                   self._neg_proj):
             if a is not None:
@@ -363,14 +358,9 @@ class GridProducts:
     def _positions(self, shape: tuple) -> np.ndarray:
         """Flat positions in the (K, n, K) native layout of the entries of
         mode-order states of `shape`, n = prod(shape[:-1])."""
-        pos = self._index.get(shape)
-        if pos is not None:
-            return pos
         n = math.prod(shape[:-1])
         b = np.arange(n).reshape(shape[:-1] + (1,))
-        pos = (self._j * n + b) * self.K + self._k
-        pos.setflags(write=False)
-        return self._index.setdefault(shape, pos)
+        return (self._j * n + b) * self.K + self._k
 
     def native(self, theta: np.ndarray) -> np.ndarray:
         """theta, of shape (m,) or (B, m), in the native (K, n, K) layout
@@ -458,19 +448,17 @@ def nonlinearity(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor | Gr
 
 def rhs(
     theta: np.ndarray, tensor: GalerkinTensor | GridProducts,
-    visc: float | np.ndarray, eigvals: np.ndarray | None,
+    eps: float | np.ndarray, eigvals: np.ndarray,
 ) -> np.ndarray:
     """d theta / dt = -N(theta) - eps lambda theta, with N(theta) from the
     evaluator `tensor` (a GalerkinTensor or GridProducts).
 
-    theta is one state (m,) or a batch (B, m).  The viscous diagonal eps lambda
-    is visc * eigvals, for a scalar visc = eps; with eigvals None it is visc
-    itself, shape (m,) or (B, m), which run_ensemble builds once per run."""
+    theta is one state (m,) with a scalar eps, or a batch (B, m) with a
+    scalar or (B,) eps, one viscosity per row; eigvals are the m eigenvalues
+    lambda."""
     if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
-    if eigvals is not None:
-        visc = visc * eigvals
-    return -tensor.quadratic(theta) - visc * theta
+    return -tensor.quadratic(theta) - np.multiply.outer(eps, eigvals) * theta
 
 
 @dataclass
@@ -497,24 +485,23 @@ def step(
     k1: np.ndarray | None = None,
     *,
     eps: float | np.ndarray,
-    visc: np.ndarray,
+    eigvals: np.ndarray,
 ) -> GalerkinState:
     """One classical RK4 step of the mode ODE, for one state or a batch, with
-    visc the viscous diagonal (see rhs); eps, a scalar or (B,), only names the
-    member in a BlowUpError.  k1 is the right-hand side at `state` when the
+    eps and eigvals as in rhs.  k1 is the right-hand side at `state` when the
     caller already has it: the step then makes three rhs calls, not four, and
     leaves k1 unchanged."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
 
     def f(x):
-        return rhs(x, tensor, visc, None)
+        return rhs(x, tensor, eps, eigvals)
 
     th = state.coeffs
     new = _rk4(f, th, f(th) if k1 is None else k1, dt)
     mx = np.abs(new).max() if new.size else 0.0
     if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
-        raise _blowup(state.t + dt, float(mx), new, eps, dt, visc)
+        raise _blowup(state.t + dt, float(mx), new, eps, dt, float(np.max(eigvals)))
     return GalerkinState._checked(state.t + dt, new)
 
 
@@ -538,14 +525,12 @@ def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = 
     return np.add(new, th, out=new if out is None else out)
 
 
-def _blowup(t, mx, new, eps, dt, visc) -> BlowUpError:
+def _blowup(t, mx, new, eps, dt, lam_max) -> BlowUpError:
     """The BlowUpError of a step, naming the first row that crossed."""
     row_max = np.abs(new.reshape(-1, new.shape[-1])).max(axis=-1)
     b = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))  # nan counts as crossed
     e = float(np.ravel(eps)[b]) if np.ndim(eps) else float(eps)
-    # eps >= 0 and rounding is monotone: the row's largest entry is eps lambda_max
-    visc_max = np.broadcast_to(visc, new.shape).reshape(len(row_max), -1)[b].max()
-    return BlowUpError(t, mx, dt, e, float(visc_max) * dt)
+    return BlowUpError(t, mx, dt, e, e * lam_max * dt)
 
 
 #: the named initial data of initial_data(); "file:PATH" reads a snapshot
@@ -724,7 +709,8 @@ def run_ensemble(
         raise ValueError(f"basis holds {basis.size} modes, need m={config.m}")
     m = config.m
     lam = basis.eigenvalues[:m]
-    _check_ensemble(configs, float(lam[-1]))
+    lam_max = float(lam[-1])
+    _check_ensemble(configs, lam_max)
     evaluator = nonlinearity(basis, m, config.alpha)
     alpha = config.alpha
     dt = config.dt
@@ -735,8 +721,8 @@ def run_ensemble(
     lead = (B,) if B > 1 else ()
     shape = lead + (m,)
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
-    visc_modes = np.multiply.outer(eps, lam)  # the viscous diagonal, (m,) or (B, m)
-    visc = evaluator.native(visc_modes)
+    # the viscous diagonal eps lambda, (m,) or (B, m), in the native layout
+    visc = evaluator.native(np.multiply.outer(eps, lam))
     neg_quadratic = evaluator.neg_quadratic
 
     def f(x):
@@ -777,7 +763,7 @@ def run_ensemble(
                     k1 = None
             states = evaluator.modes(block[:nb], shape)
             if not np.abs(states).max() <= BLOWUP_THRESHOLD:  # nan fails too
-                raise _blowup_in_block(states, done, t, eps, dt, visc_modes)
+                raise _blowup_in_block(states, done, t, eps, dt, lam_max)
             gh[done + 1:done + nb + 1] = (weights * states[..., None, :] ** 2).sum(axis=-1)
             lo, hi = np.searchsorted(rec, (done, done + nb), side="right")
             snaps[lo:hi] = states[rec[lo:hi] - done - 1]
@@ -822,12 +808,12 @@ def run_ensemble(
     ]
 
 
-def _blowup_in_block(states, done, t, eps, dt, visc) -> BlowUpError:
+def _blowup_in_block(states, done, t, eps, dt, lam_max) -> BlowUpError:
     """The BlowUpError of the first of a block's mode-order states that
     crossed, the state after step done + 1 first, as step() raises it."""
     row_max = np.abs(states.reshape(len(states), -1)).max(axis=-1)
     r = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))
-    exc = _blowup(float(t[done + r + 1]), float(row_max[r]), states[r], eps, dt, visc)
+    exc = _blowup(float(t[done + r + 1]), float(row_max[r]), states[r], eps, dt, lam_max)
     exc.step = done + r + 1
     return exc
 

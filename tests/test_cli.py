@@ -6,8 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsqg.basis import build_rectangle_basis
+from gsqg import cli
+from gsqg.basis import SpectralField, build_rectangle_basis, restrict
 from gsqg.cli import ConfigError, load_config, main, make_manifest
+from gsqg.commutators import comm_lambda_mult, comm_neg_lambda_mult, multiplier_catalog
+from gsqg.fractional import (
+    apply_lambda_power,
+    heat_semigroup,
+    lambda_neg_power_heat,
+    lambda_pos_power_heat,
+    project,
+)
 from gsqg.galerkin import GalerkinTensor, GridProducts, SimConfig, assemble_tensor
 from gsqg.snapshots import (
     RunManifest,
@@ -295,7 +304,60 @@ def test_cli_op_unknown_name(tmp_path, capsys):
     write_snapshot(src, Snapshot(4, 0.5, 0.0, 0.0, np.zeros(4)))
     assert main(["op", "nope", str(src)]) == 2
     err = capsys.readouterr().err
-    assert "unknown operator" in err and "lambda_pow" in err
+    assert err == (
+        "error: unknown operator 'nope' (available: lambda_pow, heat, lambda_neg_heat, "
+        "lambda_pos_heat, project, comm_neg_mult, comm_mult)\n")
+
+
+def _commutator(op, f, s):
+    return restrict(op(multiplier_catalog()["cos_xy"], f, s), f.basis)
+
+
+# gsqg op NAME -> (its -p arguments, the library call it must equal)
+OP_CALLS = {
+    "lambda_pow": (["s=0.7"], lambda f: apply_lambda_power(f, 0.7)),
+    "heat": (["t=0.3"], lambda f: heat_semigroup(f, 0.3)),
+    "lambda_neg_heat": (["s=0.6"], lambda f: lambda_neg_power_heat(f, 0.6)),
+    "lambda_pos_heat": (["s=0.6"], lambda f: lambda_pos_power_heat(f, 0.6)),
+    "project": (["m=7"], lambda f: project(f, 7)),
+    "comm_neg_mult": (["a=cos_xy", "s=0.5"], lambda f: _commutator(comm_neg_lambda_mult, f, 0.5)),
+    "comm_mult": (["s=0.5", "a=cos_xy"], lambda f: _commutator(comm_lambda_mult, f, 0.5)),
+}
+
+
+def test_every_op_name_is_tested():
+    assert list(OP_CALLS) == list(cli._OPS)
+
+
+@pytest.mark.parametrize("name", OP_CALLS)
+def test_cli_op_equals_its_library_function(tmp_path, name):
+    rng = np.random.default_rng(5)
+    src, dst = tmp_path / "f.bin", tmp_path / "out.bin"
+    snap = Snapshot(16, 0.5, 0.01, 0.25, rng.standard_normal(16))
+    write_snapshot(src, snap)
+    params, call = OP_CALLS[name]
+    argv = ["op", name, str(src), "--out", str(dst)]
+    assert main(argv + [a for p in params for a in ("-p", p)]) == 0
+    want = call(SpectralField(build_rectangle_basis(4), snap.coeffs)).coeffs[:16]
+    got = read_snapshot(dst)
+    assert (got.m, got.alpha, got.epsilon, got.t) == (16, 0.5, 0.01, 0.25)
+    assert got.coeffs.tobytes() == want.tobytes()
+    assert np.abs(want).max() > 0
+
+
+@pytest.mark.parametrize("argv, words", [
+    # project used to truncate m=2.5 to 2 and write its output
+    (["op", "project", "IN", "-p", "m=2.5"], ("parameter m", "'2.5'")),
+    (["op", "lambda_pow", "IN", "-p", "s=abc"], ("parameter s", "'abc'")),
+    (["op", "heat", "IN", "-p", "t="], ("parameter t", "''")),
+    (["sweep", "modes", "--config", "CFG", "--values", "16,16.0"], ("--values item '16.0'",)),
+    (["sweep", "viscosity", "--config", "CFG", "--values", "0.1,abc"], ("--values item 'abc'",)),
+], ids=("project-m", "lambda_pow-s", "heat-t", "sweep-modes", "sweep-viscosity"))
+def test_cli_unparsable_value_exits_2_naming_it(config_path, tmp_path, capsys, argv, words):
+    src = tmp_path / "f.bin"
+    write_snapshot(src, Snapshot(16, 0.5, 0.0, 0.0, np.ones(16)))
+    argv = [str(src) if a == "IN" else str(config_path) if a == "CFG" else a for a in argv]
+    _refused(tmp_path, capsys, argv, *words)
 
 
 def test_cli_verify_quick(capsys):
