@@ -159,16 +159,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-#: gsqg op NAME -> (library function, parameter, parser of its value); the
-#: commutators also take the multiplier named by `-p a=NAME` (default one)
+#: gsqg op NAME -> (library function, parameter, parser of its value, other
+#: accepted keys); the commutators also take the multiplier named by
+#: `-p a=NAME` (default one)
 _OPS = {
-    "lambda_pow": (apply_lambda_power, "s", float),
-    "heat": (heat_semigroup, "t", float),
-    "lambda_neg_heat": (lambda_neg_power_heat, "s", float),
-    "lambda_pos_heat": (lambda_pos_power_heat, "s", float),
-    "project": (project, "m", int),
-    "comm_neg_mult": (comm_neg_lambda_mult, "s", float),
-    "comm_mult": (comm_lambda_mult, "s", float),
+    "lambda_pow": (apply_lambda_power, "s", float, ()),
+    "heat": (heat_semigroup, "t", float, ()),
+    "lambda_neg_heat": (lambda_neg_power_heat, "s", float, ()),
+    "lambda_pos_heat": (lambda_pos_power_heat, "s", float, ()),
+    "project": (project, "m", int, ()),
+    "comm_neg_mult": (comm_neg_lambda_mult, "s", float, ("a",)),
+    "comm_mult": (comm_lambda_mult, "s", float, ("a",)),
 }
 
 
@@ -196,11 +197,15 @@ def cmd_op(args) -> int:
     if args.name not in _OPS:
         raise ConfigError(
             f"unknown operator {args.name!r} (available: {', '.join(_OPS)})")
-    fn, key, parse = _OPS[args.name]
+    fn, key, parse, others = _OPS[args.name]
+    unknown = [k for k in params if k not in (key, *others)]
+    if unknown:
+        raise ConfigError(f"operator {args.name} takes no parameter {unknown[0]!r} "
+                          f"(accepted: {', '.join((key, *others))})")
     if key not in params:
         raise ConfigError(f"operator requires parameter {key}=<value>")
     value = _parsed(parse, params[key], f"parameter {key}")
-    if fn in (comm_neg_lambda_mult, comm_lambda_mult):
+    if "a" in others:
         cat = multiplier_catalog()
         a_name = params.get("a", "one")
         if a_name not in cat:

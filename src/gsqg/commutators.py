@@ -45,6 +45,9 @@ WEIGHT_CLIP = 1e8
 #: a commutator norm at most this times the field's norm is round-off of zero
 ROUNDOFF = 1e-12
 
+#: node pairs per chunk of Multiplier.holder_seminorm (about 2 MB per array)
+HOLDER_PAIRS = 2**18
+
 
 @dataclass(frozen=True)
 class Multiplier:
@@ -78,15 +81,18 @@ class Multiplier:
 
     def holder_seminorm(self, grid: QuadratureGrid, gamma: float) -> float:
         """Empirical sup |a(x)-a(y)| / |x-y|^gamma over pairs of nodes on every
-        fourth grid line."""
+        fourth grid line, taken over HOLDER_PAIRS pairs at a time."""
         X, Y = grid.meshgrid()
         sub = (slice(None, None, 4),) * 2
         pts = np.stack([X[sub].ravel(), Y[sub].ravel()], 1)
         vals = self.on(grid)[sub].ravel()
-        diff = np.abs(vals[:, None] - vals[None, :])
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        mask = dist > 0
-        return float((diff[mask] / dist[mask] ** gamma).max())
+        rows, sups = max(1, HOLDER_PAIRS // len(vals)), []
+        for lo in range(0, len(vals), rows):
+            diff = np.abs(vals[lo:lo + rows, None] - vals[None, :])
+            dist = np.linalg.norm(pts[lo:lo + rows, None, :] - pts[None, :, :], axis=2)
+            mask = dist > 0
+            sups.append((diff[mask] / dist[mask] ** gamma).max())
+        return float(max(sups))
 
 
 def _on_nodes(fn: Callable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

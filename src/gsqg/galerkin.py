@@ -12,11 +12,13 @@ Two evaluators of the quadratic term share one interface, `.m` and
 `.quadratic(theta)`, where theta is one state of shape (m,) or a batch of
 shape (B, m) and the result has the same shape.  For the RK4 loop each also
 has a native layout of the state, `.native(theta)` and `.modes(x, shape)`
-convert to and from it, and `.neg_quadratic(x)` returns -N(x) in it:
+convert to and from it, and `.neg_rhs(visc)`, given the viscous diagonal
+eps lambda in mode order, returns the map x -> -N(x) - visc x in it:
 
 - GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
-  closed form by assemble_tensor in Python loops; each contraction costs
-  O(m^2).  Its native layout is mode order.
+  closed form by assemble_tensor with array operations over all mode pairs
+  at once; each contraction costs O(m^2).  Its native layout is mode order
+  plus a trailing 1, the factor of the viscous terms in the contraction.
 - GridProducts, which samples grad psi and grad theta on N x N interior nodes,
   multiplies pointwise and projects back with dense sine/cosine matrices.
   Along each axis the integrand of gamma_jkl is a product of three sines or
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -68,20 +71,24 @@ PI = np.pi
 #: grid products, below it by the closed-form tensor; the switch reads m
 #: only, so an ensemble member keeps the bits of its solo run.  Below it runs
 #: the one-state traffic of run_suite("quick"), above all its weak_residual
-#: check's 12,002 evaluations at m = 16, where one grid evaluation costs
-#: about twice a tensor one (grid products at every m took the benchmark's
-#: verify_quick median from 3.41-3.56 to 4.22-4.41 reference units, +22-26%,
-#: in three interleaved 20 s pairs).  From it on run simulate and the
-#: viscosity sweeps at m = 64 and 256 (simulate_m256, sweep_visc_m64), where
-#: the tensor's O(m^2) contraction loses (0.81 against 0.03 ms per call at
-#: m = 256).  The one-state crossover lies near m = 30, but no workload runs
-#: 30 <= m < 40 and moving the switch would change the bits of such runs.
+#: check's 12,002 evaluations at m = 16, where one grid right-hand side costs
+#: about twice a tensor one (9.2 against 4.2 us; grid products at every m
+#: once took the benchmark's verify_quick median up 22-26%).  From it on run
+#: simulate and the viscosity sweeps at m = 64 and 256 (simulate_m256,
+#: sweep_visc_m64), where the tensor's O(m^2) contraction loses (0.73-0.88
+#: against 0.016-0.021 ms at m = 256).  The one-state crossover lies near
+#: m = 33-36, but no workload runs 30 <= m < 40 and moving the switch would
+#: change the bits of such runs.
 GRID_MIN_M = 40
 
 #: values in one block of stacked states (64 kB): run_ensemble converts,
 #: checks and reduces its steps' states a block at a time, and the snapshot
 #: transforms of experiments run over blocks of the same size
 BLOCK_VALUES = 2**13
+
+#: candidate entries, four per (j, k) pair, that assemble_tensor evaluates
+#: at once: its work arrays stay near 0.5 MB each at any m
+ASSEMBLY_CHUNK = 2**16
 
 #: coefficient magnitude treated as integrator blow-up (the exact ODE cannot
 #: leave the initial L2 sphere, so crossings indicate integrator failure)
@@ -132,7 +139,6 @@ class GalerkinTensor:
     l: np.ndarray
     vals: np.ndarray
     mode: str
-    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (j then k, -vals) for neg_quadratic, left writeable: take() copies a
     # read-only index array on every call
     _negated: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -152,38 +158,48 @@ class GalerkinTensor:
         return -self.neg_quadratic(theta)
 
     def neg_quadratic(self, theta: np.ndarray) -> np.ndarray:
-        """-N(theta) = -(sum_jk gamma_jkl theta_j theta_k)_l in mode order, the
-        tensor's native layout, for theta of shape (m,) or (B, m).  One gather
-        of the concatenated (j, k) indices feeds the negated values."""
+        """-N(theta) = -(sum_jk gamma_jkl theta_j theta_k)_l in mode order, for
+        theta of shape (m,) or (B, m).  One gather of the concatenated (j, k)
+        indices feeds the negated values; row b's terms go to bins b m + l."""
         if self._negated is None:  # built at the first contraction
             self._negated = (np.concatenate([self.j, self.k]), -self.vals)
         jk, neg_vals = self._negated
         n = len(neg_vals)
-        if theta.ndim == 1:
-            pairs = theta.take(jk)
-            return np.bincount(self.l, neg_vals * pairs[:n] * pairs[n:], self.m)
-        pairs = theta.take(jk, axis=1)
-        weights = neg_vals * pairs[:, :n] * pairs[:, n:]
-        B = len(theta)
-        bins = self._bins.get(B)
-        if bins is None:
-            bins = self._batch_bins(B)
-        return np.bincount(bins, weights=weights.ravel(), minlength=B * self.m).reshape(B, self.m)
+        pairs = theta.take(jk, axis=-1)
+        weights = neg_vals * pairs[..., :n] * pairs[..., n:]
+        bins = self.l if theta.ndim == 1 else (
+            self.l + self.m * np.arange(len(theta))[:, None]).ravel()
+        return np.bincount(bins, weights.ravel(), theta.size).reshape(theta.shape)
 
     def native(self, theta: np.ndarray) -> np.ndarray:
-        """theta in the native layout, which for the tensor is mode order."""
-        return theta
+        """theta, (m,) or (B, m), in mode order plus a trailing 1 (native)."""
+        return np.concatenate([theta, np.ones(theta.shape[:-1] + (1,))], axis=-1)
 
     def modes(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        """Native states x in mode order: the tensor's layout already is."""
-        return x
+        """Native states x, (..., m + 1), in mode order (a view)."""
+        return x[..., :-1]
 
-    def _batch_bins(self, B: int) -> np.ndarray:
-        """Row b's terms go to bins b*m + l, each summed in the row-wise
-        order; built once per batch size and kept read-only."""
-        bins = (self.l + self.m * np.arange(B)[:, None]).ravel()
-        bins.setflags(write=False)
-        return self._bins.setdefault(B, bins)
+    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> -N(x) - visc x for native states x, visc the viscous diagonal
+        in mode order, (m,) or (B, m).  The m terms (-visc_l) x_l x_m, x_m = 1,
+        follow the tensor's own terms into bin l (b (m + 1) + l for row b):
+        one gather and one bincount give each bin its tensor sum minus
+        visc_l x_l, bit for bit, and the trailing bin's 0 keeps every RK4
+        stage's x_m at 1.  Indices and bins are built once, writeable."""
+        m, n, lead = self.m, self.nnz + self.m, visc.shape[:-1]
+        modes = np.arange(m)
+        jk = np.concatenate([self.j, modes, self.k, np.full(m, m)])
+        weights = np.concatenate([np.broadcast_to(-self.vals, lead + (self.nnz,)), -visc], -1)
+        rows = np.arange(math.prod(lead)).reshape(lead + (1,))
+        bins = (np.concatenate([self.l, modes]) + (m + 1) * rows).ravel()
+        size = (m + 1) * rows.size
+
+        def neg_rhs(x):
+            pairs = x.take(jk, axis=-1)
+            terms = weights * pairs[..., :n] * pairs[..., n:]
+            return np.bincount(bins, terms.ravel(), size).reshape(x.shape)
+
+        return neg_rhs
 
     def save(self, path):
         np.savez(
@@ -230,75 +246,46 @@ class GalerkinTensor:
         return t
 
 
-def _sine_cos_integral(a: int, b: int, c: int) -> float:
-    """int_0^pi sin(a x) cos(b x) sin(c x) dx for positive integers."""
-    val = 0.0
-    if a + b == c:
-        val += PI / 4.0
-    if abs(a - b) == c and a != b:
-        val += math.copysign(PI / 4.0, a - b)
-    return val
-
-
 def assemble_tensor(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor:
     """gamma_jkl for all mode triples below m, from the closed-form triple
     sine/cosine product integrals.  GridProducts(basis, m, alpha).tensor()
-    builds the same tensor by exact grid products."""
+    builds the same tensor by exact grid products.
+
+    gamma_jkl = (2/pi)^3 lambda_j^{-alpha/2} (-(j2 k1) Ix Iy + (j1 k2) Ix' Iy')
+    with Ix = I(j1, k1, l1), Iy = I(k2, j2, l2), Ix' = I(k1, j1, l1), Iy' =
+    I(j2, k2, l2) and I(a, b, c) = int_0^pi sin(a x) cos(b x) sin(c x) dx,
+    which is pi/4 at c = a + b, sign(a - b) pi/4 at c = |a - b| > 0 and 0
+    otherwise.  So each pair j != k has four candidate l, the sum and the
+    |difference| on each axis, evaluated as arrays ASSEMBLY_CHUNK candidates
+    at a time; the entries come out in (j, k, candidate) order.
+    """
     if not 1 <= m <= basis.size:
         raise ValueError(f"mode count m={m} out of range [1, {basis.size}]")
-    lam_pref = basis.eigenvalues[:m] ** (-alpha / 2.0)
-    modes = basis.modes[:m]
-    triples_j, triples_k, triples_l, vals = [], [], [], []
-    index = {(mm.j, mm.k): i for i, mm in enumerate(modes)}
-    c0 = (2.0 / PI) ** 3
-    for ji, mj in enumerate(modes):
-        for ki, mk in enumerate(modes):
-            if ji == ki:
-                continue
-            acc: dict[int, float] = {}
-            # x-factor sin(j1)cos(k1), y-factor cos(j2)sin(k2), coeff -j2*k1
-            for l1, ix in _sc_candidates(mj.j, mk.j):
-                for l2, iy in _sc_candidates(mk.k, mj.k):
-                    li = index.get((l1, l2))
-                    if li is not None:
-                        acc[li] = acc.get(li, 0.0) - mj.k * mk.j * ix * iy
-            # x-factor cos(j1)sin(k1), y-factor sin(j2)cos(k2), coeff +j1*k2
-            for l1, ix in _sc_candidates(mk.j, mj.j):
-                for l2, iy in _sc_candidates(mj.k, mk.k):
-                    li = index.get((l1, l2))
-                    if li is not None:
-                        acc[li] = acc.get(li, 0.0) + mj.j * mk.k * ix * iy
-            for li, v in acc.items():
-                v *= c0 * lam_pref[ji]
-                if v != 0.0:
-                    triples_j.append(ji)
-                    triples_k.append(ki)
-                    triples_l.append(li)
-                    vals.append(v)
-    return GalerkinTensor(
-        m=m,
-        alpha=alpha,
-        j=np.array(triples_j, dtype=np.intp),
-        k=np.array(triples_k, dtype=np.intp),
-        l=np.array(triples_l, dtype=np.intp),
-        vals=np.array(vals, dtype=float),
-        mode="analytic",
-    )
+    pref = (2.0 / PI) ** 3 * basis.eigenvalues[:m] ** (-alpha / 2.0)
+    x, y = (a[:m] for a in basis.mode_arrays())
+    # position of mode (l1, l2) among the first m, -1 if it is not one of them
+    index = np.full((2 * basis.K + 1,) * 2, -1, dtype=np.intp)
+    index[x, y] = np.arange(m)
 
+    def integrals(d):  # I(a, b, .) at a + b and at |d|, d = a - b
+        return np.stack(np.broadcast_arrays(PI / 4.0, np.copysign(PI / 4.0, d)), -1)
 
-def _sc_candidates(a: int, b: int):
-    """Nonzero (c, integral) pairs of int sin(a x) cos(b x) sin(c x) dx."""
-    out = []
-    c = a + b
-    v = _sine_cos_integral(a, b, c)
-    if v != 0.0:
-        out.append((c, v))
-    c = abs(a - b)
-    if c > 0 and c != a + b:
-        v = _sine_cos_integral(a, b, c)
-        if v != 0.0:
-            out.append((c, v))
-    return out
+    parts = []
+    rows = max(1, ASSEMBLY_CHUNK // (4 * m))
+    for lo in range(0, m, rows):
+        j = np.arange(lo, min(lo + rows, m))[:, None]
+        dx, dy = x[j] - x, y[j] - y
+        l1 = np.stack(np.broadcast_arrays(x[j] + x, np.abs(dx)), -1)
+        l2 = np.stack(np.broadcast_arrays(y[j] + y, np.abs(dy)), -1)
+        li = index[l1[..., :, None], l2[..., None, :]]
+        A = (y[j] * x)[..., None, None] * integrals(dx)[..., :, None] * integrals(-dy)[..., None, :]
+        B = (x[j] * y)[..., None, None] * integrals(-dx)[..., :, None] * integrals(dy)[..., None, :]
+        v = ((0.0 - A) + B) * pref[j][..., None, None]
+        keep = (li >= 0) & (v != 0.0) & (j != np.arange(m))[..., None, None]
+        jj, kk = np.nonzero(keep)[:2]
+        parts.append((jj + lo, kk, li[keep], v[keep]))
+    j, k, l, vals = (np.concatenate(p) for p in zip(*parts))
+    return GalerkinTensor(m, alpha, j, k, l, vals, mode="analytic")
 
 
 class GridProducts:
@@ -378,6 +365,12 @@ class GridProducts:
     def neg_quadratic(self, x: np.ndarray) -> np.ndarray:
         """-N(theta) for states x in the native layout, in that layout."""
         return self._neg_product(x, x)
+
+    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> -N(x) - visc x for native states x, visc the viscous diagonal
+        in mode order, (m,) for one state or (B, m) for a batch."""
+        visc, neg_quadratic = self.native(visc), self.neg_quadratic
+        return lambda x: neg_quadratic(x) - visc * x
 
     def _neg_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """-P_m(perp-grad Lambda^{-alpha} a . grad b) for native a and b.
@@ -684,8 +677,9 @@ def run_ensemble(
     stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
 
     The loop runs in the evaluator's native layout (the (K, n, K) coefficient
-    squares of GridProducts, mode order for the tensor), whose neg_quadratic
-    returns -N, so the right-hand side is nq(x) - visc x.  Each step writes
+    squares of GridProducts, mode order plus a trailing 1 for the tensor),
+    with the right-hand side x -> -N(x) - visc x that the evaluator's
+    neg_rhs builds once from the viscous diagonal.  Each step writes
     its new state into a block of about 64 kB (BLOCK_VALUES) of stacked
     states and, at a record, evaluates the rhs there, which is also the next
     step's k1: a run makes exactly 4 n_steps + 1 evaluations.  Once per block
@@ -721,13 +715,8 @@ def run_ensemble(
     lead = (B,) if B > 1 else ()
     shape = lead + (m,)
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
-    # the viscous diagonal eps lambda, (m,) or (B, m), in the native layout
-    visc = evaluator.native(np.multiply.outer(eps, lam))
-    neg_quadratic = evaluator.neg_quadratic
-
-    def f(x):
-        return neg_quadratic(x) - visc * x
-
+    # the right-hand side with the viscous diagonal eps lambda, (m,) or (B, m)
+    f = evaluator.neg_rhs(np.multiply.outer(eps, lam))
     lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
     # weights of g and h, the dissipation rates of the two balances
     weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])

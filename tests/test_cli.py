@@ -309,6 +309,24 @@ def test_cli_op_unknown_name(tmp_path, capsys):
         "lambda_pos_heat, project, comm_neg_mult, comm_mult)\n")
 
 
+@pytest.mark.parametrize("op, params, key, accepted", [
+    ("lambda_pow", ["s=1", "a=bump4"], "a", "s"),
+    ("project", ["m=4", "s=1"], "s", "m"),
+    ("comm_mult", ["s=0.5", "a=one", "t=1"], "t", "s, a"),
+])
+def test_cli_op_refuses_parameters_the_op_does_not_take(tmp_path, capsys, op, params, key, accepted):
+    src = tmp_path / "f.bin"
+    write_snapshot(src, Snapshot(4, 0.5, 0.0, 0.0, np.ones(4)))
+    dst = tmp_path / "out.bin"
+    argv = ["op", op, str(src), "--out", str(dst)]
+    for p in params:
+        argv += ["-p", p]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: operator {op} takes no parameter {key!r} (accepted: {accepted})\n")
+    assert not dst.exists()
+
+
 def _commutator(op, f, s):
     return restrict(op(multiplier_catalog()["cos_xy"], f, s), f.basis)
 
@@ -435,6 +453,26 @@ def test_initial_file_path_with_percent_is_read_literally(tmp_path, name):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
     assert np.array_equal(read_snapshot(out / "snapshot_000000.bin").coeffs, coeffs)
+
+
+@pytest.mark.parametrize("m", (16, 64))
+def test_run_resumed_from_a_mid_run_snapshot_ends_bit_identical(tmp_path, m):
+    # m = 16 runs the tensor (mode order plus a trailing 1), m = 64 grid
+    # products; the resumed run's first rhs is the one the whole run
+    # evaluated at that record and reused as the next step's k1
+    whole = tmp_path / "whole"
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("m = 16", f"m = {m}").replace("single_mode", "random"))
+    assert main(["simulate", "--config", str(p), "--out", str(whole)]) == 0
+    mid = whole / "snapshot_000005.bin"  # step 50 of 100
+    assert read_snapshot(mid).t == pytest.approx(0.05)
+    p.write_text(CONFIG.replace("m = 16", f"m = {m}").replace("single_mode", f"file:{mid}")
+                 .replace("t_final = 0.1", "t_final = 0.05"))
+    resumed = tmp_path / "resumed"
+    assert main(["simulate", "--config", str(p), "--out", str(resumed)]) == 0
+    for i in range(6):
+        want = read_snapshot(whole / f"snapshot_{i + 5:06d}.bin").coeffs
+        assert read_snapshot(resumed / f"snapshot_{i:06d}.bin").coeffs.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t_final", ("0.1004", "0.0996", "1e-4"))

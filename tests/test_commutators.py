@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+from gsqg import commutators
 from gsqg.basis import SpectralField, build_rectangle_basis, embed
 from gsqg.commutators import (
     Multiplier,
@@ -150,6 +151,33 @@ def test_pos_mult_of_a_constant_reads_zero(field, gamma):
     assert rep.rhs_norm == 0.0
     assert 0.0 < rep.lhs_norm < 1e-12
     assert rep.ratio == 0.0
+
+
+def _holder_seminorm_one_shot(a, grid, gamma):
+    """Multiplier.holder_seminorm over all node pairs at once, the oracle of
+    its chunked form."""
+    X, Y = grid.meshgrid()
+    sub = (slice(None, None, 4),) * 2
+    pts = np.stack([X[sub].ravel(), Y[sub].ravel()], 1)
+    vals = a.on(grid)[sub].ravel()
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    mask = dist > 0
+    return float((diff[mask] / dist[mask] ** gamma).max())
+
+
+@pytest.mark.parametrize("K", range(5, 17))
+def test_chunked_holder_seminorm_equals_one_shot(monkeypatch, K):
+    # the grid pos_mult uses at cutoff K; 5,000 pairs per chunk also split
+    # the node rows unevenly
+    grid = padded_grid(padded_basis(build_rectangle_basis(K), 4.0))
+    for name, a in multiplier_catalog().items():
+        for gamma in (0.5, 1.0):
+            want = _holder_seminorm_one_shot(a, grid, gamma)
+            assert a.holder_seminorm(grid, gamma) == want, (name, gamma)
+            with monkeypatch.context() as mp:
+                mp.setattr(commutators, "HOLDER_PAIRS", 5000)
+                assert a.holder_seminorm(grid, gamma) == want, (name, gamma)
 
 
 def test_nonzero_commutator_over_a_zero_rhs_raises(field, monkeypatch):

@@ -55,6 +55,105 @@ def test_tensor_antisymmetry_and_diagonal(tensor):
     assert np.abs(np.einsum("jjl->jl", dense)).max() < 1e-12
 
 
+def _sine_cos_integral(a, b, c):
+    """int_0^pi sin(a x) cos(b x) sin(c x) dx for positive integers."""
+    val = 0.0
+    if a + b == c:
+        val += PI / 4.0
+    if abs(a - b) == c and a != b:
+        val += math.copysign(PI / 4.0, a - b)
+    return val
+
+
+def _sc_candidates(a, b):
+    """Nonzero (c, integral) pairs of int sin(a x) cos(b x) sin(c x) dx."""
+    out = []
+    c = a + b
+    v = _sine_cos_integral(a, b, c)
+    if v != 0.0:
+        out.append((c, v))
+    c = abs(a - b)
+    if c > 0 and c != a + b:
+        v = _sine_cos_integral(a, b, c)
+        if v != 0.0:
+            out.append((c, v))
+    return out
+
+
+def _assemble_tensor_loops(basis, m, alpha):
+    """(j, k, l, vals) of gamma_jkl by Python loops over mode pairs and their
+    candidate l, the oracle of assemble_tensor's array form."""
+    lam_pref = basis.eigenvalues[:m] ** (-alpha / 2.0)
+    modes = basis.modes[:m]
+    triples_j, triples_k, triples_l, vals = [], [], [], []
+    index = {(mm.j, mm.k): i for i, mm in enumerate(modes)}
+    c0 = (2.0 / PI) ** 3
+    for ji, mj in enumerate(modes):
+        for ki, mk in enumerate(modes):
+            if ji == ki:
+                continue
+            acc = {}
+            # x-factor sin(j1)cos(k1), y-factor cos(j2)sin(k2), coeff -j2*k1
+            for l1, ix in _sc_candidates(mj.j, mk.j):
+                for l2, iy in _sc_candidates(mk.k, mj.k):
+                    li = index.get((l1, l2))
+                    if li is not None:
+                        acc[li] = acc.get(li, 0.0) - mj.k * mk.j * ix * iy
+            # x-factor cos(j1)sin(k1), y-factor sin(j2)cos(k2), coeff +j1*k2
+            for l1, ix in _sc_candidates(mk.j, mj.j):
+                for l2, iy in _sc_candidates(mj.k, mk.k):
+                    li = index.get((l1, l2))
+                    if li is not None:
+                        acc[li] = acc.get(li, 0.0) + mj.j * mk.k * ix * iy
+            for li, v in acc.items():
+                v *= c0 * lam_pref[ji]
+                if v != 0.0:
+                    triples_j.append(ji)
+                    triples_k.append(ki)
+                    triples_l.append(li)
+                    vals.append(v)
+    return (np.array(triples_j, dtype=np.intp), np.array(triples_k, dtype=np.intp),
+            np.array(triples_l, dtype=np.intp), np.array(vals, dtype=float))
+
+
+def _assert_same_arrays(tensor, want):
+    for got, w in zip((tensor.j, tensor.k, tensor.l, tensor.vals), want):
+        assert got.dtype == w.dtype and got.shape == w.shape
+        assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.77))
+@pytest.mark.parametrize("K", range(1, 11))
+def test_array_assembly_equals_loops_at_every_m(K, alpha):
+    # an entry's value depends on its three modes only and the loops emit in
+    # (j, k) order, so the loops' tensor at m is their tensor at K^2 with
+    # every index below m, in the same order: one loop run serves each m
+    basis = build_rectangle_basis(K)
+    full = _assemble_tensor_loops(basis, K * K, alpha)
+    for m in range(1, K * K + 1):
+        below = (full[0] < m) & (full[1] < m) & (full[2] < m)
+        _assert_same_arrays(assemble_tensor(basis, m, alpha), [a[below] for a in full])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), K=st.integers(1, 9), alpha=st.floats(0.01, 2.0))
+def test_array_assembly_equals_loops(data, K, alpha):
+    m = data.draw(st.integers(1, K * K), label="m")
+    basis = build_rectangle_basis(K)
+    _assert_same_arrays(assemble_tensor(basis, m, alpha), _assemble_tensor_loops(basis, m, alpha))
+
+
+@pytest.mark.parametrize("m", (1, 2, 50, 100))
+def test_array_assembly_in_chunks_equals_one_chunk(monkeypatch, m):
+    basis = build_rectangle_basis(10)
+    whole = assemble_tensor(basis, m, 0.5)
+    # one row of (j, k) pairs per chunk, then a chunk that splits no row evenly
+    for chunk in (1, 12 * m):
+        monkeypatch.setattr(galerkin, "ASSEMBLY_CHUNK", chunk)
+        _assert_same_arrays(assemble_tensor(basis, m, 0.5),
+                            (whole.j, whole.k, whole.l, whole.vals))
+
+
 @settings(max_examples=20, deadline=None)
 @given(m=st.sampled_from(SWITCH_SIDE_MS), alpha=st.floats(0.01, 0.99))
 def test_analytic_tensor_equals_grid_tensor(m, alpha):
@@ -330,8 +429,7 @@ def test_grid_products_orthogonality(m, alpha, seed):
     assert abs(np.dot(psi, q)) <= 1e-12 * scale
 
 
-# one instance serves every state shape in turn (the tensor's bin cache
-# filling as it goes)
+# one instance serves every state shape in turn
 INTERLEAVED_BATCHES = (None, 3, 6, 2, 3)
 
 
@@ -362,8 +460,6 @@ def test_tensor_bin_cache_serves_interleaved_shapes(m):
     basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
     tensor = assemble_tensor(basis, m, 0.35)
     _assert_rows_equal_solo_calls(tensor, lambda: assemble_tensor(basis, m, 0.35), m)
-    assert set(tensor._bins) == {3, 6, 2}
-    assert all(not bins.flags.writeable for bins in tensor._bins.values())
 
 
 def test_grid_products_calls_are_independent_across_threads():
@@ -542,10 +638,12 @@ def test_run_blowup_carries_step_index_and_context(tmp_path):
 
 class _CountedEvaluator:
     """Wraps an evaluator and counts its evaluations, quadratic() and the
-    loop's neg_quadratic() alike, so run_ensemble and a loop of step() see
-    the same sequence.  From evaluation `at` on, member `row` of each output
-    holds N = bad, written in mode order (states of `shape`) so that the
-    entries of a GridProducts square off the modes stay zero."""
+    calls of the loop's neg_rhs() alike, so run_ensemble and a loop of
+    step() see the same sequence.  From evaluation `at` on, member `row` of
+    each output holds N = bad: the right-hand side -bad - visc theta is
+    written in mode order (states of `shape`) into the modes' entries of
+    the native output only, so the entries of a GridProducts square off the
+    modes and the tensor's trailing slot keep their 0."""
 
     def __init__(self, inner, at=math.inf, bad=np.nan, row=0, shape=None):
         self.inner, self.at, self.bad, self.row, self.shape = inner, at, bad, row, shape
@@ -561,14 +659,24 @@ class _CountedEvaluator:
             np.atleast_2d(out)[self.row] = self.bad  # a view, also of an (m,) out
         return out
 
-    def neg_quadratic(self, x):
-        self.calls += 1
-        out = self.inner.neg_quadratic(x)
-        if self.calls >= self.at:
-            modes = self.inner.modes(out, self.shape)
-            np.atleast_2d(modes)[self.row] = -self.bad
-            out = self.inner.native(modes)
-        return out
+    def neg_rhs(self, visc):
+        inner = self.inner.neg_rhs(visc)
+
+        def counted(x):
+            self.calls += 1
+            out = inner(x)
+            if self.calls >= self.at:
+                modes = self.inner.modes(out, self.shape).copy()
+                theta = self.inner.modes(x, self.shape)
+                r = self.row
+                np.atleast_2d(modes)[r] = (
+                    -self.bad - np.atleast_2d(visc)[r] * np.atleast_2d(theta)[r])
+                # native() of zeros holds the layout's constant entries only
+                zeros = np.zeros(self.shape)
+                out = self.inner.native(modes) - self.inner.native(zeros)
+            return out
+
+        return counted
 
 
 def _poison(monkeypatch, at, bad, members):
