@@ -170,6 +170,14 @@ def _sine_matrix(N: int, K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
+def _sine_matrix_t(N: int, K: int) -> np.ndarray:
+    """S^T, read-only and contiguous: OpenBLAS multiplies by it faster than by S.T."""
+    St = np.ascontiguousarray(_sine_matrix(N, K).T)
+    St.setflags(write=False)
+    return St
+
+
+@lru_cache(maxsize=256)
 def _cosine_matrix(N: int, K: int) -> np.ndarray:
     x = PI * np.arange(1, N + 1) / (N + 1)
     j = np.arange(1, K + 1)
@@ -214,10 +222,10 @@ def _synthesize_square(A: np.ndarray, N: int) -> np.ndarray:
     square.
     """
     r, c = A.shape[-2:]
-    S_r, S_c = _sine_matrix(N, r), _sine_matrix(N, c)
+    S_r, S_ct = _sine_matrix(N, r), _sine_matrix_t(N, c)
     if r >= c:
-        return (2.0 / PI) * ((S_r @ A) @ S_c.T)
-    return (2.0 / PI) * (S_r @ (A @ S_c.T))
+        return (2.0 / PI) * ((S_r @ A) @ S_ct)
+    return (2.0 / PI) * (S_r @ (A @ S_ct))
 
 
 def analyze(g: GridField, basis: EigenBasis) -> SpectralField:

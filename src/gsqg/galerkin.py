@@ -29,9 +29,9 @@ eps lambda in mode order, returns the map x -> -N(x) - visc x in it:
   So 2(N+1) > 3K, Orszag's 3/2 de-aliasing rule, makes the projection exact,
   and N = floor(3K/2) is the smallest such grid.  Its native layout is the
   (K, n, K) array of the n states' coefficient squares side by side.  Its
-  bilinear(a, b) is the one grid form of gamma, the native contraction
-  converted from and to mode order; tensor() evaluates it on unit pairs,
-  which is how the closed-form tensor is checked.
+  bilinear(a, b), the one grid form of gamma, runs the native contraction on
+  a workspace of its own (neg_rhs() keeps one per run); tensor() evaluates
+  it on unit pairs, which is how the closed-form tensor is checked.
 
 run_ensemble() advances B trajectories that differ only in epsilon as one
 (B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
@@ -63,6 +63,7 @@ from .basis import (
     perp_gradient,
     _cosine_matrix,
     _sine_matrix,
+    _sine_matrix_t,
 )
 
 PI = np.pi
@@ -72,12 +73,12 @@ PI = np.pi
 #: only, so an ensemble member keeps the bits of its solo run.  Below it runs
 #: the one-state traffic of run_suite("quick"), above all its weak_residual
 #: check's 12,002 evaluations at m = 16, where one grid right-hand side costs
-#: about twice a tensor one (9.2 against 4.2 us; grid products at every m
+#: 1.6-1.8 tensor ones (6.4-7.2 against 4.0-4.1 us; grid products at every m
 #: once took the benchmark's verify_quick median up 22-26%).  From it on run
 #: simulate and the viscosity sweeps at m = 64 and 256 (simulate_m256,
 #: sweep_visc_m64), where the tensor's O(m^2) contraction loses (0.73-0.88
 #: against 0.016-0.021 ms at m = 256).  The one-state crossover lies near
-#: m = 33-36, but no workload runs 30 <= m < 40 and moving the switch would
+#: m = 25, but no workload runs 25 <= m < 40 and moving the switch would
 #: change the bits of such runs.
 GRID_MIN_M = 40
 
@@ -270,7 +271,7 @@ def assemble_tensor(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor:
     def integrals(d):  # I(a, b, .) at a + b and at |d|, d = a - b
         return np.stack(np.broadcast_arrays(PI / 4.0, np.copysign(PI / 4.0, d)), -1)
 
-    parts = []
+    fields = [[], [], [], []]  # each chunk's j, k, l and vals
     rows = max(1, ASSEMBLY_CHUNK // (4 * m))
     for lo in range(0, m, rows):
         j = np.arange(lo, min(lo + rows, m))[:, None]
@@ -283,8 +284,11 @@ def assemble_tensor(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor:
         v = ((0.0 - A) + B) * pref[j][..., None, None]
         keep = (li >= 0) & (v != 0.0) & (j != np.arange(m))[..., None, None]
         jj, kk = np.nonzero(keep)[:2]
-        parts.append((jj + lo, kk, li[keep], v[keep]))
-    j, k, l, vals = (np.concatenate(p) for p in zip(*parts))
+        # kk is a view into nonzero's (count, 4) index buffer; a copy lets it go
+        for parts, part in zip(fields, (jj + lo, kk.copy(), li[keep], v[keep])):
+            parts.append(part)
+    # one field at a time, each field's parts freed once it is joined
+    j, k, l, vals = (np.concatenate(fields.pop(0)) for _ in range(4))
     return GalerkinTensor(m, alpha, j, k, l, vals, mode="analytic")
 
 
@@ -299,10 +303,10 @@ class GridProducts:
     modes: the coefficient squares side by side, which is also the layout its
     contraction produces.  native() and modes() convert from and to mode
     order through the flat positions of the modes, computed on each call
-    (the RK4 loop converts once per block of states); neg_quadratic()
-    contracts native states with no scatter or gather.  No attribute changes
-    after __init__ and each call allocates its own work arrays, so one
-    instance may serve concurrent trajectories.
+    (the RK4 loop converts once per block of states).  The contraction needs
+    no scatter or gather.  The map neg_rhs() returns owns its work arrays and
+    serves one run; bilinear() allocates its own per call.  No attribute
+    changes after __init__, so one instance serves any number of runs.
     """
 
     def __init__(self, basis: EigenBasis, m: int, alpha: float):
@@ -326,19 +330,11 @@ class GridProducts:
         S = _sine_matrix(N, K)
         dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
         # (d/dx, d/dy) f = (dC F S^T, S F dC^T) for the (K, K) coefficients F
-        self._left = np.concatenate([dC, S])
-        self._St, self._dCt = np.ascontiguousarray(S.T), np.ascontiguousarray(dC.T)
+        self._S, self._dC = S, dC
+        self._St, self._dCt = _sine_matrix_t(N, K), np.ascontiguousarray(dC.T)
         # negated, so that the contraction comes out as -N
         self._neg_proj = -(2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
-        self._S = S
-        # rows (h, p, f) of left @ F: first (f, p) of the dC half h = 0, for
-        # the x derivatives, then (reversed f, p) of the S half h = 1, for the
-        # y derivatives; see _neg_product().  Left writeable: take() copies a
-        # read-only index array on every call
-        p = 2 * np.arange(N)
-        self._rows = np.concatenate([p, p + 1, p + 2 * N + 1, p + 2 * N])
-        for a in (self._psi_scale, self._mask, self._left, self._St, self._dCt,
-                  self._neg_proj):
+        for a in (self._psi_scale, self._mask, self._dC, self._dCt, self._neg_proj):
             if a is not None:
                 a.setflags(write=False)
 
@@ -362,51 +358,67 @@ class GridProducts:
         the mode-order state shape, (m,) or (n, m)."""
         return x.reshape(x.shape[:-3] + (-1,)).take(self._positions(shape), axis=-1)
 
-    def neg_quadratic(self, x: np.ndarray) -> np.ndarray:
-        """-N(theta) for states x in the native layout, in that layout."""
-        return self._neg_product(x, x)
-
     def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """x -> -N(x) - visc x for native states x, visc the viscous diagonal
-        in mode order, (m,) for one state or (B, m) for a batch."""
-        visc, neg_quadratic = self.native(visc), self.neg_quadratic
-        return lambda x: neg_quadratic(x) - visc * x
+        in mode order, (m,) or (B, m).  The map owns work arrays: one run's."""
+        visc = self.native(visc)
+        neg_product, vx = self._neg_product(visc.shape[1]), np.empty_like(visc)
 
-    def _neg_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """-P_m(perp-grad Lambda^{-alpha} a . grad b) for native a and b.
+        def neg_rhs(x):
+            out = neg_product(x, x)
+            out -= np.multiply(visc, x, out=vx)
+            return out
 
-        Psi = Lambda^{-alpha/2} a and b, each (K, n, K), are concatenated into
-        one (K, 2nK) matrix F of 2n coefficient squares side by side, so each
-        of the five products below is one 2-d GEMM whatever n is.  The row
-        reorder after the first product puts the psi and b derivatives of one
-        member into matching contiguous blocks, which keeps the pointwise
-        product contiguous.
-        """
+        return neg_rhs
+
+    def _neg_product(self, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(a, b) -> -P_m(perp-grad Lambda^{-alpha} a . grad b) for native a
+        and b of n states, on work arrays allocated here once.  psi =
+        Lambda^{-alpha/2} a and b are (K, nK) matrices, so each product is one
+        2-d GEMM whatever n is.  Only the last GEMM allocates: the result is
+        never a work array, since the RK4 loop keeps and reuses results."""
         K, N = self.K, self.N
-        n = a.shape[1]
-        F = np.concatenate([self._psi_scale * a, b], axis=1).reshape(K, 2 * n * K)
-        # ndarray.dot, not @: on matrices this small the matmul ufunc's
-        # set-up costs more than the product (1.9 against 0.5 us at m = 64)
-        # L: rows (h, p, f) with h = dC or S and f = psi or b, columns (member, k)
-        L = self._left.dot(F).reshape(4 * N, n * K)
-        # X = (psi_x, b_x) and Y = (b_y, psi_y), each with rows (f, p, member)
-        XY = L.take(self._rows, axis=0).reshape(2, 2 * n * N, K)
-        X = XY[0].dot(self._St)
-        Y = XY[1].dot(self._dCt)
-        # u . grad b with u = perp-grad psi = (-psi_y, psi_x)
-        Z = (X * Y).reshape(2, N, n * N)
-        adv = Z[0] - Z[1]  # (p, (member, q))
-        out = self._neg_proj.dot(adv).reshape(n * K, N).dot(self._S).reshape(K, n, K)
-        if self._mask is not None:
-            out *= self._mask
-        return out
+        dC, S, St, dCt, neg_proj, mask = (
+            self._dC, self._S, self._St, self._dCt, self._neg_proj, self._mask)
+        scale = np.broadcast_to(self._psi_scale, (K, n, K)).copy()
+        psi = np.empty((K, n * K))
+        # blocks (N, nK), rows p and columns (member, k), that the first four
+        # GEMMs write; XY_x and XY_y, rows (f, p, member), feed the next two
+        XY = np.empty((2, 2, N, n * K))
+        psi_x, b_x, b_y, psi_y = XY.reshape(4, N, n * K)
+        XY_x, XY_y = XY.reshape(2, 2 * n * N, K)
+        X, Y = np.empty((2, 2 * n * N, N))
+        # u . grad b = psi_x b_y - psi_y b_x, rows p and columns (member, q)
+        Z0, Z1 = X.reshape(2, N, n * N)
+        P = np.empty((K, n * N))
+        psi3, Pr = psi.reshape(K, n, K), P.reshape(n * K, N)
+
+        def neg_product(a, b):
+            np.multiply(scale, a, out=psi3)
+            b = b.reshape(K, n * K)
+            # ndarray.dot, not @: on matrices this small the matmul ufunc's
+            # set-up costs more than the product (1.9 against 0.5 us at m = 64)
+            dC.dot(psi, out=psi_x)
+            dC.dot(b, out=b_x)
+            S.dot(b, out=b_y)
+            S.dot(psi, out=psi_y)
+            XY_x.dot(St, out=X)
+            XY_y.dot(dCt, out=Y)
+            np.multiply(X, Y, out=X)
+            neg_proj.dot(np.subtract(Z0, Z1, out=Z0), out=P)
+            out = Pr.dot(S).reshape(K, n, K)
+            if mask is not None:
+                out *= mask
+            return out
+
+        return neg_product
 
     def bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P_m(perp-grad Lambda^{-alpha} a . grad b) = (sum_jk gamma_jkl a_j b_k)_l
         for a and b of one shape, (m,) or (B, m); the products broadcast over
         B.  The native contraction, converted from and to mode order."""
-        out = self._neg_product(self.native(a), self.native(b))
-        return -self.modes(out, a.shape)
+        x = self.native(a)
+        return -self.modes(self._neg_product(x.shape[1])(x, self.native(b)), a.shape)
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,

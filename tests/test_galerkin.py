@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from gsqg import galerkin
-from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
+from gsqg.basis import (
+    QuadratureGrid,
+    SpectralField,
+    _cosine_matrix,
+    _sine_matrix,
+    build_rectangle_basis,
+)
 from gsqg.galerkin import (
     GRID_MIN_M,
     RK4_REAL_LIMIT,
@@ -474,6 +480,83 @@ def test_grid_products_calls_are_independent_across_threads():
     assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
+def _one_shot_neg_product(gp, basis, a, b):
+    """-P_m(perp-grad Lambda^{-alpha} a . grad b) for native a and b, the
+    oracle of GridProducts' workspace contraction: psi and b in one (K, 2nK)
+    matrix, one GEMM by the stacked (dC; S), a row gather into the x and y
+    blocks, and every intermediate a fresh array."""
+    K, N, m = gp.K, gp.N, gp.m
+    n = a.shape[1]
+    j, k = (i[:m] - 1 for i in basis.mode_arrays())
+    scale, mask = np.zeros((2, K, 1, K))
+    scale[j, 0, k] = basis.eigenvalues[:m] ** (-gp.alpha / 2.0)
+    mask[j, 0, k] = 1.0
+    S = _sine_matrix(N, K)
+    dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
+    F = np.concatenate([scale * a, b], axis=1).reshape(K, 2 * n * K)
+    # rows (h, p, f) of L: h = dC or S, f = psi or b
+    L = np.concatenate([dC, S]).dot(F).reshape(4 * N, n * K)
+    p = 2 * np.arange(N)
+    rows = np.concatenate([p, p + 1, p + 2 * N + 1, p + 2 * N])
+    XY = L.take(rows, axis=0).reshape(2, 2 * n * N, K)
+    X = XY[0].dot(np.ascontiguousarray(S.T))
+    Y = XY[1].dot(np.ascontiguousarray(dC.T))
+    Z = (X * Y).reshape(2, N, n * N)
+    adv = Z[0] - Z[1]
+    neg_proj = -(2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
+    out = neg_proj.dot(adv).reshape(n * K, N).dot(S).reshape(K, n, K)
+    out *= mask  # x * 1.0 is x, so a full mask changes no bit
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    K=st.integers(1, 12),
+    filled=st.booleans(),
+    B=st.integers(1, 6),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_contraction_equals_one_shot_oracle(data, K, filled, B, alpha, seed):
+    # m = K^2 fills the square; a smaller m leaves the mask active unless its
+    # modes happen to fill a smaller square
+    m = K * K if filled else data.draw(st.integers(1, K * K))
+    basis = build_rectangle_basis(K)
+    gp = GridProducts(basis, m, alpha)
+    shape = (B, m) if B > 1 else (m,)
+    rng = np.random.default_rng(seed)
+    a, b, visc = rng.standard_normal((3,) + shape)
+    x, y = gp.native(a), gp.native(b)
+    want = _one_shot_neg_product(gp, basis, x, x) - gp.native(visc) * x
+    assert gp.neg_rhs(visc)(x).tobytes() == want.tobytes()
+    want = -gp.modes(_one_shot_neg_product(gp, basis, x, y), shape)
+    assert gp.bilinear(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", (40, 60, 256))
+def test_neg_rhs_closures_of_one_instance_are_independent(m):
+    # two runs' right-hand sides from one instance, called in turn, each on
+    # its own workspace; every result is a new array that later calls leave
+    # alone, since the RK4 loop keeps k1s and builds states in k2's array
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    lam = basis.eigenvalues[:m]
+    visc = (0.01 * lam, np.outer([0.1, 0.0, 3e-3], lam))
+    rng = np.random.default_rng(m)
+    states = [rng.standard_normal((8,) + v.shape) for v in visc]
+    gp = GridProducts(basis, m, 0.45)
+    shared = [gp.neg_rhs(v) for v in visc]
+    interleaved = [[], []]
+    for i in range(8):
+        for r in (0, 1):
+            interleaved[r].append(shared[r](gp.native(states[r][i])))
+    for r, v in enumerate(visc):
+        fresh = GridProducts(basis, m, 0.45)
+        solo = fresh.neg_rhs(v)
+        for got, th in zip(interleaved[r], states[r]):
+            assert np.array_equal(got, solo(fresh.native(th)))
+
+
 def test_run_above_switch_conserves_l2_and_hamiltonian():
     cfg = SimConfig(alpha=0.4, epsilon=0.0, m=70, dt=1e-3, T=0.3,
                     initial="random", seed=5, stride=50)
@@ -557,10 +640,12 @@ def test_rhs_batched_state_and_viscosities_equal_row_wise(m):
         assert np.array_equal(batched[b], rhs(states[b], evaluator, eps[b], lam))
 
 
-@pytest.mark.parametrize("m, initial", [(20, "random"), (64, "random_rough")])
+# m = 1024 is the largest grid workspace a sweep runs
+@pytest.mark.parametrize("m, initial", [(20, "random"), (64, "random_rough"),
+                                        (1024, "random_rough")])
 def test_run_ensemble_members_equal_solo_runs(m, initial):
     cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=7, initial=initial, seed=4)
-    eps = (0.3, 0.01, 0.0)
+    eps = (0.3, 0.1, 0.03, 0.01, 1e-3, 0.0)
     members = run_ensemble([replace(cfg, epsilon=e) for e in eps])
     assert [tr.config.epsilon for tr in members] == list(eps)
     for e, tr in zip(eps, members):
