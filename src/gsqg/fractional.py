@@ -45,8 +45,8 @@ def project(f: SpectralField, m: int) -> SpectralField:
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     """e^{t*Laplacian} f, i.e. f_j -> exp(-lambda_j t) f_j."""
-    if t < 0:
-        raise ValueError(f"heat semigroup time must be >= 0, got {t}")
+    if not t >= 0:  # nan fails too; t = inf gives exact zeros
+        raise ValueError(f"heat semigroup time must be >= 0, got t={t}")
     return SpectralField(f.basis, np.exp(-f.basis.eigenvalues * t) * f.coeffs)
 
 
@@ -95,8 +95,8 @@ def lambda_neg_power_heat(
     laws, are added in closed form so the default window meets quadrature
     tolerance for all s > 0.
     """
-    if s <= 0:
-        raise ValueError(f"negative-power route requires s > 0, got {s}")
+    if not 0 < s < math.inf:  # nan fails too
+        raise ValueError(f"negative-power route requires finite s > 0, got s={s}")
     if rule is None:
         rule = default_heat_rule(f.basis)
     lam = f.basis.eigenvalues

@@ -8,12 +8,14 @@ The tensor is antisymmetric in (k, l), which makes the inviscid L2 norm an
 exact invariant of the ODE; trajectories track the discrete energy and
 stream-function (Hamiltonian) balances alongside the state.
 
-Two evaluators of the quadratic term share one interface, `.m` and
-`.quadratic(theta)`, where theta is one state of shape (m,) or a batch of
-shape (B, m) and the result has the same shape.  For the RK4 loop each also
-has a native layout of the state, `.native(theta)` and `.modes(x, shape)`
-convert to and from it, and `.neg_rhs(visc)`, given the viscous diagonal
-eps lambda in mode order, returns the map x -> -N(x) - visc x in it:
+Two evaluators of the quadratic term share one interface: `.m`, a native
+layout of the state that `.native(theta)` and `.modes(x, shape)` convert to
+and from, `.neg_rhs(visc)`, which given the viscous diagonal eps lambda in
+mode order returns the map x -> -N(x) - visc x in the native layout, and
+`.quadratic(theta)`, N(theta) in mode order.  theta is one state of shape
+(m,) or a batch of shape (B, m), and results have the same shape.  The RK4
+loop of run_ensemble builds the neg_rhs map once per run; the per-step rhs()
+and step() run the same map, built per call, in mode order.
 
 - GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
   closed form by assemble_tensor with array operations over all mode pairs
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,37 +142,17 @@ class GalerkinTensor:
     l: np.ndarray
     vals: np.ndarray
     mode: str
-    # (j then k, -vals) for neg_quadratic, left writeable: take() copies a
-    # read-only index array on every call
-    _negated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
         return len(self.vals)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.m, self.m, self.m))
-        dense[self.j, self.k, self.l] = self.vals
-        return dense
-
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
-        for theta of shape (m,) or (B, m)."""
-        return -self.neg_quadratic(theta)
-
-    def neg_quadratic(self, theta: np.ndarray) -> np.ndarray:
-        """-N(theta) = -(sum_jk gamma_jkl theta_j theta_k)_l in mode order, for
-        theta of shape (m,) or (B, m).  One gather of the concatenated (j, k)
-        indices feeds the negated values; row b's terms go to bins b m + l."""
-        if self._negated is None:  # built at the first contraction
-            self._negated = (np.concatenate([self.j, self.k]), -self.vals)
-        jk, neg_vals = self._negated
-        n = len(neg_vals)
-        pairs = theta.take(jk, axis=-1)
-        weights = neg_vals * pairs[..., :n] * pairs[..., n:]
-        bins = self.l if theta.ndim == 1 else (
-            self.l + self.m * np.arange(len(theta))[:, None]).ravel()
-        return np.bincount(bins, weights.ravel(), theta.size).reshape(theta.shape)
+        for theta of shape (m,) or (B, m): the contraction of neg_rhs with no
+        viscous term, negated."""
+        neg_n = self.neg_rhs(np.zeros(theta.shape))
+        return -self.modes(neg_n(self.native(theta)), theta.shape)
 
     def native(self, theta: np.ndarray) -> np.ndarray:
         """theta, (m,) or (B, m), in mode order plus a trailing 1 (native)."""
@@ -456,14 +438,16 @@ def rhs(
     eps: float | np.ndarray, eigvals: np.ndarray,
 ) -> np.ndarray:
     """d theta / dt = -N(theta) - eps lambda theta, with N(theta) from the
-    evaluator `tensor` (a GalerkinTensor or GridProducts).
+    evaluator `tensor` (a GalerkinTensor or GridProducts): the map its
+    neg_rhs builds for the RK4 loop, run once in the native layout.
 
     theta is one state (m,) with a scalar eps, or a batch (B, m) with a
     scalar or (B,) eps, one viscosity per row; eigvals are the m eigenvalues
     lambda."""
     if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
-    return -tensor.quadratic(theta) - np.multiply.outer(eps, eigvals) * theta
+    visc = np.broadcast_to(np.multiply.outer(eps, eigvals), theta.shape)
+    return tensor.modes(tensor.neg_rhs(visc)(tensor.native(theta)), theta.shape)
 
 
 @dataclass
@@ -474,13 +458,6 @@ class GalerkinState:
     def __post_init__(self):
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("state coefficients must be finite")
-
-    @classmethod
-    def _checked(cls, t: float, coeffs: np.ndarray) -> "GalerkinState":
-        """A state whose coefficients the caller has already shown finite."""
-        state = object.__new__(cls)
-        state.t, state.coeffs = t, coeffs
-        return state
 
 
 def step(
@@ -507,7 +484,7 @@ def step(
     mx = np.abs(new).max() if new.size else 0.0
     if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
         raise _blowup(state.t + dt, float(mx), new, eps, dt, float(np.max(eigvals)))
-    return GalerkinState._checked(state.t + dt, new)
+    return GalerkinState(state.t + dt, new)
 
 
 def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = None):

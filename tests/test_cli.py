@@ -378,6 +378,26 @@ def test_cli_unparsable_value_exits_2_naming_it(config_path, tmp_path, capsys, a
     _refused(tmp_path, capsys, argv, *words)
 
 
+@pytest.mark.parametrize("op, param", [
+    ("heat", "t=nan"), ("heat", "t=-1"),
+    ("lambda_neg_heat", "s=nan"), ("lambda_neg_heat", "s=inf"), ("lambda_neg_heat", "s=0"),
+])
+def test_cli_op_refuses_out_of_range_values_naming_them(tmp_path, capsys, op, param):
+    # a nan used to pass the range tests and write a snapshot of nans
+    src, dst = tmp_path / "f.bin", tmp_path / "out.bin"
+    write_snapshot(src, Snapshot(16, 0.5, 0.0, 0.0, np.ones(16)))
+    assert main(["op", op, str(src), "-p", param, "--out", str(dst)]) == 2
+    assert f"got {param}" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_cli_op_heat_at_infinite_time_gives_zeros(tmp_path):
+    src, dst = tmp_path / "f.bin", tmp_path / "out.bin"
+    write_snapshot(src, Snapshot(16, 0.5, 0.0, 0.0, np.ones(16)))
+    assert main(["op", "heat", str(src), "-p", "t=inf", "--out", str(dst)]) == 0
+    assert np.array_equal(read_snapshot(dst).coeffs, np.zeros(16))
+
+
 def test_cli_verify_quick(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

@@ -55,8 +55,15 @@ def tensor(basis):
     return assemble_tensor(basis, 16, 0.5)
 
 
+def _to_dense(tensor):
+    """gamma_jkl as a dense (m, m, m) array."""
+    dense = np.zeros((tensor.m,) * 3)
+    dense[tensor.j, tensor.k, tensor.l] = tensor.vals
+    return dense
+
+
 def test_tensor_antisymmetry_and_diagonal(tensor):
-    dense = tensor.to_dense()
+    dense = _to_dense(tensor)
     assert np.abs(dense + dense.transpose(0, 2, 1)).max() < 1e-12
     assert np.abs(np.einsum("jjl->jl", dense)).max() < 1e-12
 
@@ -167,7 +174,7 @@ def test_analytic_tensor_equals_grid_tensor(m, alpha):
     ta = assemble_tensor(basis, m, alpha)
     tg = GridProducts(basis, m, alpha).tensor()
     assert (ta.mode, tg.mode) == ("analytic", "grid")
-    assert np.abs(ta.to_dense() - tg.to_dense()).max() < 1e-12
+    assert np.abs(_to_dense(ta) - _to_dense(tg)).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -184,7 +191,7 @@ def test_grid_bilinear_form_contract(m, B, alpha, seed):
     for th in (a[0], a):
         assert np.array_equal(gp.bilinear(th, th), gp.quadratic(th))
     # gamma is not symmetric in (j, k): swapped roles of a and b fail here
-    dense = assemble_tensor(basis, m, alpha).to_dense()
+    dense = _to_dense(assemble_tensor(basis, m, alpha))
     want = np.einsum("jkl,bj,bk->bl", dense, a, b)
     tol = 1e-12 * max(1.0, np.abs(want).max())
     assert np.abs(gp.bilinear(a, b) - want).max() < tol
@@ -197,7 +204,7 @@ def test_tensor_entry_against_dense_dblquad(basis):
     ji, ki, li = pairs.index((1, 1)), pairs.index((1, 2)), pairs.index((2, 1))
     alpha = 0.5
     t = assemble_tensor(basis, 16, alpha)
-    got = t.to_dense()[ji, ki, li]
+    got = _to_dense(t)[ji, ki, li]
 
     c = 2.0 / PI  # normalization of w_jk = (2/pi) sin(jx) sin(ky)
 
@@ -462,10 +469,28 @@ def test_grid_products_serve_interleaved_shapes_unchanged(m):
 
 
 @pytest.mark.parametrize("m", (16, 36))
-def test_tensor_bin_cache_serves_interleaved_shapes(m):
+def test_tensor_serves_interleaved_shapes_unchanged(m):
     basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
     tensor = assemble_tensor(basis, m, 0.35)
+    objects, state = dict(vars(tensor)), pickle.dumps(vars(tensor))
     _assert_rows_equal_solo_calls(tensor, lambda: assemble_tensor(basis, m, 0.35), m)
+    lam = basis.eigenvalues[:m]
+    rhs(np.ones((2, m)), tensor, np.array([0.1, 0.0]), lam)
+    step(GalerkinState(0.0, np.ones(m)), tensor, 1e-3, eps=0.1, eigvals=lam)
+    # no attribute is added, replaced or changed in place after construction
+    assert vars(tensor).keys() == objects.keys()
+    assert all(vars(tensor)[key] is value for key, value in objects.items())
+    assert pickle.dumps(vars(tensor)) == state
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_tensor_quadratic_is_float_without_nonzeros(m):
+    tensor = assemble_tensor(build_rectangle_basis(2), m, 0.5)
+    assert tensor.nnz == 0
+    for shape in ((m,), (3, m)):
+        q = tensor.quadratic(np.ones(shape))
+        assert q.dtype == np.float64 and q.shape == shape
+        assert np.array_equal(q, np.zeros(shape))
 
 
 def test_grid_products_calls_are_independent_across_threads():
@@ -584,7 +609,7 @@ def test_tensor_structure_check_matches_dense(tensor):
     t = GalerkinTensor(tensor.m, tensor.alpha, tensor.j, tensor.k, tensor.l,
                        tensor.vals.copy(), tensor.mode)
     t.vals[[3, 40]] += (2e-3, -5e-4)
-    dense = t.to_dense()
+    dense = _to_dense(t)
     anti = dense + dense.transpose(0, 2, 1)
     worst = np.unravel_index(np.abs(anti).argmax(), anti.shape)
     res = check_tensor_structure(tensor=t)
@@ -722,10 +747,10 @@ def test_run_blowup_carries_step_index_and_context(tmp_path):
 
 
 class _CountedEvaluator:
-    """Wraps an evaluator and counts its evaluations, quadratic() and the
-    calls of the loop's neg_rhs() alike, so run_ensemble and a loop of
-    step() see the same sequence.  From evaluation `at` on, member `row` of
-    each output holds N = bad: the right-hand side -bad - visc theta is
+    """Wraps an evaluator and counts the calls of the maps its neg_rhs()
+    builds, which run_ensemble and rhs() alike evaluate, so run_ensemble and
+    a loop of step() see the same sequence.  From evaluation `at` on, member
+    `row` of each output holds N = bad: the right-hand side -bad - visc theta is
     written in mode order (states of `shape`) into the modes' entries of
     the native output only, so the entries of a GridProducts square off the
     modes and the tensor's trailing slot keep their 0."""
@@ -736,13 +761,6 @@ class _CountedEvaluator:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-    def quadratic(self, theta):
-        self.calls += 1
-        out = self.inner.quadratic(theta)
-        if self.calls >= self.at:
-            np.atleast_2d(out)[self.row] = self.bad  # a view, also of an (m,) out
-        return out
 
     def neg_rhs(self, visc):
         inner = self.inner.neg_rhs(visc)
