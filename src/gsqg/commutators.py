@@ -7,8 +7,11 @@ projected back onto the padded sine basis.  A field keeps its own (K, K)
 coefficient square and the transforms touch only the rows and columns that
 carry data: it is synthesized from its K band, and a projected gradient is
 the pair of rectangles (K', K) for d/dx and (K, K') for d/dy, K' the padded
-cutoff.  The estimates' constants are never asserted; monitor_bounds reports
-observed ratios only.
+cutoff.  A commutator [Lambda^s, T], T the projected gradient or a projected
+multiplier product, is lambda^{s/2} T F - T Lambda^s F on T's band, from a
+stack of powers of F that is synthesized once for all multipliers; the weak
+forms share these helpers.  The estimates' constants are never asserted;
+monitor_bounds reports observed ratios only.
 """
 
 from __future__ import annotations
@@ -158,28 +161,48 @@ def padded_grid(basis: EigenBasis) -> QuadratureGrid:
 
 
 def comm_lambda_grad(psi: SpectralField, s: float, pad: float = 4.0) -> GridField:
-    """[Lambda^s, grad] psi on the padded grid."""
+    """[Lambda^s, grad] psi on the padded grid.
+
+    Both terms go through the same projection of the gradient onto the sine
+    basis, the x block (K', K) and the y block (K, K'), so the truncation of
+    the slowly converging sine series of grad(psi) cancels as s -> 0.
+    """
     if not 0.0 < s < 2.0:
         raise ValueError(f"require s in (0, 2), got {s}")
     big = padded_basis(psi.basis, pad)
     grid = padded_grid(big)
-    comm = _lambda_grad_coeffs(_coeff_square(psi), s, grid.N, big.K)
+    K = psi.basis.K
+    grad = _gradient_coeffs(_power_stack(_coeff_square(psi), (0.0, s)), grid.N, big.K)
+    comm = _commutator(grad, _band_weights([(big.K, K), (K, big.K)], s), 0, 1)
     return GridField(grid, np.stack([_synthesize_square(c, grid.N) for c in comm]))
 
 
-def _lambda_grad_coeffs(A: np.ndarray, s: float, N: int, K_out: int):
-    """[Lambda^s, grad] of (..., K, K) squares projected onto the cutoff
-    K_out >= K, as the x block (..., K_out, K) and the y block (..., K, K_out).
+def _power_stack(F: np.ndarray, powers) -> np.ndarray:
+    """Lambda^r F for each r of powers, stacked on axis -3, for (..., K, K)
+    squares F."""
+    lam = _eigenvalue_square(F.shape[-1])
+    return np.stack([lam ** (r / 2.0) * F for r in powers], axis=-3)
 
-    Both terms go through the same projection of the gradient onto the sine
-    basis, so the truncation of the slowly converging sine series of grad(psi)
-    cancels as s -> 0.
-    """
-    K = A.shape[-1]
-    lam_s = _eigenvalue_square(K_out) ** (s / 2.0)
-    dx, dy = _gradient_coeffs(A, N, K_out)
-    lam_dx, lam_dy = _gradient_coeffs(lam_s[:K, :K] * A, N, K_out)
-    return lam_s[:, :K] * dx - lam_dx, lam_s[:K, :] * dy - lam_dy
+
+def _band_weights(bands, s: float) -> list[np.ndarray]:
+    """lambda^{s/2} on each band (rows, cols) of bands."""
+    lam_s = _eigenvalue_square(max(max(band) for band in bands)) ** (s / 2.0)
+    return [lam_s[:rows, :cols] for rows, cols in bands]
+
+
+def _commutator(T, weights, i: int, j: int) -> list[np.ndarray]:
+    """[Lambda^s, T_c] Lambda^{r_i} F = lambda^{s/2} T_c Lambda^{r_i} F -
+    T_c Lambda^{r_j} F, r_j = r_i + s, for the blocks T_c Lambda^r F of a
+    power stack (power r on axis -3), weights lambda^{s/2} on T_c's band."""
+    return [w * t[..., i, :, :] - t[..., j, :, :] for w, t in zip(weights, T)]
+
+
+def _mult_products(a_grid: np.ndarray, F: np.ndarray, bands) -> list[np.ndarray]:
+    """P(a F) for M multipliers a sampled as (M, N, N) on the grid and
+    (..., K, K) squares F, each onto its own band (rows, cols) >= K of bands;
+    F is synthesized once, from the K band, for all of them."""
+    g = _synthesize_square(F, a_grid.shape[-1])
+    return [_analyze_square(a * g, rows, cols) for a, (rows, cols) in zip(a_grid, bands)]
 
 
 def comm_neg_lambda_mult(
@@ -203,26 +226,10 @@ def comm_lambda_mult(
 def _comm_mult(a: Multiplier, f: SpectralField, s: float, pad: float) -> SpectralField:
     big = padded_basis(f.basis, pad)
     grid = padded_grid(big)
-    (c,) = _mult_coeffs(a.on(grid)[None], _coeff_square(f), s, [(big.K, big.K)])
+    band = [(big.K, big.K)]
+    prods = _mult_products(a.on(grid)[None], _power_stack(_coeff_square(f), (0.0, s)), band)
+    (c,) = _commutator(prods, _band_weights(band, s), 0, 1)
     return SpectralField(big, _gather_square(c, big))
-
-
-def _mult_coeffs(a_grid: np.ndarray, F: np.ndarray, s: float, bands) -> list[np.ndarray]:
-    """[Lambda^s, a] F for M multipliers sampled as (M, N, N) on the grid and
-    (..., K, K) squares F, each projected onto its own band (rows, cols) of
-    bands, both >= K: one (..., rows, cols) rectangle per multiplier.
-
-    F and Lambda^s F are synthesized once, from the K band, for all M
-    multipliers.
-    """
-    N, K = a_grid.shape[-1], F.shape[-1]
-    lam_s = _eigenvalue_square(max(max(band) for band in bands)) ** (s / 2.0)
-    g = _synthesize_square(np.stack([F, lam_s[:K, :K] * F], axis=-3), N)
-    out = []
-    for a, (rows, cols) in zip(a_grid, bands):
-        p = _analyze_square(a * g, rows, cols)
-        out.append(lam_s[:rows, :cols] * p[..., 0, :, :] - p[..., 1, :, :])
-    return out
 
 
 def _lp_norm(values: np.ndarray, grid: QuadratureGrid, p: float) -> float:

@@ -32,7 +32,7 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import _b1, _b2, _n2_shift_exponents, _perp_left, _transport
+from .weakform import _check_delta, _factors, _pair, _transport
 
 PI = np.pi
 
@@ -218,11 +218,8 @@ def weak_continuity_terms(
     Returns time-integrated I_1..I_6 over the matched snapshot times, their
     sum, and the directly computed 2 * (N(psi_eps) - N(psi_ref)).
     """
-    cfg = traj_eps.config
-    alpha = cfg.alpha
-    dmax = min(alpha, 1.0 - alpha)
-    if not 0.0 < delta < dmax:
-        raise ValueError(f"delta must lie in (0, {dmax}), got {delta}")
+    alpha = traj_eps.config.alpha
+    delta = _check_delta(alpha, delta)
     if len(traj_eps.times) != len(traj_ref.times) or not np.allclose(
         traj_eps.times, traj_ref.times
     ):
@@ -234,7 +231,6 @@ def weak_continuity_terms(
     big = padded_basis(basis, pad)
     grid = padded_grid(big)
     grad_phi = phi.grad_on(grid)
-    shift, plain = _n2_shift_exponents(alpha, delta)
 
     # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares on
     # their own band; the forms project onto the padded cutoff big.K
@@ -244,24 +240,25 @@ def weak_continuity_terms(
     for sq, tr in zip(psi, (traj_eps, traj_ref)):
         m = tr.config.m
         sq[:, jj[:m] - 1, kk[:m] - 1] = basis.eigenvalues[:m] ** (-alpha / 2.0) * tr.snaps
-    # fields (d, e, r) = (psi_eps - psi_ref, psi_eps, psi_ref); each form runs
-    # once on four (left, right) pairs: two of the six terms, then (e, e) and
-    # (r, r) for N(psi_eps) and N(psi_ref)
+    # the fields (d, e, r) = (psi_eps - psi_ref, psi_eps, psi_ref) bring
+    # their factors once; each form pairs four (left, right) fields: two of
+    # the six terms, then (e, e) and (r, r) for N(psi_eps) and N(psi_ref)
     d, e, r = 0, 1, 2
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
-    # a _b2 call holds 16 (N, N) samples per snapshot at once: its 8
-    # synthesized squares and their products with one multiplier
-    block = max(1, BLOCK_VALUES // (16 * grid.N**2))
+    # _factors holds 18 (N, N) samples per snapshot at once: the fields' 9
+    # synthesized powers and their products with one multiplier
+    block = max(1, BLOCK_VALUES // (18 * grid.N**2))
+
+    def pair(left, right, li, ri):
+        return _pair([c[li] for c in left], [c[ri] for c in right])
+
     for b in range(0, n_t, block):
         pe, pr = psi[:, b:b + block]
-        fields = np.stack([pe - pr, pe, pr])
-        left = _perp_left(fields, grid.N, big.K)
-        v1[:, b:b + block] = _b1(
-            fields[[d, r, e, r]], fields[[e, d, e, r]], alpha, grad_phi, big.K)
-        vs[:, b:b + block] = _b2(
-            [c[[d, r, e, r]] for c in left], fields[[e, d, e, r]], *shift, grad_phi)
-        vp[:, b:b + block] = _b2(
-            [c[[d, e, e, r]] for c in left], fields[[r, d, e, r]], *plain, grad_phi)
+        comm, perp, r0, (shift, plain) = _factors(
+            np.stack([pe - pr, pe, pr]), grad_phi, big.K, alpha, delta)
+        v1[:, b:b + block] = pair(comm, r0, [d, r, e, r], [e, d, e, r])
+        vs[:, b:b + block] = pair(perp, shift, [d, r, e, r], [e, d, e, r])
+        vp[:, b:b + block] = pair(perp, plain, [d, e, e, r], [r, d, e, r])
     terms = np.stack([v1[0], v1[1], -vs[0], -vs[1], -vp[0], -vp[1]], axis=1)
     n_eps, n_ref = 0.5 * (v1[2:] - vs[2:] - vp[2:])
     two_dn = 2.0 * (n_eps - n_ref)

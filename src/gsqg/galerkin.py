@@ -447,7 +447,9 @@ def rhs(
     if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
     visc = np.broadcast_to(np.multiply.outer(eps, eigvals), theta.shape)
-    return tensor.modes(tensor.neg_rhs(visc)(tensor.native(theta)), theta.shape)
+    out = tensor.modes(tensor.neg_rhs(visc)(tensor.native(theta)), theta.shape)
+    # the tensor's modes are a view of its (..., m + 1) native array
+    return out if out.base is None else out.copy()
 
 
 @dataclass

@@ -6,15 +6,16 @@ and N2 pairs Lambda^{-1+alpha} perp-grad(psi) with the multiplier commutator
 of grad(phi).  N2 also has a delta-shifted two-term form; both must agree.
 All functionals are quadratic in psi and evaluated with padded projections.
 
-Every weak form is built from two bilinear forms on (..., K, K) coefficient
-squares, _b1 (the N1 pairing) and _b2 (one N2 pairing), which take a leading
-batch axis.  A field stays on its own K band and is never zero-padded to the
-padded cutoff K'.  Where a gradient is only projected back onto the sine
-basis, they apply the exact coefficient-space map basis._gradient_projection,
-a (K', K) rectangle, in place of a synthesize-gradient-analyze round trip, so
-d/dx lives on (K', K) and d/dy on (K, K').  _b1 synthesizes those rectangles
-and _b2 analyzes each multiplier product only onto the rectangle of the
-left factor it is paired with.
+Every weak form is one pairing sum_c <left_c(a), right_c(b)> of coefficient
+blocks that _factors computes once per field, for (..., K, K) squares with
+any leading batch axes.  Component c lies on the band (K, K') for c = 0 and
+(K', K) for c = 1, K' the padded cutoff, and pairs with d_c phi; no field is
+zero-padded to K', and projected gradients stay in coefficient space
+(basis._gradient_projection).  N1 pairs perp [Lambda^alpha, grad] a with
+R_0 and N2 pairs P perp-grad a with multiplier commutators, all built from
+R_r = P_c(d_c phi Lambda^r b): as w sum_nodes synthesize(C) h =
+sum C * analyze(h) up to rounding, N1's grid integral is a pairing too, and
+each power of b is synthesized once, in one stack.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .basis import (
 )
 from .commutators import (
     Multiplier,
-    _lambda_grad_coeffs,
-    _mult_coeffs,
+    _band_weights,
+    _commutator,
+    _mult_products,
+    _power_stack,
     padded_basis,
     padded_grid,
 )
@@ -134,93 +137,9 @@ def _check_alpha(alpha: float):
         raise ValueError(f"constitutive exponent alpha must lie in (0, 1), got {alpha}")
 
 
-def _b1(
-    a: np.ndarray, b: np.ndarray, alpha: float, grad_phi: np.ndarray, K_pad: int
-) -> float | np.ndarray:
-    """int [Lambda^alpha, perp-grad] a . grad(phi) b dx.
-
-    a and b are (..., K, K) coefficient squares, grad_phi the (2, N, N) grid
-    samples of grad(phi) and K_pad the cutoff the commutator is projected
-    onto; one value per leading index.  The commutator's (K_pad, K) and
-    (K, K_pad) blocks and b are synthesized from their own bands.
-    """
-    N = grad_phi.shape[-1]
-    c_x, c_y = (_synthesize_square(c, N) for c in _lambda_grad_coeffs(a, alpha, N, K_pad))
-    # perp of the commutator (c_x, c_y) is (-c_y, c_x)
-    integrand = (c_x * grad_phi[1] - c_y * grad_phi[0]) * _synthesize_square(b, N)
-    return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
-
-
-def _perp_left(a: np.ndarray, N: int, K_pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """P perp-grad a = (-P d/dy a, P d/dx a) of (..., K, K) squares projected
-    onto the cutoff K_pad, as its (..., K, K_pad) and (..., K_pad, K) blocks:
-    the left factor of _b2 before its power."""
-    d_x, d_y = _gradient_coeffs(a, N, K_pad)
-    return -d_y, d_x
-
-
-def _b2(
-    left, b: np.ndarray, lexp: float, s: float, rexp: float, grad_phi: np.ndarray
-) -> float | np.ndarray:
-    """<Lambda^lexp P perp-grad a, -Lambda [Lambda^{-s}, grad phi] Lambda^rexp b>.
-
-    left is _perp_left(a, N, K_pad) for (..., K, K) squares a, b a (..., K, K)
-    square and grad_phi the (2, N, N) samples of grad(phi) used as the two
-    multipliers; each multiplier's commutator is projected only onto the
-    block of its left component.  One value per leading index.
-    """
-    K = b.shape[-1]
-    bands = [comp.shape[-2:] for comp in left]
-    lam = _eigenvalue_square(max(max(band) for band in bands))
-    right = _mult_coeffs(grad_phi, lam[:K, :K] ** (rexp / 2.0) * b, -s, bands)
-    total = 0.0
-    for comp, r, (rows, cols) in zip(left, right, bands):
-        lam_b = lam[:rows, :cols]
-        total = total - np.sum(lam_b ** (lexp / 2.0) * comp * (lam_b**0.5 * r), axis=(-2, -1))
-    return total
-
-
-def _padded_square(psi: SpectralField, pad: float):
-    """psi's own coefficient square, the grid of its padded basis and the
-    padded cutoff."""
-    big = padded_basis(psi.basis, pad)
-    return _coeff_square(psi), padded_grid(big), big.K
-
-
-def n1(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
-    """int [Lambda^alpha, perp-grad] psi . grad(phi) psi dx."""
-    _check_alpha(alpha)
-    A, grid, K_pad = _padded_square(psi, pad)
-    return float(_b1(A, A, alpha, phi.grad_on(grid), K_pad))
-
-
-def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
-    """int Lambda^{-1+alpha} perp-grad(psi) . Lambda^{1-alpha}[Lambda^alpha, grad phi] psi dx.
-
-    Computed via the rewriting Lambda^{-alpha}[Lambda^alpha, grad phi]psi =
-    [grad phi, Lambda^{-alpha}] Lambda^alpha psi, so only negative-power
-    multiplier commutators are needed.
-    """
-    _check_alpha(alpha)
-    A, grid, K_pad = _padded_square(psi, pad)
-    left = _perp_left(A, grid.N, K_pad)
-    return float(_b2(left, A, -1.0 + alpha, alpha, alpha, phi.grad_on(grid)))
-
-
-def _n2_shift_exponents(alpha: float, delta: float):
-    """(lexp, s, rexp) of the two _b2 terms of the delta-shifted n2: the
-    shifted term first, then the plain (delta-power) term."""
-    return (-1.0 + alpha - delta, alpha - delta, alpha), (-1.0 + alpha, delta, delta)
-
-
-def n2_alt(
-    psi: SpectralField,
-    phi: Multiplier,
-    alpha: float,
-    delta: float | None = None,
-    pad: float = 4.0,
-) -> float:
-    """Delta-shifted two-term representation of n2 (must agree with n2)."""
+def _check_delta(alpha: float, delta: float | None) -> float:
+    """delta of the shifted N2, by default half its bound, after checking
+    alpha and delta."""
     _check_alpha(alpha)
     dmax = min(alpha, 1.0 - alpha)
     if delta is None:
@@ -229,11 +148,79 @@ def n2_alt(
         raise ValueError(
             f"delta must lie in (0, min(alpha, 1-alpha)) = (0, {dmax}), got {delta}"
         )
-    A, grid, K_pad = _padded_square(psi, pad)
-    left = _perp_left(A, grid.N, K_pad)
-    grad_phi = phi.grad_on(grid)
-    shift, plain = _n2_shift_exponents(alpha, delta)
-    return float(_b2(left, A, *shift, grad_phi) + _b2(left, A, *plain, grad_phi))
+    return delta
+
+
+def _factors(
+    A: np.ndarray, grad_phi: np.ndarray, K_pad: int, alpha: float, delta: float | None = None
+):
+    """The blocks (..., K, K) squares A bring to the weak forms, each a list
+    over the components c = 0, 1 on the bands (K, K_pad) and (K_pad, K):
+    comm = perp [Lambda^alpha, grad] A and r0 = R_0, N1's left and right
+    factors; perp = P perp-grad A, N2's left factor; and N2's right factors,
+    [Lambda^alpha, d_c phi] A = lambda^{alpha/2} R_0 - R_alpha or, with
+    delta, the shifted [Lambda^{alpha-delta}, d_c phi] Lambda^delta A and the
+    plain Lambda^{alpha-delta} [Lambda^delta, d_c phi] A that sum to it.
+    grad_phi holds the (2, N, N) grid samples of grad(phi).
+
+    The powers (0, alpha), or (0, delta, alpha), of A are one stack: it is
+    synthesized once for both multipliers, and its projected gradient gives
+    perp and comm.
+    """
+    N, K = grad_phi.shape[-1], A.shape[-1]
+    bands = [(K, K_pad), (K_pad, K)]
+    F = _power_stack(A, (0.0, alpha) if delta is None else (0.0, delta, alpha))
+    d_x, d_y = _gradient_coeffs(F, N, K_pad)
+    perp = [-d_y, d_x]
+    R = _mult_products(grad_phi, F, bands)
+    w = _band_weights(bands, alpha)
+    if delta is None:
+        rights = [_commutator(R, w, 0, 1)]
+    else:
+        w_shift = _band_weights(bands, alpha - delta)
+        plain = _commutator(R, _band_weights(bands, delta), 0, 1)
+        rights = [_commutator(R, w_shift, 1, 2), [v * c for v, c in zip(w_shift, plain)]]
+    return (_commutator(perp, w, 0, -1), [t[..., 0, :, :] for t in perp],
+            [t[..., 0, :, :] for t in R], rights)
+
+
+def _pair(left, right) -> float | np.ndarray:
+    """sum_c <left_c, right_c> over the last two axes, one value per leading
+    index."""
+    return sum(np.sum(a * b, axis=(-2, -1)) for a, b in zip(left, right))
+
+
+def _halves(
+    psi: SpectralField, phi: Multiplier, alpha: float, delta: float | None, pad: float
+) -> tuple[float, float]:
+    """(N1, N2) of psi from one set of factors on the grid of its padded
+    basis; N2 as the sum of its delta-shifted terms when delta is given."""
+    big = padded_basis(psi.basis, pad)
+    comm, perp, r0, rights = _factors(
+        _coeff_square(psi), phi.grad_on(padded_grid(big)), big.K, alpha, delta)
+    return float(_pair(comm, r0)), float(sum(_pair(perp, r) for r in rights))
+
+
+def n1(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
+    """int [Lambda^alpha, perp-grad] psi . grad(phi) psi dx."""
+    return n_total(psi, phi, alpha, pad).n1
+
+
+def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
+    """int Lambda^{-1+alpha} perp-grad(psi) . Lambda^{1-alpha}[Lambda^alpha, grad phi] psi dx,
+    that is <P perp-grad psi, [Lambda^alpha, grad phi] psi>: Lambda is
+    self-adjoint."""
+    return n_total(psi, phi, alpha, pad).n2
+
+
+def n2_alt(
+    psi: SpectralField, phi: Multiplier, alpha: float, delta: float | None = None,
+    pad: float = 4.0,
+) -> float:
+    """Delta-shifted two-term representation of n2 (must agree with n2), from
+    [Lambda^alpha, a] = [Lambda^{alpha-delta}, a] Lambda^delta +
+    Lambda^{alpha-delta} [Lambda^delta, a]."""
+    return _halves(psi, phi, alpha, _check_delta(alpha, delta), pad)[1]
 
 
 def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray:
@@ -254,14 +241,14 @@ def classical_transport(
 ) -> float:
     """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
     _check_alpha(alpha)
-    A, grid, _ = _padded_square(theta, pad)
-    return float(_transport(A, alpha, phi.grad_on(grid)))
+    grid = padded_grid(padded_basis(theta.basis, pad))
+    return float(_transport(_coeff_square(theta), alpha, phi.grad_on(grid)))
 
 
 def n_total(
     psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0
 ) -> WeakFormValue:
     """N(psi, phi) = (N1 - N2)/2 with its two halves."""
-    v1 = n1(psi, phi, alpha, pad)
-    v2 = n2(psi, phi, alpha, pad)
+    _check_alpha(alpha)
+    v1, v2 = _halves(psi, phi, alpha, None, pad)
     return WeakFormValue(v1, v2, 0.5 * (v1 - v2))

@@ -250,6 +250,17 @@ def test_weak_continuity_rejects_bad_delta():
         weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.5)
 
 
+def test_weak_continuity_refuses_alpha_outside_the_weak_regime():
+    # SimConfig accepts alpha in [1, 2] with a warning; the commutator forms
+    # need alpha in (0, 1) and say so before any delta is checked
+    basis = build_rectangle_basis(4)
+    with pytest.warns(UserWarning, match="alpha=1.2"):
+        cfg = SimConfig(alpha=1.2, m=10, dt=1e-3, T=0.02, initial="random", stride=5)
+    tr = run(cfg, basis=basis)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.2"):
+        weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.1)
+
+
 def test_check_weak_continuity_runs_one_ensemble(monkeypatch):
     calls = []
 

@@ -665,6 +665,25 @@ def test_rhs_batched_state_and_viscosities_equal_row_wise(m):
         assert np.array_equal(batched[b], rhs(states[b], evaluator, eps[b], lam))
 
 
+@pytest.mark.parametrize("shape", [(16,), (3, 16)])
+def test_rhs_and_step_return_contiguous_arrays_of_their_own(shape):
+    # the tensor's native layout carries an extra column, (..., m + 1): rhs
+    # must not hand out a view of it
+    m = shape[-1]
+    basis = build_rectangle_basis(4)
+    lam = basis.eigenvalues[:m]
+    th = np.random.default_rng(2).standard_normal(shape)
+    for evaluator in (assemble_tensor(basis, m, 0.4), GridProducts(basis, m, 0.4)):
+        got = rhs(th, evaluator, 0.01, lam)
+        visc = np.broadcast_to(0.01 * lam, shape)
+        native = evaluator.neg_rhs(visc)(evaluator.native(th))
+        assert np.array_equal(got, evaluator.modes(native, shape))
+        new = step(GalerkinState(0.0, th), evaluator, 1e-3, eps=0.01, eigvals=lam).coeffs
+        for out in (got, new):
+            assert out.shape == shape
+            assert out.flags.c_contiguous and out.base is None
+
+
 # m = 1024 is the largest grid workspace a sweep runs
 @pytest.mark.parametrize("m, initial", [(20, "random"), (64, "random_rough"),
                                         (1024, "random_rough")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsqg import commutators, weakform
 from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
 from gsqg.commutators import multiplier_catalog
 from gsqg.fractional import apply_lambda_power
@@ -46,6 +47,27 @@ def test_catalog_gradients_match_finite_differences():
             gy = (a.fn(x, y + h) - a.fn(x, y - h)) / (2 * h)
             assert a.grad_x(x, y) == pytest.approx(gx, abs=1e-7), name
             assert a.grad_y(x, y) == pytest.approx(gy, abs=1e-7), name
+
+
+def test_each_power_of_psi_is_synthesized_once(monkeypatch, theta):
+    # one call per weak form, stacking psi's distinct powers: (1, alpha) for
+    # n_total's two halves, (1, delta, alpha) for n2_alt's two terms
+    stacks = []
+    real = commutators._synthesize_square
+
+    def counting(A, N):
+        stacks.append(A.shape[:-2])
+        return real(A, N)
+
+    for module in (commutators, weakform):
+        monkeypatch.setattr(module, "_synthesize_square", counting)
+    psi = apply_lambda_power(theta, -0.4)
+    phi = catalog()["quartic"]
+    n_total(psi, phi, 0.4)
+    assert stacks == [(2,)]
+    stacks.clear()
+    n2_alt(psi, phi, 0.4, delta=0.2)
+    assert stacks == [(3,)]
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])

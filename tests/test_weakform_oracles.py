@@ -3,9 +3,10 @@
 The grid route embeds every field into the padded basis (zero padding),
 synthesizes every gradient and every multiplier product on the padded grid
 and analyzes it back onto the full padded sine basis, one field and one
-snapshot at a time.  It stays here as the oracle of weakform._b1/_b2, of the
-batched weak_continuity_terms, of the band-limited commutators and of
-basis._gradient_projection.
+snapshot at a time, and integrates N1 on the grid.  It stays here as the
+oracle of the coefficient-space factors and pairings of n1, n2 and n2_alt,
+of the batched weak_continuity_terms, of the band-limited commutators and
+of basis._gradient_projection.
 """
 
 import numpy as np
@@ -186,7 +187,7 @@ def _fake_trajectory(basis, m, alpha, times, rng):
 
 @settings(max_examples=15, deadline=None)
 @given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, n_t=st.integers(2, 8), name=phis)
-# K = 3 at pad 1 runs its snapshots in blocks of 6, so 8 snapshots make two blocks
+# K = 3 at pad 1 runs its snapshots in blocks of 5, so 8 snapshots make two blocks
 @example(alpha=0.4, K=3, pad=1.0, seed=0, n_t=8, name="quartic")
 def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_t, name):
     basis = build_rectangle_basis(K)
