@@ -170,18 +170,18 @@ def _sine_matrix(N: int, K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _sine_matrix_t(N: int, K: int) -> np.ndarray:
-    """S^T, read-only and contiguous: OpenBLAS multiplies by it faster than by S.T."""
-    St = np.ascontiguousarray(_sine_matrix(N, K).T)
-    St.setflags(write=False)
-    return St
-
-
-@lru_cache(maxsize=256)
 def _cosine_matrix(N: int, K: int) -> np.ndarray:
     x = PI * np.arange(1, N + 1) / (N + 1)
     j = np.arange(1, K + 1)
     return np.cos(np.outer(x, j))
+
+
+@lru_cache(maxsize=256)
+def _transposed(matrix, N: int, K: int) -> np.ndarray:
+    """matrix(N, K)^T, read-only and contiguous: BLAS is faster on it than on .T."""
+    T = np.ascontiguousarray(matrix(N, K).T)
+    T.setflags(write=False)
+    return T
 
 
 def _coeff_square(f: SpectralField, K: int | None = None) -> np.ndarray:
@@ -219,13 +219,15 @@ def _synthesize_square(A: np.ndarray, N: int) -> np.ndarray:
 
     The longer band's product runs first, so the two products take
     N r c + N^2 min(r, c) multiply-adds rather than those of the zero-padded
-    square.
+    square.  The 2/pi scales the (..., r, c) coefficients, not the
+    (..., N, N) result.
     """
     r, c = A.shape[-2:]
-    S_r, S_ct = _sine_matrix(N, r), _sine_matrix_t(N, c)
+    S_r, S_ct = _sine_matrix(N, r), _transposed(_sine_matrix, N, c)
+    A = (2.0 / PI) * A
     if r >= c:
-        return (2.0 / PI) * ((S_r @ A) @ S_ct)
-    return (2.0 / PI) * (S_r @ (A @ S_ct))
+        return (S_r @ A) @ S_ct
+    return S_r @ (A @ S_ct)
 
 
 def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
@@ -243,7 +245,7 @@ def analyze(g: GridField, basis: EigenBasis) -> SpectralField:
 def _analyze_square(G: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """(2/pi) w S_rows^T G S_cols, for (..., N, N) grid samples, as
     (..., rows, cols) coefficient rectangles; the shorter band's product runs
-    first."""
+    first, and (2/pi) w scales the coefficients, not the grid samples."""
     grid = QuadratureGrid(G.shape[-1])
     S_r, S_c = _sine_matrix(grid.N, rows), _sine_matrix(grid.N, cols)
     if rows <= cols:
@@ -258,13 +260,13 @@ def gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
 
 
 def _gradient_square(A: np.ndarray, N: int):
-    """(d/dx, d/dy) on N interior nodes, for (..., K, K) coefficient squares."""
+    """(d/dx, d/dy) on N interior nodes, for (..., K, K) coefficient squares;
+    2/pi and the wavenumbers scale the coefficients, not the (..., N, N)
+    results, and the right factors are cached contiguous transposes."""
     K = A.shape[-1]
-    S = _sine_matrix(N, K)
-    C = _cosine_matrix(N, K)
-    wav = np.arange(1, K + 1)
-    dx = (2.0 / PI) * (C @ (wav[:, None] * A) @ S.T)
-    dy = (2.0 / PI) * (S @ (A * wav[None, :]) @ C.T)
+    wav = (2.0 / PI) * np.arange(1, K + 1)
+    dx = _cosine_matrix(N, K) @ (wav[:, None] * A) @ _transposed(_sine_matrix, N, K)
+    dy = _sine_matrix(N, K) @ (A * wav) @ _transposed(_cosine_matrix, N, K)
     return dx, dy
 
 
@@ -292,13 +294,14 @@ def _gradient_coeffs(A: np.ndarray, N: int, K_out: int) -> tuple[np.ndarray, np.
     return D @ A, A @ D.T
 
 
-@lru_cache(maxsize=64)
-def _eigenvalue_square(K: int) -> np.ndarray:
-    """lambda = j^2 + k^2 as a read-only (K, K) wavenumber array."""
+@lru_cache(maxsize=128)
+def _lambda_power(K: int, s: float) -> np.ndarray:
+    """lambda^{s/2}, lambda = j^2 + k^2, the symbol of Lambda^s, as a
+    read-only (K, K) wavenumber array built once per (K, s)."""
     wav2 = np.arange(1, K + 1, dtype=float) ** 2
-    lam = wav2[:, None] + wav2[None, :]
-    lam.setflags(write=False)
-    return lam
+    lam_s = (wav2[:, None] + wav2[None, :]) ** (s / 2.0)
+    lam_s.setflags(write=False)
+    return lam_s
 
 
 def perp_gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:

@@ -30,9 +30,9 @@ from .basis import (
     SpectralField,
     _analyze_square,
     _coeff_square,
-    _eigenvalue_square,
     _gather_square,
     _gradient_coeffs,
+    _lambda_power,
     _synthesize_square,
     boundary_distance_grid,
     build_rectangle_basis,
@@ -180,13 +180,13 @@ def comm_lambda_grad(psi: SpectralField, s: float, pad: float = 4.0) -> GridFiel
 def _power_stack(F: np.ndarray, powers) -> np.ndarray:
     """Lambda^r F for each r of powers, stacked on axis -3, for (..., K, K)
     squares F."""
-    lam = _eigenvalue_square(F.shape[-1])
-    return np.stack([lam ** (r / 2.0) * F for r in powers], axis=-3)
+    K = F.shape[-1]
+    return np.stack([_lambda_power(K, r) * F for r in powers], axis=-3)
 
 
 def _band_weights(bands, s: float) -> list[np.ndarray]:
     """lambda^{s/2} on each band (rows, cols) of bands."""
-    lam_s = _eigenvalue_square(max(max(band) for band in bands)) ** (s / 2.0)
+    lam_s = _lambda_power(max(max(band) for band in bands), s)
     return [lam_s[:rows, :cols] for rows, cols in bands]
 
 

@@ -36,6 +36,9 @@ from .weakform import _check_delta, _factors, _pair, _transport
 
 PI = np.pi
 
+#: grid values one block of weak_continuity_terms' _factors may hold (2 MB)
+FACTOR_VALUES = 2**18
+
 
 @dataclass(frozen=True)
 class SpaceTimeTest:
@@ -247,7 +250,7 @@ def weak_continuity_terms(
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
     # _factors holds 18 (N, N) samples per snapshot at once: the fields' 9
     # synthesized powers and their products with one multiplier
-    block = max(1, BLOCK_VALUES // (18 * grid.N**2))
+    block = max(1, FACTOR_VALUES // (18 * grid.N**2))
 
     def pair(left, right, li, ri):
         return _pair([c[li] for c in left], [c[ri] for c in right])

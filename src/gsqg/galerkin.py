@@ -65,7 +65,7 @@ from .basis import (
     perp_gradient,
     _cosine_matrix,
     _sine_matrix,
-    _sine_matrix_t,
+    _transposed,
 )
 
 PI = np.pi
@@ -313,7 +313,7 @@ class GridProducts:
         dC = (2.0 / PI) * _cosine_matrix(N, K) * np.arange(1, K + 1)
         # (d/dx, d/dy) f = (dC F S^T, S F dC^T) for the (K, K) coefficients F
         self._S, self._dC = S, dC
-        self._St, self._dCt = _sine_matrix_t(N, K), np.ascontiguousarray(dC.T)
+        self._St, self._dCt = _transposed(_sine_matrix, N, K), np.ascontiguousarray(dC.T)
         # negated, so that the contraction comes out as -N
         self._neg_proj = -(2.0 / PI) * (PI / (N + 1)) ** 2 * S.T
         for a in (self._psi_scale, self._mask, self._dC, self._dCt, self._neg_proj):

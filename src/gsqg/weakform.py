@@ -29,9 +29,9 @@ from .basis import (
     QuadratureGrid,
     SpectralField,
     _coeff_square,
-    _eigenvalue_square,
     _gradient_coeffs,
     _gradient_square,
+    _lambda_power,
     _synthesize_square,
 )
 from .commutators import (
@@ -152,7 +152,8 @@ def _check_delta(alpha: float, delta: float | None) -> float:
 
 
 def _factors(
-    A: np.ndarray, grad_phi: np.ndarray, K_pad: int, alpha: float, delta: float | None = None
+    A: np.ndarray, grad_phi: np.ndarray, K_pad: int, alpha: float, delta: float | None = None,
+    n1: bool = True,
 ):
     """The blocks (..., K, K) squares A bring to the weak forms, each a list
     over the components c = 0, 1 on the bands (K, K_pad) and (K_pad, K):
@@ -165,23 +166,23 @@ def _factors(
 
     The powers (0, alpha), or (0, delta, alpha), of A are one stack: it is
     synthesized once for both multipliers, and its projected gradient gives
-    perp and comm.
+    perp and comm.  Without n1, comm is None and only power 0 is
+    differentiated.
     """
     N, K = grad_phi.shape[-1], A.shape[-1]
     bands = [(K, K_pad), (K_pad, K)]
     F = _power_stack(A, (0.0, alpha) if delta is None else (0.0, delta, alpha))
-    d_x, d_y = _gradient_coeffs(F, N, K_pad)
+    d_x, d_y = _gradient_coeffs(F if n1 else F[..., :1, :, :], N, K_pad)
     perp = [-d_y, d_x]
     R = _mult_products(grad_phi, F, bands)
-    w = _band_weights(bands, alpha)
     if delta is None:
-        rights = [_commutator(R, w, 0, 1)]
+        rights = [_commutator(R, _band_weights(bands, alpha), 0, 1)]
     else:
         w_shift = _band_weights(bands, alpha - delta)
         plain = _commutator(R, _band_weights(bands, delta), 0, 1)
         rights = [_commutator(R, w_shift, 1, 2), [v * c for v, c in zip(w_shift, plain)]]
-    return (_commutator(perp, w, 0, -1), [t[..., 0, :, :] for t in perp],
-            [t[..., 0, :, :] for t in R], rights)
+    comm = _commutator(perp, _band_weights(bands, alpha), 0, -1) if n1 else None
+    return comm, [t[..., 0, :, :] for t in perp], [t[..., 0, :, :] for t in R], rights
 
 
 def _pair(left, right) -> float | np.ndarray:
@@ -191,14 +192,16 @@ def _pair(left, right) -> float | np.ndarray:
 
 
 def _halves(
-    psi: SpectralField, phi: Multiplier, alpha: float, delta: float | None, pad: float
-) -> tuple[float, float]:
+    psi: SpectralField, phi: Multiplier, alpha: float, delta: float | None, pad: float,
+    n1: bool,
+) -> tuple[float | None, float]:
     """(N1, N2) of psi from one set of factors on the grid of its padded
-    basis; N2 as the sum of its delta-shifted terms when delta is given."""
+    basis; N2 as the sum of its delta-shifted terms when delta is given, N1
+    None unless n1."""
     big = padded_basis(psi.basis, pad)
     comm, perp, r0, rights = _factors(
-        _coeff_square(psi), phi.grad_on(padded_grid(big)), big.K, alpha, delta)
-    return float(_pair(comm, r0)), float(sum(_pair(perp, r) for r in rights))
+        _coeff_square(psi), phi.grad_on(padded_grid(big)), big.K, alpha, delta, n1)
+    return float(_pair(comm, r0)) if n1 else None, float(sum(_pair(perp, r) for r in rights))
 
 
 def n1(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> float:
@@ -210,7 +213,8 @@ def n2(psi: SpectralField, phi: Multiplier, alpha: float, pad: float = 4.0) -> f
     """int Lambda^{-1+alpha} perp-grad(psi) . Lambda^{1-alpha}[Lambda^alpha, grad phi] psi dx,
     that is <P perp-grad psi, [Lambda^alpha, grad phi] psi>: Lambda is
     self-adjoint."""
-    return n_total(psi, phi, alpha, pad).n2
+    _check_alpha(alpha)
+    return _halves(psi, phi, alpha, None, pad, False)[1]
 
 
 def n2_alt(
@@ -220,7 +224,7 @@ def n2_alt(
     """Delta-shifted two-term representation of n2 (must agree with n2), from
     [Lambda^alpha, a] = [Lambda^{alpha-delta}, a] Lambda^delta +
     Lambda^{alpha-delta} [Lambda^delta, a]."""
-    return _halves(psi, phi, alpha, _check_delta(alpha, delta), pad)[1]
+    return _halves(psi, phi, alpha, _check_delta(alpha, delta), pad, False)[1]
 
 
 def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray:
@@ -230,10 +234,12 @@ def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray
     samples of the vector field; one value per leading index.
     """
     N = G.shape[-1]
-    psi_x, psi_y = _gradient_square(_eigenvalue_square(a.shape[-1]) ** (-alpha / 2.0) * a, N)
-    # perp-grad psi = (-psi_y, psi_x)
-    integrand = _synthesize_square(a, N) * (-psi_y * G[0] + psi_x * G[1])
-    return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
+    psi_x, psi_y = _gradient_square(_lambda_power(a.shape[-1], -alpha) * a, N)
+    # the integrand theta (-psi_y G_0 + psi_x G_1), built in the gradient's arrays
+    psi_x *= G[1]
+    psi_x -= np.multiply(psi_y, G[0], out=psi_y)
+    psi_x *= _synthesize_square(a, N)
+    return QuadratureGrid(N).weight * psi_x.sum(axis=(-2, -1))
 
 
 def classical_transport(
@@ -250,5 +256,5 @@ def n_total(
 ) -> WeakFormValue:
     """N(psi, phi) = (N1 - N2)/2 with its two halves."""
     _check_alpha(alpha)
-    v1, v2 = _halves(psi, phi, alpha, None, pad)
+    v1, v2 = _halves(psi, phi, alpha, None, pad, True)
     return WeakFormValue(v1, v2, 0.5 * (v1 - v2))

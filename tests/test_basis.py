@@ -4,6 +4,9 @@ import pytest
 from gsqg.basis import (
     QuadratureGrid,
     SpectralField,
+    _cosine_matrix,
+    _gradient_square,
+    _sine_matrix,
     analyze,
     boundary_distance,
     build_rectangle_basis,
@@ -82,6 +85,16 @@ def test_gradient_matches_analytic():
     gy = (2.0 / PI) * k * np.sin(j * X) * np.cos(k * Y)
     assert np.abs(g.values[0] - gx).max() < 1e-12
     assert np.abs(g.values[1] - gy).max() < 1e-12
+
+
+@pytest.mark.parametrize("K, N", [(1, 3), (5, 16), (24, 144), (48, 144)])
+def test_gradient_square_matches_its_transpose_view_form(K, N):
+    # the scalars on the product, the right factors as .T views
+    A = np.random.default_rng(K).standard_normal((2, K, K))
+    S, C, wav = _sine_matrix(N, K), _cosine_matrix(N, K), np.arange(1, K + 1)
+    want = ((2.0 / PI) * (C @ (wav[:, None] * A) @ S.T), (2.0 / PI) * (S @ (A * wav) @ C.T))
+    for got, w in zip(_gradient_square(A, N), want):
+        assert np.abs(got - w).max() <= 1e-14 * np.abs(w).max()
 
 
 def test_perp_gradient_orthogonal_to_gradient():

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from gsqg import commutators, weakform
-from gsqg.basis import QuadratureGrid, SpectralField, build_rectangle_basis
-from gsqg.commutators import multiplier_catalog
+from gsqg.basis import (
+    QuadratureGrid,
+    SpectralField,
+    _gradient_square,
+    _lambda_power,
+    _synthesize_square,
+    build_rectangle_basis,
+)
+from gsqg.commutators import multiplier_catalog, padded_basis, padded_grid
 from gsqg.fractional import apply_lambda_power
 from gsqg.weakform import classical_transport, n2, n2_alt, n_total
 from gsqg.weakform import test_function_catalog as catalog
@@ -68,6 +75,74 @@ def test_each_power_of_psi_is_synthesized_once(monkeypatch, theta):
     stacks.clear()
     n2_alt(psi, phi, 0.4, delta=0.2)
     assert stacks == [(3,)]
+
+
+def test_only_n1_builds_its_left_factor(monkeypatch, theta):
+    # N1's left factor is the commutator (power 0, power -1) of the projected
+    # gradient of every power; the N2 forms differentiate power 0 alone
+    grads, comms = [], []
+    real_grad, real_comm = weakform._gradient_coeffs, weakform._commutator
+
+    def grad(F, N, K_out):
+        grads.append(F.shape[:-2])
+        return real_grad(F, N, K_out)
+
+    def comm(T, w, i, j):
+        comms.append((i, j))
+        return real_comm(T, w, i, j)
+
+    monkeypatch.setattr(weakform, "_gradient_coeffs", grad)
+    monkeypatch.setattr(weakform, "_commutator", comm)
+    psi = apply_lambda_power(theta, -0.4)
+    phi = catalog()["quartic"]
+    n_total(psi, phi, 0.4)
+    assert grads == [(2,)] and (0, -1) in comms
+    for form in (lambda: n2(psi, phi, 0.4), lambda: n2_alt(psi, phi, 0.4, delta=0.2)):
+        grads.clear()
+        comms.clear()
+        form()
+        assert grads == [(1,)] and (0, -1) not in comms
+
+
+def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta):
+    lam_s = _lambda_power(24, 0.4)
+    assert _lambda_power(24, 0.4) is lam_s and not lam_s.flags.writeable
+    wav2 = np.arange(1, 25.0) ** 2
+    assert np.array_equal(lam_s, (wav2[:, None] + wav2) ** 0.2)
+    assert all(np.shares_memory(w, lam_s)
+               for w in commutators._band_weights([(24, 10), (10, 24)], 0.4))
+    # power stacks, band weights and the transport build no square twice
+    psi = apply_lambda_power(theta, -0.4)
+    phi = catalog()["quartic"]
+    forms = (lambda: n_total(psi, phi, 0.4), lambda: n2_alt(psi, phi, 0.4),
+             lambda: classical_transport(theta, 0.4, phi))
+    for f in forms:
+        f()
+    built = _lambda_power.cache_info().misses
+    for f in forms:
+        f()
+    assert _lambda_power.cache_info().misses == built
+
+
+def test_transport_integrand_in_place_equals_out_of_place():
+    K, N, alpha = 8, 48, 0.4
+    a = np.random.default_rng(3).standard_normal((3, K, K))
+    G = catalog()["skew_bump"].grad_on(QuadratureGrid(N))
+    psi_x, psi_y = _gradient_square(_lambda_power(K, -alpha) * a, N)
+    integrand = _synthesize_square(a, N) * (-psi_y * G[0] + psi_x * G[1])
+    got = weakform._transport(a, alpha, G)
+    assert got.shape == (3,)
+    assert np.array_equal(got, QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1)))
+
+
+def test_transport_leaves_the_cached_gradient_sample_untouched(theta):
+    phi = catalog()["quartic"]
+    grid = padded_grid(padded_basis(theta.basis, 4.0))
+    G = phi.grad_on(grid)
+    before = G.copy()
+    classical_transport(theta, 0.4, phi)
+    assert phi.grad_on(grid) is G and not G.flags.writeable
+    assert np.array_equal(G, before)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])

@@ -6,7 +6,8 @@ and analyzes it back onto the full padded sine basis, one field and one
 snapshot at a time, and integrates N1 on the grid.  It stays here as the
 oracle of the coefficient-space factors and pairings of n1, n2 and n2_alt,
 of the batched weak_continuity_terms, of the band-limited commutators and
-of basis._gradient_projection.
+of basis._gradient_projection.  Closed-form sums of the eigenfunctions are
+the oracle of synthesize and gradient.
 """
 
 import numpy as np
@@ -187,8 +188,10 @@ def _fake_trajectory(basis, m, alpha, times, rng):
 
 @settings(max_examples=15, deadline=None)
 @given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, n_t=st.integers(2, 8), name=phis)
-# K = 3 at pad 1 runs its snapshots in blocks of 5, so 8 snapshots make two blocks
+# K = 3 at pad 1 runs its 8 snapshots in one block; K = 8 at pad 4 runs
+# blocks of 6, so 8 snapshots make two blocks
 @example(alpha=0.4, K=3, pad=1.0, seed=0, n_t=8, name="quartic")
+@example(alpha=0.4, K=8, pad=4.0, seed=0, n_t=8, name="quartic")
 def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_t, name):
     basis = build_rectangle_basis(K)
     rng = np.random.default_rng(seed)
@@ -229,6 +232,25 @@ def test_gradient_projection_equals_analyzed_gradient(K, pad, seed, grid_of):
 
 def _rel_close(got, want, scale):
     return np.abs(got - want).max() <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=cutoffs, extra=st.integers(0, 40), seed=seeds)
+def test_synthesize_and_gradient_equal_closed_form_sums(K, extra, seed):
+    # sum over modes of f_jk (2/pi) sin(jx) sin(ky) and its gradient, one
+    # mode at a time; the transforms scale coefficients, not grid values
+    basis = build_rectangle_basis(K)
+    grid = QuadratureGrid(K + extra)
+    f = SpectralField(basis, np.random.default_rng(seed).standard_normal(basis.size))
+    X, Y = grid.meshgrid()
+    want = np.zeros((3, grid.N, grid.N))
+    for c, mode in zip(f.coeffs, basis.modes):
+        sx, sy = np.sin(mode.j * X), np.sin(mode.k * Y)
+        cx, cy = mode.j * np.cos(mode.j * X), mode.k * np.cos(mode.k * Y)
+        want += (2.0 / np.pi) * c * np.stack([sx * sy, cx * sy, sx * cy])
+    got = np.concatenate([synthesize(f, grid).values[None], gradient(f, grid).values])
+    for g, w in zip(got, want):
+        assert _rel_close(g, w, np.abs(w).max())
 
 
 @settings(max_examples=30, deadline=None)
