@@ -17,10 +17,13 @@ mode order returns the map x -> -N(x) - visc x in the native layout, and
 loop of run_ensemble builds the neg_rhs map once per run; the per-step rhs()
 and step() run the same map, built per call, in mode order.
 
-- GalerkinTensor, the sparse gamma_jkl (about 2 m^2 nonzeros), assembled in
+- GalerkinTensor, the about 2 m^2 nonzeros of gamma_jkl, assembled in
   closed form by assemble_tensor with array operations over all mode pairs
-  at once; each contraction costs O(m^2).  Its native layout is mode order
-  plus a trailing 1, the factor of the viscous terms in the contraction.
+  at once.  Its native layout is mode order plus a trailing 1, the factor of
+  the viscous terms in the contraction.  Below GRID_MIN_M, where runs use
+  it, a contraction is two vector-matrix products with a dense matrix of
+  -gamma, O(m^3) flops in two BLAS calls; from there on, where it is the
+  grid path's test oracle, one gather and one bincount over the nonzeros.
 - GridProducts, which samples grad psi and grad theta on N x N interior nodes,
   multiplies pointwise and projects back with dense sine/cosine matrices.
   Along each axis the integrand of gamma_jkl is a product of three sines or
@@ -39,10 +42,15 @@ run_ensemble() advances B trajectories that differ only in epsilon as one
 (B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
 m < GRID_MIN_M and grid products from there on; the tensor stays as the test
 oracle for the grid path.  Each member of a batch comes out bit-identical to
-its own run(): every batched operation is elementwise, a per-row reduction
-or a GEMM in which the batch only adds rows or columns, so each entry is the
-same dot product over the same k as in the member's own call (true of
-OpenBLAS at one and two threads, which the tests and CI run).
+its own run(): every batched operation is elementwise, a per-row reduction,
+a GEMM in which the batch only adds rows or columns, so each entry is the
+same dot product over the same k as in the member's own call, or, for the
+tensor's dense contraction, a stacked matmul that runs one gemv per row,
+the product a member's own call makes with x.dot.  One GEMM over the batch
+would not do there: its kernel sums a row's products in another order than
+gemv, and its rows differed from the solo x.dot in the last bits at every
+m from 5 to 39.  (All of this holds for OpenBLAS at one and two threads,
+which the tests and CI run.)
 """
 
 from __future__ import annotations
@@ -71,17 +79,18 @@ from .basis import (
 PI = np.pi
 
 #: smallest mode count at which run_ensemble evaluates the nonlinearity by
-#: grid products, below it by the closed-form tensor; the switch reads m
-#: only, so an ensemble member keeps the bits of its solo run.  Below it runs
-#: the one-state traffic of run_suite("quick"), above all its weak_residual
-#: check's 12,002 evaluations at m = 16, where one grid right-hand side costs
-#: 1.6-1.8 tensor ones (6.4-7.2 against 4.0-4.1 us; grid products at every m
-#: once took the benchmark's verify_quick median up 22-26%).  From it on run
-#: simulate and the viscosity sweeps at m = 64 and 256 (simulate_m256,
-#: sweep_visc_m64), where the tensor's O(m^2) contraction loses (0.73-0.88
-#: against 0.016-0.021 ms at m = 256).  The one-state crossover lies near
-#: m = 25, but no workload runs 25 <= m < 40 and moving the switch would
-#: change the bits of such runs.
+#: grid products, below it by the closed-form tensor's dense contraction; the
+#: switch reads m only, so an ensemble member keeps the bits of its solo run.
+#: Below it runs the one-state traffic of run_suite("quick"), above all its
+#: weak_residual check's 12,002 evaluations at m = 16, where one grid
+#: right-hand side costs 2.5 tensor ones (7.6 against 3.0 us; grid products
+#: at every m once took the benchmark's verify_quick median up 22-26%).  From
+#: it on run simulate and the viscosity sweeps at m = 64 and 256
+#: (simulate_m256, sweep_visc_m64), where the tensor loses (0.73-0.88 against
+#: 0.016-0.021 ms at m = 256).  The one-state crossover lies between m = 30
+#: and 33 (6.6 against 7.7 us at 30, 8.4 against 7.8 us at 33), but no
+#: workload runs 30 <= m < 40 and moving the switch would change the bits of
+#: such runs.
 GRID_MIN_M = 40
 
 #: values in one block of stacked states (64 kB): run_ensemble converts,
@@ -133,7 +142,12 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class GalerkinTensor:
-    """Sparse structure constants gamma_jkl for the first m modes."""
+    """Structure constants gamma_jkl for the first m modes, stored sparse:
+    entry i is gamma at (j[i], k[i], l[i]) = vals[i].  neg_rhs contracts a
+    dense copy below GRID_MIN_M and the nonzeros from there on, where the
+    dense (m + 1)^3 values would cost 136 MB at m = 256.  No attribute
+    changes after construction; each map owns its work array.
+    """
 
     m: int
     alpha: float
@@ -164,11 +178,47 @@ class GalerkinTensor:
 
     def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """x -> -N(x) - visc x for native states x, visc the viscous diagonal
-        in mode order, (m,) or (B, m).  The m terms (-visc_l) x_l x_m, x_m = 1,
-        follow the tensor's own terms into bin l (b (m + 1) + l for row b):
-        one gather and one bincount give each bin its tensor sum minus
-        visc_l x_l, bit for bit, and the trailing bin's 0 keeps every RK4
-        stage's x_m at 1.  Indices and bins are built once, writeable."""
+        in mode order, (m,) or (B, m).  Below GRID_MIN_M the map contracts
+        W, the dense (m + 1) x (m + 1)^2 matrix of -gamma (512 kB at m = 39)
+        with rows j and columns k (m + 1) + l, built once and shared by all
+        rows: y = x W is (m + 1, m + 1), its trailing row k = m gets
+        -visc_l x_l (x_m = 1), and x y is the right-hand side, whose
+        trailing entry sums only zeros and keeps every RK4 stage's x_m at 1.
+        A batch goes through a stacked matmul, one gemv per row, for the
+        bits of each row's solo x.dot.  The map owns y: one run's."""
+        m, lead = self.m, visc.shape[:-1]
+        if m >= GRID_MIN_M:
+            return self._gather_neg_rhs(visc)
+        m1, neg_visc = m + 1, -visc
+        flat = np.ravel_multi_index((self.j, self.k, self.l), (m1, m1, m1))
+        W = np.bincount(flat, -self.vals, m1**3).reshape(m1, m1 * m1)
+        y = np.empty(lead + (m1 * m1,))
+        Y = y.reshape(lead + (m1, m1))
+        viscous_row, y_stack = Y[..., m, :m], y[..., None, :]
+
+        # ndarray.dot for one state: the matmul ufunc's set-up costs about
+        # 2 us, 0.7 of the whole map at m = 16
+        if not lead:
+            def neg_rhs(x):
+                x.dot(W, out=y)
+                np.multiply(neg_visc, x[:m], out=viscous_row)
+                return x.dot(Y)
+            return neg_rhs
+
+        def neg_rhs(x):
+            x_stack = x[..., None, :]
+            np.matmul(x_stack, W, out=y_stack)
+            np.multiply(neg_visc, x[..., :m], out=viscous_row)
+            return np.matmul(x_stack, Y).reshape(x.shape)
+
+        return neg_rhs
+
+    def _gather_neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """neg_rhs from m = GRID_MIN_M on, where W would hold (m + 1)^3
+        values: the m terms (-visc_l) x_l x_m, x_m = 1, follow the tensor's
+        own terms into bin l (b (m + 1) + l for row b), so one gather and
+        one bincount give each bin its tensor sum minus visc_l x_l, and the
+        trailing bin stays 0.  Indices and bins are built once, writeable."""
         m, n, lead = self.m, self.nnz + self.m, visc.shape[:-1]
         modes = np.arange(m)
         jk = np.concatenate([self.j, modes, self.k, np.full(m, m)])
@@ -197,13 +247,18 @@ class GalerkinTensor:
             missing = {"m", "alpha", "mode", "j", "k", "l", "vals"} - set(z.files)
             if missing:
                 raise ValueError(f"{path}: missing field(s) {sorted(missing)}")
-            t = cls(
-                m=int(z["m"]), alpha=float(z["alpha"]),
-                j=z["j"], k=z["k"], l=z["l"], vals=z["vals"],
-                mode=str(z["mode"]),
-            )
-        if t.m < 1:
-            raise ValueError(f"{path}: field 'm' = {t.m} must be >= 1")
+            m, alpha, mode = z["m"], z["alpha"], str(z["mode"])
+            # kinds i, u, f: a bool, complex or string header is refused too
+            if not (m.ndim == 0 and m.dtype.kind in "iuf" and np.isfinite(m)
+                    and m >= 1 and m % 1 == 0):
+                raise ValueError(f"{path}: field 'm' = {m} must be an integer >= 1")
+            if not (alpha.ndim == 0 and alpha.dtype.kind in "iuf" and 0.0 < alpha <= 2.0):
+                raise ValueError(f"{path}: field 'alpha' = {alpha} must lie in (0, 2]")
+            if mode not in ("analytic", "grid"):
+                raise ValueError(
+                    f"{path}: field 'mode' = {mode!r} must be 'analytic' or 'grid'")
+            t = cls(m=int(m), alpha=float(alpha), j=z["j"], k=z["k"], l=z["l"],
+                    vals=z["vals"], mode=mode)
         if t.vals.ndim != 1 or not np.issubdtype(t.vals.dtype, np.number):
             raise ValueError(
                 f"{path}: field 'vals' must be a 1-d numeric array, got "
@@ -240,38 +295,52 @@ def assemble_tensor(basis: EigenBasis, m: int, alpha: float) -> GalerkinTensor:
     which is pi/4 at c = a + b, sign(a - b) pi/4 at c = |a - b| > 0 and 0
     otherwise.  So each pair j != k has four candidate l, the sum and the
     |difference| on each axis, evaluated as arrays ASSEMBLY_CHUNK candidates
-    at a time; the entries come out in (j, k, candidate) order.
+    at a time; the entries come out in (j, k, candidate) order.  A first pass
+    counts the candidates that are modes, a bound on the entries, so the
+    fields are allocated once and filled in place, then cut to length.
     """
     if not 1 <= m <= basis.size:
         raise ValueError(f"mode count m={m} out of range [1, {basis.size}]")
     pref = (2.0 / PI) ** 3 * basis.eigenvalues[:m] ** (-alpha / 2.0)
     x, y = (a[:m] for a in basis.mode_arrays())
-    # position of mode (l1, l2) among the first m, -1 if it is not one of them
-    index = np.full((2 * basis.K + 1,) * 2, -1, dtype=np.intp)
-    index[x, y] = np.arange(m)
+    # index of mode (l1, l2) among the first m at l1 w + l2, -1 if not one
+    w = 2 * basis.K + 1
+    index = np.full(w * w, -1, dtype=np.intp)
+    index[x * w + y] = np.arange(m)
+    rows = max(1, ASSEMBLY_CHUNK // (4 * m))
+    chunks = [np.arange(lo, min(lo + rows, m))[:, None] for lo in range(0, m, rows)]
+
+    def candidates(j):  # dx, dy and each pair's four candidate l, -1 if no mode
+        dx, dy = x[j] - x, y[j] - y
+        l1 = np.stack(np.broadcast_arrays(x[j] + x, np.abs(dx)), -1)
+        l2 = np.stack(np.broadcast_arrays(y[j] + y, np.abs(dy)), -1)
+        return dx, dy, index.take(l1[..., :, None] * w + l2[..., None, :])
 
     def integrals(d):  # I(a, b, .) at a + b and at |d|, d = a - b
         return np.stack(np.broadcast_arrays(PI / 4.0, np.copysign(PI / 4.0, d)), -1)
 
-    fields = [[], [], [], []]  # each chunk's j, k, l and vals
-    rows = max(1, ASSEMBLY_CHUNK // (4 * m))
-    for lo in range(0, m, rows):
-        j = np.arange(lo, min(lo + rows, m))[:, None]
-        dx, dy = x[j] - x, y[j] - y
-        l1 = np.stack(np.broadcast_arrays(x[j] + x, np.abs(dx)), -1)
-        l2 = np.stack(np.broadcast_arrays(y[j] + y, np.abs(dy)), -1)
-        li = index[l1[..., :, None], l2[..., None, :]]
+    bound = sum(np.count_nonzero(candidates(j)[2] >= 0) for j in chunks)
+    # the tensor's four fields
+    jf, kf, lf = (np.empty(bound, dtype=np.intp) for _ in range(3))
+    vf = np.empty(bound)
+    n = 0
+    for j in chunks:
+        dx, dy, li = candidates(j)
         A = (y[j] * x)[..., None, None] * integrals(dx)[..., :, None] * integrals(-dy)[..., None, :]
         B = (x[j] * y)[..., None, None] * integrals(-dx)[..., :, None] * integrals(dy)[..., None, :]
         v = ((0.0 - A) + B) * pref[j][..., None, None]
         keep = (li >= 0) & (v != 0.0) & (j != np.arange(m))[..., None, None]
-        jj, kk = np.nonzero(keep)[:2]
-        # kk is a view into nonzero's (count, 4) index buffer; a copy lets it go
-        for parts, part in zip(fields, (jj + lo, kk.copy(), li[keep], v[keep])):
-            parts.append(part)
-    # one field at a time, each field's parts freed once it is joined
-    j, k, l, vals = (np.concatenate(fields.pop(0)) for _ in range(4))
-    return GalerkinTensor(m, alpha, j, k, l, vals, mode="analytic")
+        # flat positions in the chunk's (rows, m, 4) candidates
+        flat = np.flatnonzero(keep)
+        part = slice(n, n + flat.size)
+        np.add(flat // (4 * m), j[0, 0], out=jf[part])
+        np.remainder(flat // 4, m, out=kf[part])
+        li.take(flat, out=lf[part])
+        v.take(flat, out=vf[part])
+        n += flat.size
+    for field in (jf, kf, lf, vf):  # in place: no view of the fields is left
+        field.resize(n, refcheck=False)
+    return GalerkinTensor(m, alpha, jf, kf, lf, vf, mode="analytic")
 
 
 class GridProducts:

@@ -435,6 +435,15 @@ def test_cli_verify_out_of_range_tensor_index_names_field(tmp_path, capsys):
     assert "field 'l'" in err and "index 16" in err
 
 
+def test_cli_verify_tensor_with_malformed_header_exits_2_naming_the_field(tmp_path, capsys):
+    t = assemble_tensor(build_rectangle_basis(4), 16, 0.5)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, m=16.7, alpha=np.nan, mode=t.mode, j=t.j, k=t.k, l=t.l, vals=t.vals)
+    assert main(["verify", "--level", "quick", "--tensor", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "field 'm' = 16.7" in captured.err and "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("m, evaluator", [(16, "analytic"), (64, "grid")])
 def test_cli_manifest_names_the_evaluator_that_ran(tmp_path, m, evaluator):
     cfg = tmp_path / "run.ini"

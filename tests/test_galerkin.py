@@ -1,6 +1,7 @@
 import math
 import pickle
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -165,6 +166,25 @@ def test_array_assembly_in_chunks_equals_one_chunk(monkeypatch, m):
         monkeypatch.setattr(galerkin, "ASSEMBLY_CHUNK", chunk)
         _assert_same_arrays(assemble_tensor(basis, m, 0.5),
                             (whole.j, whole.k, whole.l, whole.vals))
+
+
+def test_assembly_holds_its_fields_and_one_chunk_of_work(monkeypatch):
+    # the fields are filled in place, so beyond them assembly holds only a
+    # chunk's work arrays of ASSEMBLY_CHUNK values each, whatever m is; a
+    # small chunk makes any per-chunk part that piles up show
+    chunk = 2**12
+    monkeypatch.setattr(galerkin, "ASSEMBLY_CHUNK", chunk)
+    basis = build_rectangle_basis(20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        t = assemble_tensor(basis, 400, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = sum(a.nbytes for a in (t.j, t.k, t.l, t.vals))
+    assert fields > 10**7
+    assert peak <= fields + 32 * 8 * chunk
 
 
 @settings(max_examples=20, deadline=None)
@@ -468,7 +488,8 @@ def test_grid_products_serve_interleaved_shapes_unchanged(m):
     assert pickle.dumps(vars(gp)) == state
 
 
-@pytest.mark.parametrize("m", (16, 36))
+# m = 39 runs the largest dense contraction, m = 40 the gather
+@pytest.mark.parametrize("m", (16, 36, GRID_MIN_M - 1, GRID_MIN_M))
 def test_tensor_serves_interleaved_shapes_unchanged(m):
     basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
     tensor = assemble_tensor(basis, m, 0.35)
@@ -623,6 +644,12 @@ def test_tensor_structure_check_matches_dense(tensor):
     ("k", lambda t: t.k[:-1], "field 'k' has shape"),
     ("vals", lambda t: np.where(np.arange(t.nnz) == 0, np.nan, t.vals), "field 'vals' holds non-finite"),
     ("l", lambda t: t.l.astype(float), "field 'l' has non-integer dtype"),
+    ("m", lambda t: 16.7, "field 'm' = 16.7 must be an integer"),
+    ("m", lambda t: np.inf, "field 'm' = inf must be an integer"),
+    ("alpha", lambda t: np.nan, "field 'alpha' = nan must lie in"),
+    ("alpha", lambda t: 7.0, "field 'alpha' = 7.0 must lie in"),
+    ("alpha", lambda t: 0.0, "field 'alpha' = 0.0 must lie in"),
+    ("mode", lambda t: "bogus", "field 'mode' = 'bogus' must be"),
 ])
 def test_tensor_load_rejects_malformed_fields(tensor, tmp_path, field, value, message):
     path = tmp_path / "t.npz"
@@ -649,6 +676,31 @@ def test_batched_quadratic_equals_row_wise_calls(m, B, alpha, seed):
         assert batched.shape == (B, m)
         for b in range(B):
             assert np.array_equal(batched[b], evaluator.quadratic(states[b]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, GRID_MIN_M - 1),
+    B=st.sampled_from((1, 2, 3, 6)),
+    alpha=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_contraction_equals_einsum_oracle(m, B, alpha, seed):
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    tensor = assemble_tensor(basis, m, alpha)
+    shape = (B, m) if B > 1 else (m,)
+    rng = np.random.default_rng(seed)
+    theta, other = rng.standard_normal((2,) + shape)
+    # one viscosity per row
+    visc = np.multiply.outer(rng.random(shape[:-1]), basis.eigenvalues[:m])
+    f = tensor.neg_rhs(visc)
+    got = f(tensor.native(theta))
+    f(tensor.native(other))  # a later call on the map's work array leaves got alone
+    want = -np.einsum("jkl,...j,...k->...l", _to_dense(tensor), theta, theta) - visc * theta
+    assert got.shape == shape[:-1] + (m + 1,)
+    # the trailing entry keeps an RK4 stage's x_m at 1
+    assert np.all(got[..., m] == 0.0)
+    assert np.abs(got[..., :m] - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("m", (16, 64))
@@ -684,8 +736,9 @@ def test_rhs_and_step_return_contiguous_arrays_of_their_own(shape):
             assert out.flags.c_contiguous and out.base is None
 
 
-# m = 1024 is the largest grid workspace a sweep runs
-@pytest.mark.parametrize("m, initial", [(20, "random"), (64, "random_rough"),
+# m = 39 is the largest dense tensor contraction a sweep runs, m = 1024 the
+# largest grid workspace
+@pytest.mark.parametrize("m, initial", [(20, "random"), (39, "random"), (64, "random_rough"),
                                         (1024, "random_rough")])
 def test_run_ensemble_members_equal_solo_runs(m, initial):
     cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=7, initial=initial, seed=4)
