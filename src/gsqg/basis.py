@@ -11,6 +11,7 @@ and handed out read-only, so every transform reuses them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,6 +58,11 @@ class EigenBasis:
     def mode_arrays(self):
         """(j, k) wavenumbers as two read-only integer arrays, built once."""
         return self._jk
+
+
+def cutoff_for(m: int) -> int:
+    """ceil(sqrt(m)), the cutoff of the smallest rectangle basis holding V_m."""
+    return int(math.ceil(math.sqrt(m)))
 
 
 @lru_cache(maxsize=64)
@@ -126,9 +132,6 @@ class SpectralField:
                 f"basis size {self.basis.size}"
             )
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -153,12 +156,6 @@ class GridField:
     @property
     def is_vector(self) -> bool:
         return self.values.ndim == 3
-
-    def integrate(self) -> float:
-        """Rectangle-rule integral of a scalar field."""
-        if self.is_vector:
-            raise ValueError("cannot integrate a vector field to a scalar")
-        return float(self.grid.weight * self.values.sum())
 
 
 @lru_cache(maxsize=256)
@@ -327,17 +324,12 @@ def boundary_distance_grid(grid: QuadratureGrid) -> np.ndarray:
 def embed(f: SpectralField, target: EigenBasis) -> SpectralField:
     """Re-express coefficients in a larger basis (zero padding by mode index)."""
     if target.K < f.basis.K:
-        raise ValueError(
-            f"cannot embed basis K={f.basis.K} into smaller K={target.K}"
-        )
-    return SpectralField(target, _gather_square(_coeff_square(f, target.K), target))
+        raise ValueError(f"cannot embed basis K={f.basis.K} into smaller K={target.K}")
+    return restrict(f, target)
 
 
 def restrict(f: SpectralField, target: EigenBasis) -> SpectralField:
-    """Drop coefficients outside a smaller basis (adjoint of embed)."""
-    A = _coeff_square(f)
-    j, k = target.mode_arrays()
-    coeffs = np.where((j <= f.basis.K) & (k <= f.basis.K),
-                      A[np.minimum(j, f.basis.K) - 1, np.minimum(k, f.basis.K) - 1],
-                      0.0)
-    return SpectralField(target, coeffs)
+    """Re-express coefficients by mode index in any target basis: the modes
+    outside f's basis get 0, f's modes outside the target are dropped."""
+    return SpectralField(
+        target, _gather_square(_coeff_square(f, max(f.basis.K, target.K)), target))

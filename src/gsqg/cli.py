@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import SpectralField, build_rectangle_basis, restrict
+from .basis import SpectralField, build_rectangle_basis, cutoff_for, restrict
 from .commutators import comm_lambda_mult, comm_neg_lambda_mult, multiplier_catalog
 from .experiments import mode_sweep, viscosity_sweep
 from .fractional import (
@@ -183,7 +183,7 @@ def _parsed(parse, raw: str, what: str):
 
 def cmd_op(args) -> int:
     snap = read_snapshot(args.input)
-    basis = build_rectangle_basis(int(math.ceil(math.sqrt(snap.m))))
+    basis = build_rectangle_basis(cutoff_for(snap.m))
     coeffs = np.zeros(basis.size)
     coeffs[: snap.m] = snap.coeffs
     f = SpectralField(basis, coeffs)

@@ -19,6 +19,7 @@ from .basis import (
     QuadratureGrid,
     SpectralField,
     analyze,
+    cutoff_for,
     gradient,
 )
 from .commutators import Multiplier, padded_basis, padded_grid
@@ -153,8 +154,7 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
     """Galerkin truncation study: pairwise final-state distances over m."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m-list must be strictly increasing")
-    K = int(math.ceil(math.sqrt(max(m_list))))
-    basis = build_rectangle_basis(K)
+    basis = build_rectangle_basis(cutoff_for(max(m_list)))
 
     # members differ in m, so each runs on its own
     trajs = [run(replace(template, m=m), basis=basis) for m in m_list]
@@ -184,8 +184,8 @@ def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
     members advance together as one batched state (galerkin.run_ensemble)."""
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps-list must be strictly decreasing")
-    basis = build_rectangle_basis(template.basis_cutoff())
-    trajs = run_ensemble([replace(template, epsilon=e) for e in eps_list], basis)
+    trajs = run_ensemble([replace(template, epsilon=e) for e in eps_list])
+    basis = trajs[0].basis
 
     theta0_norm = float(np.linalg.norm(initial_data(template, basis)))
     max_l2 = np.array([tr.diagnostics["l2_theta"].max() for tr in trajs])

@@ -69,6 +69,7 @@ from .basis import (
     SpectralField,
     analyze,
     build_rectangle_basis,
+    cutoff_for,
     gradient,
     perp_gradient,
     _cosine_matrix,
@@ -637,7 +638,7 @@ class SimConfig:
             )
 
     def basis_cutoff(self) -> int:
-        return int(math.ceil(math.sqrt(self.m)))
+        return cutoff_for(self.m)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import SpectralField, build_rectangle_basis
+from .basis import SpectralField, build_rectangle_basis, cutoff_for
 from .commutators import (
     comm_lambda_mult,
     comm_neg_lambda_mult,
@@ -87,51 +87,38 @@ def _coalesce(m: int, *triples):
 
 
 def _antisymmetry(t: GalerkinTensor):
-    """max |gamma_jkl + gamma_jlk|, max |gamma_jjl| and the first (j, k, l)
-    in C order where the antisymmetry defect is largest, without an m^3
-    dense copy."""
+    """max |gamma_jkl + gamma_jlk|, max |gamma_jjl| and the first (j, k, l) in
+    C order of the largest defect, repeated entries summed, without an m^3
+    dense copy: t's coalesced entries coalesced with their (k, l) transpose."""
     m = t.m
     keys, vals = _coalesce(m, (t.j, t.k, t.l, t.vals))
-    j, kl = np.divmod(keys, m * m)
-    k, l = np.divmod(kl, m)
-    mirror = (j * m + l) * m + k
-    pos = np.searchsorted(keys, mirror)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == mirror[found]
-    partner = np.zeros_like(vals)
-    partner[found] = vals[pos[found]]
-    anti = np.abs(vals + partner)
-    worst_anti = float(anti.max(initial=0.0))
-    diag = float(np.abs(vals[j == k]).max(initial=0.0))
-    # each defect sits at (j,k,l) and at its mirror (j,l,k); every other
-    # entry of the dense defect array is 0, so a zero maximum is first at 0
-    worst = 0
-    if worst_anti > 0.0:
-        at = anti == worst_anti
-        worst = int(min(keys[at].min(), mirror[at].min()))
-    return worst_anti, diag, tuple(int(i) for i in np.unravel_index(worst, (m, m, m)))
+    j, k, l = np.unravel_index(keys, (m, m, m))
+    # a zero at key 0 stands for the dense array's first entry, where a
+    # defect-free tensor's first maximum sits
+    origin = (np.zeros(1, np.int64),) * 3 + (np.zeros(1),)
+    anti_keys, anti = _coalesce(m, origin, (j, k, l, vals), (j, l, k, vals))
+    at = int(np.abs(anti).argmax())
+    worst = tuple(int(i) for i in np.unravel_index(anti_keys[at], (m, m, m)))
+    return abs(float(anti[at])), float(np.abs(vals[j == k]).max(initial=0.0)), worst
 
 
 @_timed
 def check_tensor_structure(m: int = 100, tensor: GalerkinTensor | None = None):
-    """Antisymmetry, diagonal vanishing, and agreement of the closed-form
-    tensor with the one GridProducts builds, the evaluator runs use from
-    GRID_MIN_M on."""
+    """The tensor under test, a saved one or by default the one GridProducts
+    builds at m (runs evaluate it from GRID_MIN_M on), and the closed form at
+    its m and alpha: both antisymmetric, diagonal-free, and equal."""
     tol = 1e-12
-    if tensor is not None:
-        anti, diag, worst = _antisymmetry(tensor)
-        observed = max(anti, diag)
-        detail = f"worst antisymmetry entry (j,k,l)={worst}"
-        return "tensor_structure", observed < tol, observed, tol, detail
-
-    basis = build_rectangle_basis(int(math.ceil(math.sqrt(m))))
-    ta = assemble_tensor(basis, m, 0.5)
-    tg = GridProducts(basis, m, 0.5).tensor()
-    anti, diag, _ = _antisymmetry(ta)
-    _, diff = _coalesce(m, (ta.j, ta.k, ta.l, ta.vals), (tg.j, tg.k, tg.l, -tg.vals))
+    t = tensor or GridProducts(build_rectangle_basis(cutoff_for(m)), m, 0.5).tensor()
+    m = t.m
+    closed = assemble_tensor(build_rectangle_basis(cutoff_for(m)), m, t.alpha)
+    (anti, diag, worst), (closed_anti, closed_diag, _) = map(_antisymmetry, (t, closed))
+    _, diff = _coalesce(m, (t.j, t.k, t.l, t.vals),
+                        (closed.j, closed.k, closed.l, -closed.vals))
     agree = float(np.abs(diff).max(initial=0.0))
-    observed = max(anti, diag, agree)
-    detail = f"m={m} anti={anti:.1e} diag={diag:.1e} grid={agree:.1e}"
+    observed = max(anti, diag, closed_anti, closed_diag, agree)
+    detail = (f"m={m} alpha={t.alpha} anti={anti:.1e} diag={diag:.1e} closed form: "
+              f"diff={agree:.1e} anti={closed_anti:.1e} diag={closed_diag:.1e}; "
+              f"worst antisymmetry entry (j,k,l)={worst}")
     return "tensor_structure", observed < tol, observed, tol, detail
 
 
@@ -310,11 +297,10 @@ def check_weak_residual():
 def check_weak_continuity():
     """Six-term decomposition sums to twice the nonlinearity difference."""
     tol = 1e-8
-    basis = build_rectangle_basis(5)
     phi = test_function_catalog()["sine_bump"]
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05,
                     initial="random", seed=8, stride=5)
-    trajs = run_ensemble([replace(cfg, epsilon=e) for e in (1e-1, 1e-2, 1e-3)], basis)
+    trajs = run_ensemble([replace(cfg, epsilon=e) for e in (1e-1, 1e-2, 1e-3)])
     worst = 0.0
     for tr_e, tr_r in zip(trajs, trajs[1:]):
         out = weak_continuity_terms(tr_e, tr_r, phi, delta=0.15)

@@ -424,6 +424,23 @@ def test_cli_verify_corrupted_tensor_fails(tmp_path, capsys):
     assert "FAIL" in out and "entry (j,k,l)=" in out
 
 
+@pytest.mark.parametrize("change", [
+    lambda a: a | dict(vals=2 * a["vals"]),
+    lambda a: a | dict(alpha=0.3),
+    lambda a: a | {n: a[n][:0] for n in ("j", "k", "l", "vals")},
+], ids=["doubled-values", "alpha-0.3-header-over-alpha-0.5-values", "no-entries"])
+def test_cli_verify_tensor_unlike_the_closed_form_fails(tmp_path, capsys, change):
+    # each is antisymmetric with a vanishing diagonal; only the comparison
+    # with the closed form at the file's m and alpha refuses it
+    t = assemble_tensor(build_rectangle_basis(4), 16, 0.5)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **change(dict(m=t.m, alpha=t.alpha, mode=t.mode,
+                                j=t.j, k=t.k, l=t.l, vals=t.vals)))
+    assert main(["verify", "--level", "quick", "--tensor", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  tensor_structure" in out and "closed form: diff=" in out
+
+
 def test_cli_verify_out_of_range_tensor_index_names_field(tmp_path, capsys):
     t = assemble_tensor(build_rectangle_basis(4), 16, 0.5)
     t.l = t.l.copy()

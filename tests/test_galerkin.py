@@ -38,7 +38,7 @@ from gsqg.galerkin import (
     step,
 )
 from gsqg.snapshots import Snapshot, write_snapshot
-from gsqg.verify import check_tensor_structure
+from gsqg.verify import _antisymmetry, check_tensor_structure
 
 PI = np.pi
 
@@ -57,9 +57,10 @@ def tensor(basis):
 
 
 def _to_dense(tensor):
-    """gamma_jkl as a dense (m, m, m) array."""
+    """gamma_jkl as a dense (m, m, m) array; repeated entries add, as in the
+    contraction."""
     dense = np.zeros((tensor.m,) * 3)
-    dense[tensor.j, tensor.k, tensor.l] = tensor.vals
+    np.add.at(dense, (tensor.j, tensor.k, tensor.l), tensor.vals)
     return dense
 
 
@@ -626,16 +627,49 @@ def test_run_above_switch_matches_tensor_rk4():
     assert np.abs(state.coeffs - tr.snaps[-1]).max() < 1e-12
 
 
+def _perturbed(tensor):
+    vals = tensor.vals.copy()
+    vals[[3, 40]] += (2e-3, -5e-4)
+    return GalerkinTensor(tensor.m, tensor.alpha, tensor.j, tensor.k, tensor.l,
+                          vals, tensor.mode)
+
+
+def _repeated(tensor):
+    """Entry 3 split into two terms, one of them off by 1e-3, and two terms
+    on the diagonal key (5, 5, 7)."""
+    vals = tensor.vals.copy()
+    vals[3] /= 2
+    j, k, l = (np.concatenate([i, i[[3]], [5, 5]]) for i in (tensor.j, tensor.k, tensor.l))
+    vals = np.concatenate([vals, [vals[3] + 1e-3, 2e-4, 1e-4]])
+    return GalerkinTensor(tensor.m, tensor.alpha, j, k, l, vals, tensor.mode)
+
+
+def _empty(tensor):
+    none = np.zeros(0, dtype=tensor.j.dtype)
+    return GalerkinTensor(tensor.m, tensor.alpha, none, none, none, np.zeros(0), tensor.mode)
+
+
+def _dense_structure(tensor):
+    """max |gamma_jkl + gamma_jlk|, max |gamma_jjl| and the first (j, k, l)
+    of the largest defect, on the dense array."""
+    dense = _to_dense(tensor)
+    anti = np.abs(dense + dense.transpose(0, 2, 1))
+    worst = np.unravel_index(anti.argmax(), anti.shape)
+    diag = np.abs(np.einsum("jjl->jl", dense)).max()
+    return anti.max(), diag, tuple(int(i) for i in worst)
+
+
 def test_tensor_structure_check_matches_dense(tensor):
-    t = GalerkinTensor(tensor.m, tensor.alpha, tensor.j, tensor.k, tensor.l,
-                       tensor.vals.copy(), tensor.mode)
-    t.vals[[3, 40]] += (2e-3, -5e-4)
-    dense = _to_dense(t)
-    anti = dense + dense.transpose(0, 2, 1)
-    worst = np.unravel_index(np.abs(anti).argmax(), anti.shape)
-    res = check_tensor_structure(tensor=t)
-    assert res.observed == np.abs(anti).max()
-    assert f"(j,k,l)={tuple(int(i) for i in worst)}" in res.detail
+    # the closed form at m = 16, alpha = 0.5 is the fixture
+    closed_anti, closed_diag, _ = _dense_structure(tensor)
+    for under_test in (_perturbed, _repeated, _empty, lambda t: t):
+        t = under_test(tensor)
+        anti, diag, worst = _dense_structure(t)
+        assert _antisymmetry(t) == (anti, diag, worst)
+        agree = np.abs(_to_dense(t) - _to_dense(tensor)).max()
+        res = check_tensor_structure(tensor=t)
+        assert res.observed == max(anti, diag, closed_anti, closed_diag, agree)
+        assert f"(j,k,l)={worst}" in res.detail
 
 
 @pytest.mark.parametrize("field, value, message", [
