@@ -78,6 +78,15 @@ def build_rectangle_basis(K: int) -> EigenBasis:
     return EigenBasis(K=K, modes=tuple(modes), eigenvalues=eigenvalues)
 
 
+def space_mask(m: int, basis: EigenBasis) -> np.ndarray:
+    """V_m, the space a run at m modes evolves in (the first m modes of the
+    basis of cutoff_for(m)), as a boolean mask over the modes of `basis`."""
+    if not 0 <= m <= basis.size:
+        raise ValueError(f"mode count m={m} out of range [0, {basis.size}]")
+    v_m = set(build_rectangle_basis(max(1, cutoff_for(m))).modes[:m])
+    return np.array([mode in v_m for mode in basis.modes])
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform interior grid x_i = i*pi/(N+1), rectangle-rule weight per node.

@@ -21,6 +21,8 @@ from .basis import (
     analyze,
     cutoff_for,
     gradient,
+    restrict,
+    space_mask,
 )
 from .commutators import Multiplier, padded_basis, padded_grid
 from .fractional import sobolev_norm
@@ -151,32 +153,34 @@ def _consecutive_diffs(finals: list[SpectralField]) -> dict:
 
 
 def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
-    """Galerkin truncation study: pairwise final-state distances over m."""
+    """Galerkin truncation study over nested V_m: each member runs as `gsqg
+    simulate` runs it, and the final states meet on the largest basis."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m-list must be strictly increasing")
     basis = build_rectangle_basis(cutoff_for(max(m_list)))
+    spaces = [space_mask(m, basis) for m in m_list]
+    for a, in_a, b, in_b in zip(m_list, spaces, m_list[1:], spaces[1:]):
+        if np.any(in_a & ~in_b):
+            raise ValueError(f"m-list is not nested: m={a} holds a mode that m={b} drops")
 
     # members differ in m, so each runs on its own
-    trajs = [run(replace(template, m=m), basis=basis) for m in m_list]
-
+    trajs = [run(replace(template, m=m)) for m in m_list]
     finals = [tr.final_state() for tr in trajs]
     metrics = {
         "final_l2": np.array([f.l2_norm() for f in finals]),
         "max_l2": np.array([tr.diagnostics["l2_theta"].max() for tr in trajs]),
     }
 
-    # tail decay of the projection error of the initial datum
-    big = replace(template, m=basis.size)
-    theta0 = initial_data(big, basis)
-    tails = np.array(
-        [float(np.linalg.norm(theta0[m:])) for m in m_list if m < basis.size]
-    )
-    fits = {}
+    # tail decay of the projection error of the initial datum, off each V_m
+    theta0 = initial_data(replace(template, m=basis.size))
     ms = np.array([m for m in m_list if m < basis.size], dtype=float)
+    tails = np.array([np.linalg.norm(theta0[~space]) for space in spaces[:len(ms)]])
+    fits = {}
     if len(ms) >= 2 and np.all(tails > 0):
         slope = np.polyfit(np.log(ms), np.log(tails), 1)[0]
         fits["tail_decay_exponent"] = float(slope)
-    return SweepReport("m", list(m_list), metrics, _consecutive_diffs(finals), fits)
+    pair_diffs = _consecutive_diffs([restrict(f, basis) for f in finals])
+    return SweepReport("m", list(m_list), metrics, pair_diffs, fits)
 
 
 def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
@@ -187,7 +191,7 @@ def viscosity_sweep(template: SimConfig, eps_list: list[float]) -> SweepReport:
     trajs = run_ensemble([replace(template, epsilon=e) for e in eps_list])
     basis = trajs[0].basis
 
-    theta0_norm = float(np.linalg.norm(initial_data(template, basis)))
+    theta0_norm = float(np.linalg.norm(initial_data(template)))
     max_l2 = np.array([tr.diagnostics["l2_theta"].max() for tr in trajs])
 
     # H^{-4} time-derivative surrogate over consecutive snapshots

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, SpectralField
+from .basis import EigenBasis, SpectralField, space_mask
 
 
 def _check_power(s: float):
@@ -35,12 +35,8 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
 
 def project(f: SpectralField, m: int) -> SpectralField:
-    """Keep the first m coefficients in the canonical ordering, zero the rest."""
-    if not 0 <= m <= f.basis.size:
-        raise ValueError(f"projection rank m={m} out of range [0, {f.basis.size}]")
-    coeffs = f.coeffs.copy()
-    coeffs[m:] = 0.0
-    return SpectralField(f.basis, coeffs)
+    """Keep the modes of V_m (basis.space_mask), zero the rest."""
+    return SpectralField(f.basis, np.where(space_mask(m, f.basis), f.coeffs, 0.0))
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:

@@ -660,9 +660,10 @@ class Trajectory:
         return self.state_at(len(self.times) - 1)
 
 
-def initial_data(config: SimConfig, basis: EigenBasis) -> np.ndarray:
+def initial_data(config: SimConfig) -> np.ndarray:
     """Named analytic initial fields, projected onto the first m modes."""
     m = config.m
+    basis = build_rectangle_basis(config.basis_cutoff())
     rng = np.random.default_rng(config.seed)
     name = config.initial
     theta0 = np.zeros(m)
@@ -699,9 +700,9 @@ def initial_data(config: SimConfig, basis: EigenBasis) -> np.ndarray:
     return theta0
 
 
-def run(config: SimConfig, basis: EigenBasis | None = None) -> Trajectory:
+def run(config: SimConfig) -> Trajectory:
     """Integrate the mode ODE and record snapshots plus balance diagnostics."""
-    return run_ensemble([config], basis)[0]
+    return run_ensemble([config])[0]
 
 
 def _check_ensemble(configs: list[SimConfig], lam_max: float) -> None:
@@ -727,9 +728,7 @@ def _check_ensemble(configs: list[SimConfig], lam_max: float) -> None:
             )
 
 
-def run_ensemble(
-    configs: list[SimConfig], basis: EigenBasis | None = None
-) -> list[Trajectory]:
+def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
     """Integrate configs that differ only in epsilon as one (B, m) RK4 state.
 
     Returns one Trajectory per config, in order, each bit-identical to what
@@ -758,10 +757,7 @@ def run_ensemble(
     if not configs:
         raise ValueError("run_ensemble needs at least one config")
     config = configs[0]
-    if basis is None:
-        basis = build_rectangle_basis(config.basis_cutoff())
-    if basis.size < config.m:
-        raise ValueError(f"basis holds {basis.size} modes, need m={config.m}")
+    basis = build_rectangle_basis(config.basis_cutoff())
     m = config.m
     lam = basis.eigenvalues[:m]
     lam_max = float(lam[-1])
@@ -782,7 +778,7 @@ def run_ensemble(
     # weights of g and h, the dissipation rates of the two balances
     weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])
 
-    theta = np.broadcast_to(initial_data(config, basis), shape).copy()
+    theta = np.broadcast_to(initial_data(config), shape).copy()
     n_steps = round(config.T / dt)
     # step i ends at t[i], accumulated one dt at a time as step() does
     t = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])

@@ -10,15 +10,28 @@ from gsqg.basis import (
     analyze,
     boundary_distance,
     build_rectangle_basis,
+    cutoff_for,
     embed,
     gradient,
     perp_gradient,
     restrict,
     sample,
+    space_mask,
     synthesize,
 )
 
 PI = np.pi
+
+
+def test_space_mask_is_the_prefix_a_run_keeps_and_the_same_modes_on_any_larger_basis():
+    big = build_rectangle_basis(12)
+    for m in range(101):
+        own = build_rectangle_basis(max(1, cutoff_for(m)))
+        assert np.array_equal(space_mask(m, own), np.arange(own.size) < m), m
+        kept = {(md.j, md.k) for md, keep in zip(big.modes, space_mask(m, big)) if keep}
+        assert kept == {(md.j, md.k) for md in own.modes[:m]}, m
+    with pytest.raises(ValueError, match=r"m=17 out of range \[0, 16\]"):
+        space_mask(17, build_rectangle_basis(4))
 
 
 def test_mode_ordering_eigenvalue_ascending():

@@ -259,6 +259,24 @@ def test_cli_sweep_viscosity(config_path, tmp_path):
     assert all(mg <= 1.0 + 1e-8 for mg in margins)
 
 
+def test_cli_sweep_modes_refuses_spaces_that_are_not_nested(config_path, tmp_path, capsys):
+    _refused(tmp_path, capsys, ["sweep", "modes", "--config", str(config_path),
+                                "--values", "16,17"], "not nested", "m=16", "m=17")
+
+
+def test_cli_op_project_cuts_the_space_a_run_at_m_keeps(tmp_path):
+    rng = np.random.default_rng(6)
+    src, dst = tmp_path / "f.bin", tmp_path / "out.bin"
+    write_snapshot(src, Snapshot(64, 0.5, 0.01, 0.25, rng.standard_normal(64)))
+    assert main(["op", "project", str(src), "-p", "m=16", "--out", str(dst)]) == 0
+    basis = build_rectangle_basis(8)
+    want = project(SpectralField(basis, read_snapshot(src).coeffs), 16).coeffs
+    got = read_snapshot(dst).coeffs
+    assert got.tobytes() == want.tobytes()
+    kept = {(md.j, md.k) for md, c in zip(basis.modes, got) if c != 0}
+    assert kept == {(j, k) for j in range(1, 5) for k in range(1, 5)}
+
+
 def test_cli_sweep_empty_values(config_path, tmp_path, capsys):
     code = main([
         "sweep", "modes", "--config", str(config_path),

@@ -7,7 +7,6 @@ from gsqg.basis import (
     QuadratureGrid,
     SpectralField,
     analyze,
-    build_rectangle_basis,
     gradient,
     perp_gradient,
     synthesize,
@@ -20,7 +19,7 @@ from gsqg.experiments import (
     weak_continuity_terms,
     weak_residual,
 )
-from gsqg import verify
+from gsqg import experiments, verify
 from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, run, run_ensemble
 from gsqg.weakform import test_function_catalog as catalog
@@ -168,6 +167,26 @@ def test_mode_sweep_requires_increasing_list():
         mode_sweep(tpl, [16, 16, 32])
 
 
+def test_mode_sweep_members_equal_their_solo_runs():
+    tpl = SimConfig(alpha=0.5, epsilon=0.01, m=16, dt=1e-3, T=0.25,
+                    initial="random_rough", seed=9, stride=10)
+    rep = mode_sweep(tpl, [16, 32, 64])
+    for i, m in enumerate([16, 32, 64]):
+        solo = run(replace(tpl, m=m))
+        assert rep.metrics["final_l2"][i] == solo.final_state().l2_norm(), m
+        assert rep.metrics["max_l2"][i] == solo.diagnostics["l2_theta"].max(), m
+
+
+def test_mode_sweep_refuses_spaces_that_are_not_nested_before_any_run(monkeypatch):
+    # V_16 holds (4, 4), lambda = 32; V_17 stops at lambda = 26
+    def no_run(*args, **kwargs):
+        raise AssertionError("mode_sweep ran a member before refusing the list")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    with pytest.raises(ValueError, match="not nested: m=16 .* m=17"):
+        mode_sweep(SimConfig(m=16), [16, 17])
+
+
 def test_viscosity_sweep_uniform_bound():
     tpl = SimConfig(alpha=0.5, m=16, dt=1e-3, T=0.5, initial="random",
                     seed=10, stride=10)
@@ -208,33 +227,30 @@ def test_sweep_report_validates_monotone_parameters():
 
 
 def test_weak_continuity_identical_trajectories():
-    basis = build_rectangle_basis(5)
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05, epsilon=1e-2,
                     initial="random", seed=5, stride=5)
-    tr = run(cfg, basis=basis)
+    tr = run(cfg)
     out = weak_continuity_terms(tr, tr, catalog()["sine_bump"], delta=0.15)
     for j in range(1, 7):
         assert abs(out[f"I{j}"]) < 1e-14
 
 
 def test_weak_continuity_sum_identity():
-    basis = build_rectangle_basis(5)
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05, initial="random",
                     seed=5, stride=5)
-    tr_e = run(replace(cfg, epsilon=1e-2), basis=basis)
-    tr_r = run(replace(cfg, epsilon=1e-3), basis=basis)
+    tr_e = run(replace(cfg, epsilon=1e-2))
+    tr_r = run(replace(cfg, epsilon=1e-3))
     out = weak_continuity_terms(tr_e, tr_r, catalog()["sine_bump"], delta=0.15)
     scale = max(1.0, sum(abs(out[f"I{j}"]) for j in range(1, 7)))
     assert abs(out["sum"] - out["two_delta_n"]) < 1e-8 * scale
 
 
 def test_weak_continuity_terms_shrink_with_closer_pairs():
-    basis = build_rectangle_basis(5)
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05, initial="random",
                     seed=5, stride=5)
-    tr_ref = run(replace(cfg, epsilon=1e-4), basis=basis)
-    far = run(replace(cfg, epsilon=1e-1), basis=basis)
-    near = run(replace(cfg, epsilon=1e-3), basis=basis)
+    tr_ref = run(replace(cfg, epsilon=1e-4))
+    far = run(replace(cfg, epsilon=1e-1))
+    near = run(replace(cfg, epsilon=1e-3))
     phi = catalog()["sine_bump"]
     out_far = weak_continuity_terms(far, tr_ref, phi, delta=0.15)
     out_near = weak_continuity_terms(near, tr_ref, phi, delta=0.15)
@@ -243,9 +259,8 @@ def test_weak_continuity_terms_shrink_with_closer_pairs():
 
 
 def test_weak_continuity_rejects_bad_delta():
-    basis = build_rectangle_basis(4)
     cfg = SimConfig(alpha=0.4, m=10, dt=1e-3, T=0.02, initial="random", stride=5)
-    tr = run(cfg, basis=basis)
+    tr = run(cfg)
     with pytest.raises(ValueError, match="delta"):
         weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.5)
 
@@ -253,10 +268,9 @@ def test_weak_continuity_rejects_bad_delta():
 def test_weak_continuity_refuses_alpha_outside_the_weak_regime():
     # SimConfig accepts alpha in [1, 2] with a warning; the commutator forms
     # need alpha in (0, 1) and say so before any delta is checked
-    basis = build_rectangle_basis(4)
     with pytest.warns(UserWarning, match="alpha=1.2"):
         cfg = SimConfig(alpha=1.2, m=10, dt=1e-3, T=0.02, initial="random", stride=5)
-    tr = run(cfg, basis=basis)
+    tr = run(cfg)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.2"):
         weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.1)
 
@@ -264,9 +278,9 @@ def test_weak_continuity_refuses_alpha_outside_the_weak_regime():
 def test_check_weak_continuity_runs_one_ensemble(monkeypatch):
     calls = []
 
-    def counting(configs, basis=None):
+    def counting(configs):
         calls.append([c.epsilon for c in configs])
-        return run_ensemble(configs, basis)
+        return run_ensemble(configs)
 
     def no_run(*args, **kwargs):
         raise AssertionError("check_weak_continuity called run")
@@ -277,13 +291,12 @@ def test_check_weak_continuity_runs_one_ensemble(monkeypatch):
     assert calls == [[1e-1, 1e-2, 1e-3]]
 
     # the observed value of one run per (pair, member), as computed before
-    basis = build_rectangle_basis(5)
     phi = catalog()["sine_bump"]
     cfg = SimConfig(alpha=0.4, m=20, dt=1e-3, T=0.05, initial="random", seed=8, stride=5)
     worst = 0.0
     for e_hi, e_lo in ((1e-1, 1e-2), (1e-2, 1e-3)):
-        tr_e = run(replace(cfg, epsilon=e_hi), basis=basis)
-        tr_r = run(replace(cfg, epsilon=e_lo), basis=basis)
+        tr_e = run(replace(cfg, epsilon=e_hi))
+        tr_r = run(replace(cfg, epsilon=e_lo))
         out = weak_continuity_terms(tr_e, tr_r, phi, delta=0.15)
         scale = max(1.0, sum(abs(out[f"I{j}"]) for j in range(1, 7)))
         worst = max(worst, abs(out["sum"] - out["two_delta_n"]) / scale)

@@ -57,6 +57,16 @@ def test_project_prefix(field):
     assert np.all(p.coeffs[10:] == 0)
 
 
+def test_project_cuts_the_space_a_run_at_m_keeps():
+    # on a K = 8 field the first 16 modes hold (1, 5); V_16 holds (4, 4) instead
+    basis = build_rectangle_basis(8)
+    f = SpectralField(basis, np.arange(1.0, basis.size + 1))
+    p = project(f, 16)
+    kept = {(md.j, md.k) for md, c in zip(basis.modes, p.coeffs) if c != 0}
+    assert kept == {(j, k) for j in range(1, 5) for k in range(1, 5)}
+    assert np.array_equal(p.coeffs[p.coeffs != 0], f.coeffs[p.coeffs != 0])
+
+
 def test_heat_semigroup_decay(basis):
     f = SpectralField(basis, np.eye(basis.size)[0])
     g = heat_semigroup(f, 1.0)

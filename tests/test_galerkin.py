@@ -399,14 +399,14 @@ def test_alpha_above_one_flagged():
         SimConfig(alpha=1.5)
 
 
-def test_initial_data_catalog(basis):
+def test_initial_data_catalog():
     for name in ("single_mode", "two_mode", "random", "random_rough", "bump"):
         cfg = SimConfig(m=16, initial=name, seed=1)
-        th = initial_data(cfg, basis)
+        th = initial_data(cfg)
         assert th.shape == (16,)
         assert np.isfinite(th).all()
     with pytest.raises(ValueError, match="unknown initial"):
-        initial_data(SimConfig(m=16, initial="nope"), basis)
+        initial_data(SimConfig(m=16, initial="nope"))
 
 
 def test_sim_config_refuses_unknown_initial_naming_the_key():
@@ -415,10 +415,10 @@ def test_sim_config_refuses_unknown_initial_naming_the_key():
     assert SimConfig(initial="file:any/path.bin").initial == "file:any/path.bin"
 
 
-def test_initial_data_deterministic(basis):
+def test_initial_data_deterministic():
     cfg = SimConfig(m=16, initial="random", seed=42)
-    a = initial_data(cfg, basis)
-    b = initial_data(cfg, basis)
+    a = initial_data(cfg)
+    b = initial_data(cfg)
     assert np.array_equal(a, b)
 
 
@@ -1055,7 +1055,7 @@ def _run_per_step_oracle(configs):
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
     lam_ham, lam_diss = lam ** (-config.alpha / 2), lam ** (1 - config.alpha / 2)
     n_steps = int(round(config.T / dt))
-    theta = np.broadcast_to(initial_data(config, basis), lead + (m,))
+    theta = np.broadcast_to(initial_data(config), lead + (m,))
     state = GalerkinState(0.0, theta.copy())
 
     def dissipation(th):
