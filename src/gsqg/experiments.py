@@ -163,6 +163,15 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
         if np.any(in_a & ~in_b):
             raise ValueError(f"m-list is not nested: m={a} holds a mode that m={b} drops")
 
+    # tail decay of the projection error of the initial datum off each V_m,
+    # fitted first so that a `file:` datum lacking V_{basis.size} runs nothing
+    theta0 = initial_data(replace(template, m=basis.size))
+    ms = np.array([m for m in m_list if m < basis.size], dtype=float)
+    tails = np.array([np.linalg.norm(theta0[~space]) for space in spaces[:len(ms)]])
+    fits = {}
+    if len(ms) >= 2 and np.all(tails > 0):
+        fits["tail_decay_exponent"] = float(np.polyfit(np.log(ms), np.log(tails), 1)[0])
+
     # members differ in m, so each runs on its own
     trajs = [run(replace(template, m=m)) for m in m_list]
     finals = [tr.final_state() for tr in trajs]
@@ -170,15 +179,6 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
         "final_l2": np.array([f.l2_norm() for f in finals]),
         "max_l2": np.array([tr.diagnostics["l2_theta"].max() for tr in trajs]),
     }
-
-    # tail decay of the projection error of the initial datum, off each V_m
-    theta0 = initial_data(replace(template, m=basis.size))
-    ms = np.array([m for m in m_list if m < basis.size], dtype=float)
-    tails = np.array([np.linalg.norm(theta0[~space]) for space in spaces[:len(ms)]])
-    fits = {}
-    if len(ms) >= 2 and np.all(tails > 0):
-        slope = np.polyfit(np.log(ms), np.log(tails), 1)[0]
-        fits["tail_decay_exponent"] = float(slope)
     pair_diffs = _consecutive_diffs([restrict(f, basis) for f in finals])
     return SweepReport("m", list(m_list), metrics, pair_diffs, fits)
 

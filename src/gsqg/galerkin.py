@@ -72,6 +72,7 @@ from .basis import (
     cutoff_for,
     gradient,
     perp_gradient,
+    space_mask,
     _cosine_matrix,
     _sine_matrix,
     _transposed,
@@ -689,12 +690,11 @@ def initial_data(config: SimConfig) -> np.ndarray:
     elif name.startswith("file:"):
         from .snapshots import read_snapshot
 
-        snap = read_snapshot(name[5:])
-        if len(snap.coeffs) < m:
-            raise ValueError(
-                f"snapshot holds {len(snap.coeffs)} coefficients, need m={m}"
-            )
-        theta0 = np.asarray(snap.coeffs[:m])
+        snap = read_snapshot(name[5:])  # V_{snap.m}, sorted by (lambda, j, k) as V_m is
+        big = build_rectangle_basis(cutoff_for(max(m, snap.m)))
+        theta0 = snap.coeffs[space_mask(m, big)[space_mask(snap.m, big)]]
+        if len(theta0) < m:
+            raise ValueError(f"snapshot at m={snap.m} does not hold V_m for m={m}")
     else:
         raise ValueError(f"unknown initial datum {name!r}")
     return theta0

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 from gsqg.basis import (
     GridField,
+    ModeIndex,
     QuadratureGrid,
     SpectralField,
     analyze,
+    build_rectangle_basis,
     gradient,
     perp_gradient,
     synthesize,
@@ -22,6 +24,7 @@ from gsqg.experiments import (
 from gsqg import experiments, verify
 from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, run, run_ensemble
+from gsqg.snapshots import Snapshot, write_snapshot
 from gsqg.weakform import test_function_catalog as catalog
 
 
@@ -185,6 +188,20 @@ def test_mode_sweep_refuses_spaces_that_are_not_nested_before_any_run(monkeypatc
     monkeypatch.setattr(experiments, "run", no_run)
     with pytest.raises(ValueError, match="not nested: m=16 .* m=17"):
         mode_sweep(SimConfig(m=16), [16, 17])
+
+
+def test_mode_sweep_from_a_snapshot_maps_each_member_by_mode(tmp_path):
+    # an m = 64 snapshot holding only mode (1, 5), index 15 of the K = 8
+    # order: V_16 (the K = 4 square) lacks it, V_32 and V_64 hold it
+    coeffs = np.zeros(64)
+    coeffs[build_rectangle_basis(8).modes.index(ModeIndex(1, 5))] = 1.0
+    path = tmp_path / "s64.bin"
+    write_snapshot(path, Snapshot(64, 0.5, 0.0, 0.0, coeffs))
+    tpl = SimConfig(alpha=0.5, epsilon=0.01, m=16, dt=1e-3, T=0.01,
+                    initial=f"file:{path}", stride=10)
+    rep = mode_sweep(tpl, [16, 32, 64])
+    assert rep.metrics["max_l2"][0] == 0.0
+    assert np.all(rep.metrics["max_l2"][1:] > 0.5)
 
 
 def test_viscosity_sweep_uniform_bound():

@@ -14,6 +14,7 @@ from scipy.integrate import dblquad
 
 from gsqg import galerkin
 from gsqg.basis import (
+    ModeIndex,
     QuadratureGrid,
     SpectralField,
     _cosine_matrix,
@@ -420,6 +421,25 @@ def test_initial_data_deterministic():
     a = initial_data(cfg)
     b = initial_data(cfg)
     assert np.array_equal(a, b)
+
+
+def test_initial_data_from_a_snapshot_of_another_m_keeps_each_mode(tmp_path):
+    # an m = 64 snapshot (K = 8 order) holding only mode (1, 5), at index 15;
+    # V_16 is the K = 4 square, whose index 15 is (4, 4)
+    k8 = build_rectangle_basis(8)
+    i15 = k8.modes.index(ModeIndex(1, 5))
+    assert i15 == 15
+    coeffs = np.zeros(64)
+    coeffs[i15] = 1.0
+    path = tmp_path / "s64.bin"
+    write_snapshot(path, Snapshot(64, 0.5, 0.0, 0.0, coeffs))
+    assert not initial_data(SimConfig(m=16, initial=f"file:{path}")).any()
+    th = initial_data(SimConfig(m=20, initial=f"file:{path}"))
+    assert list(np.flatnonzero(th)) == [build_rectangle_basis(5).modes.index(ModeIndex(1, 5))]
+    # V_17 stops at lambda = 26, so it does not hold (4, 4) of V_16
+    write_snapshot(path, Snapshot(17, 0.5, 0.0, 0.0, np.ones(17)))
+    with pytest.raises(ValueError, match="m=17 does not hold V_m for m=16"):
+        initial_data(SimConfig(m=16, initial=f"file:{path}"))
 
 
 def test_tensor_save_load_roundtrip(tensor, tmp_path):
