@@ -1,17 +1,19 @@
 """Commutators of fractional powers with differentiation and multiplication.
 
-All operators act on band-limited fields and are realized with padded
-quadrature projections: pointwise products and gradients live on a grid fine
-enough for the padded band, and every non-band-limited intermediate is
-projected back onto the padded sine basis.  A field keeps its own (K, K)
-coefficient square and the transforms touch only the rows and columns that
-carry data: it is synthesized from its K band, and a projected gradient is
-the pair of rectangles (K', K) for d/dx and (K, K') for d/dy, K' the padded
-cutoff.  A commutator [Lambda^s, T], T the projected gradient or a projected
-multiplier product, is lambda^{s/2} T F - T Lambda^s F on T's band, from a
-stack of powers of F that is synthesized once for all multipliers; the weak
-forms share these helpers.  The estimates' constants are never asserted;
-monitor_bounds reports observed ratios only.
+All operators act on band-limited fields and are realized as padded
+quadrature projections onto the padded sine basis, without leaving
+coefficient space.  A field keeps its own (K, K) coefficient square: a
+projected gradient is the pair of rectangles (K', K) for d/dx and (K, K')
+for d/dy, K' the padded cutoff, and a projected multiplier product
+P(a Lambda^r F) goes through the low-rank factors a = sum_t u_t v_t^T of the
+multiplier's samples on the grid (_cross_factors), as sum_t L_t F R_t
+(_mult_products), so its cost scales with the rank of a.  The grid is left to
+comm_lambda_grad's output, classical_transport and the test oracles.  A
+commutator [Lambda^s, T], T the projected gradient or a projected multiplier
+product, is lambda^{s/2} T F - T Lambda^s F on T's band, from one stack of
+powers of F for all multipliers; the weak forms share these helpers.  The
+estimates' constants are never asserted; monitor_bounds reports observed
+ratios only.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
+    SAMPLE_CACHE_SIZE,
     EigenBasis,
     GridField,
     QuadratureGrid,
     SpectralField,
-    _analyze_square,
     _coeff_square,
     _gather_square,
     _gradient_coeffs,
     _lambda_power,
+    _sine_matrix,
     _synthesize_square,
     boundary_distance_grid,
     build_rectangle_basis,
@@ -197,12 +200,78 @@ def _commutator(T, weights, i: int, j: int) -> list[np.ndarray]:
     return [w * t[..., i, :, :] - t[..., j, :, :] for w, t in zip(weights, T)]
 
 
-def _mult_products(a_grid: np.ndarray, F: np.ndarray, bands) -> list[np.ndarray]:
-    """P(a F) for M multipliers a sampled as (M, N, N) on the grid and
-    (..., K, K) squares F, each onto its own band (rows, cols) >= K of bands;
-    F is synthesized once, from the K band, for all of them."""
-    g = _synthesize_square(F, a_grid.shape[-1])
-    return [_analyze_square(a * g, rows, cols) for a, (rows, cols) in zip(a_grid, bands)]
+@lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _cross_factors(fn, N: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(U, V) with a = U V^T, read-only, for each (N, N) multiplier a that
+    sample(fn, N) holds (one, or a stack on its leading axis).
+
+    Cross elimination with complete pivoting (Bebendorf, Numer. Math. 86,
+    2000): the largest residual entry is the pivot, its column and its row
+    over the pivot the next factor pair, and the rank-one term leaves the
+    residual, until no entry exceeds N eps max|a|.  Every catalog multiplier
+    and test-function gradient has rank 1 or 3; a rough a has rank up to N.
+    """
+    out = []
+    for a in sample(fn, N).reshape(-1, N, N):
+        if not np.isfinite(a).all():
+            raise ValueError("multiplier samples must be finite")
+        E = np.array(a, dtype=float)
+        tol = N * np.finfo(float).eps * np.abs(a).max()
+        us, vs = [], []
+        for _ in range(N):
+            i, j = np.unravel_index(np.argmax(np.abs(E)), E.shape)
+            if not abs(E[i, j]) > tol:
+                break
+            us.append(E[:, j].copy())
+            vs.append(E[i] / E[i, j])
+            E -= np.outer(us[-1], vs[-1])
+        U, V = (np.array(f).reshape(-1, N).T for f in (us, vs))
+        U.setflags(write=False)
+        V.setflags(write=False)
+        out.append((U, V))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _product_maps(fn, N: int, K: int, bands: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(L, R), stacked over the rank t as (rank, rows, K) and (rank, K, cols)
+    and read-only, for each multiplier of _cross_factors(fn, N) and its band
+    (rows, cols) of bands: L_t = (2/pi)^2 w S_rows^T diag(u_t) S_K and
+    R_t = S_K^T diag(v_t) S_cols, so that the quadrature projection
+    (2/pi) w S_rows^T (a * (2/pi) S_K F S_K^T) S_cols is sum_t L_t F R_t.
+    Each stack is one GEMM of the sine matrix against the factor-scaled S_K.
+    """
+    c = (2.0 / np.pi) ** 2 * QuadratureGrid(N).weight
+    S_K = _sine_matrix(N, K)
+    maps = []
+    for (U, V), (rows, cols) in zip(_cross_factors(fn, N), bands):
+        rank = U.shape[1]
+        L = c * _sine_matrix(N, rows).T @ (U[:, :, None] * S_K[:, None, :]).reshape(N, -1)
+        R = (V[:, :, None] * S_K[:, None, :]).reshape(N, -1).T @ _sine_matrix(N, cols)
+        L = np.ascontiguousarray(L.reshape(rows, rank, K).transpose(1, 0, 2))
+        R = R.reshape(rank, K, cols)
+        L.setflags(write=False)
+        R.setflags(write=False)
+        maps.append((L, R))
+    return tuple(maps)
+
+
+def _mult_products(fn, N: int, F: np.ndarray, bands) -> list[np.ndarray]:
+    """P(a F) for the multipliers a that sample(fn, N) holds on the N grid
+    and (..., K, K) squares F, each onto its own band (rows, cols) >= K of
+    bands, as sum_t L_t F R_t from a's cross factors.  No grid array is
+    built: a square costs rank(a) K min(rows, cols) (K + max(rows, cols))
+    multiply-adds, 41k per rank at K = 24, pad 4 (N = 144), where the grid
+    route's synthesis, product and analysis cost about 950k.  So a
+    multiplier of rank above about 23 there, such as a rough one of rank N,
+    costs more than the grid did."""
+    F = F[..., None, :, :]
+    out = []
+    for (L, R), (rows, cols) in zip(_product_maps(fn, N, F.shape[-1], tuple(bands)), bands):
+        # the shorter band's product runs first, as in _analyze_square
+        terms = (L @ F) @ R if rows <= cols else L @ (F @ R)
+        out.append(terms.sum(axis=-3))
+    return out
 
 
 def comm_neg_lambda_mult(
@@ -227,7 +296,7 @@ def _comm_mult(a: Multiplier, f: SpectralField, s: float, pad: float) -> Spectra
     big = padded_basis(f.basis, pad)
     grid = padded_grid(big)
     band = [(big.K, big.K)]
-    prods = _mult_products(a.on(grid)[None], _power_stack(_coeff_square(f), (0.0, s)), band)
+    prods = _mult_products(a._values, grid.N, _power_stack(_coeff_square(f), (0.0, s)), band)
     (c,) = _commutator(prods, _band_weights(band, s), 0, 1)
     return SpectralField(big, _gather_square(c, big))
 

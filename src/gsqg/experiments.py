@@ -24,7 +24,7 @@ from .basis import (
     restrict,
     space_mask,
 )
-from .commutators import Multiplier, padded_basis, padded_grid
+from .commutators import Multiplier, _cross_factors, padded_basis, padded_grid
 from .fractional import sobolev_norm
 from .galerkin import (
     BLOCK_VALUES,
@@ -39,7 +39,7 @@ from .weakform import _check_delta, _factors, _pair, _transport
 
 PI = np.pi
 
-#: grid values one block of weak_continuity_terms' _factors may hold (2 MB)
+#: values one block of weak_continuity_terms' _factors may hold (2 MB)
 FACTOR_VALUES = 2**18
 
 
@@ -165,7 +165,13 @@ def mode_sweep(template: SimConfig, m_list: list[int]) -> SweepReport:
 
     # tail decay of the projection error of the initial datum off each V_m,
     # fitted first so that a `file:` datum lacking V_{basis.size} runs nothing
-    theta0 = initial_data(replace(template, m=basis.size))
+    try:
+        theta0 = initial_data(replace(template, m=basis.size))
+    except ValueError as exc:
+        raise ValueError(
+            f"key 'initial' = {template.initial!r}: a mode sweep fits its tail decay on "
+            f"the largest basis, every mode of the K = {basis.K} square (m = K^2 = "
+            f"{basis.size}), and the datum does not give it: {exc}") from exc
     ms = np.array([m for m in m_list if m < basis.size], dtype=float)
     tails = np.array([np.linalg.norm(theta0[~space]) for space in spaces[:len(ms)]])
     fits = {}
@@ -237,7 +243,6 @@ def weak_continuity_terms(
     basis = traj_eps.basis
     big = padded_basis(basis, pad)
     grid = padded_grid(big)
-    grad_phi = phi.grad_on(grid)
 
     # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares on
     # their own band; the forms project onto the padded cutoff big.K
@@ -252,9 +257,11 @@ def weak_continuity_terms(
     # the six terms, then (e, e) and (r, r) for N(psi_eps) and N(psi_ref)
     d, e, r = 0, 1, 2
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
-    # _factors holds 18 (N, N) samples per snapshot at once: the fields' 9
-    # synthesized powers and their products with one multiplier
-    block = max(1, FACTOR_VALUES // (18 * grid.N**2))
+    # a block's _factors and pairings hold about (64 + 16 rank) K K' values
+    # per snapshot (traced: 76-82 at rank 1, 110 at rank 3, K = 5 to 24), the
+    # largest array a product's first stage of (3 fields, 3 powers, rank, K, K')
+    rank = max(U.shape[1] for U, _ in _cross_factors(phi._grad_values, grid.N))
+    block = max(1, FACTOR_VALUES // ((64 + 16 * rank) * basis.K * big.K))
 
     def pair(left, right, li, ri):
         return _pair([c[li] for c in left], [c[ri] for c in right])
@@ -262,7 +269,7 @@ def weak_continuity_terms(
     for b in range(0, n_t, block):
         pe, pr = psi[:, b:b + block]
         comm, perp, r0, (shift, plain) = _factors(
-            np.stack([pe - pr, pe, pr]), grad_phi, big.K, alpha, delta)
+            np.stack([pe - pr, pe, pr]), phi, grid.N, big.K, alpha, delta)
         v1[:, b:b + block] = pair(comm, r0, [d, r, e, r], [e, d, e, r])
         vs[:, b:b + block] = pair(perp, shift, [d, r, e, r], [e, d, e, r])
         vp[:, b:b + block] = pair(perp, plain, [d, e, e, r], [r, d, e, r])

@@ -14,8 +14,11 @@ zero-padded to K', and projected gradients stay in coefficient space
 (basis._gradient_projection).  N1 pairs perp [Lambda^alpha, grad] a with
 R_0 and N2 pairs P perp-grad a with multiplier commutators, all built from
 R_r = P_c(d_c phi Lambda^r b): as w sum_nodes synthesize(C) h =
-sum C * analyze(h) up to rounding, N1's grid integral is a pairing too, and
-each power of b is synthesized once, in one stack.
+sum C * analyze(h) up to rounding, N1's grid integral is a pairing too.  The
+powers of b are one stack, and every R_r comes from the low-rank factors of
+d_c phi's grid samples (commutators._mult_products), so its cost scales with
+their rank and no grid array is built; only classical_transport, the
+oracle of N, integrates on the grid.
 """
 
 from __future__ import annotations
@@ -152,8 +155,8 @@ def _check_delta(alpha: float, delta: float | None) -> float:
 
 
 def _factors(
-    A: np.ndarray, grad_phi: np.ndarray, K_pad: int, alpha: float, delta: float | None = None,
-    n1: bool = True,
+    A: np.ndarray, phi: Multiplier, N: int, K_pad: int, alpha: float,
+    delta: float | None = None, n1: bool = True,
 ):
     """The blocks (..., K, K) squares A bring to the weak forms, each a list
     over the components c = 0, 1 on the bands (K, K_pad) and (K_pad, K):
@@ -162,19 +165,19 @@ def _factors(
     [Lambda^alpha, d_c phi] A = lambda^{alpha/2} R_0 - R_alpha or, with
     delta, the shifted [Lambda^{alpha-delta}, d_c phi] Lambda^delta A and the
     plain Lambda^{alpha-delta} [Lambda^delta, d_c phi] A that sum to it.
-    grad_phi holds the (2, N, N) grid samples of grad(phi).
+    The products with d_c phi are projected from its samples on the N grid.
 
-    The powers (0, alpha), or (0, delta, alpha), of A are one stack: it is
-    synthesized once for both multipliers, and its projected gradient gives
-    perp and comm.  Without n1, comm is None and only power 0 is
+    The powers (0, alpha), or (0, delta, alpha), of A are one stack: both
+    multipliers' products take it in one call, and its projected gradient
+    gives perp and comm.  Without n1, comm is None and only power 0 is
     differentiated.
     """
-    N, K = grad_phi.shape[-1], A.shape[-1]
+    K = A.shape[-1]
     bands = [(K, K_pad), (K_pad, K)]
     F = _power_stack(A, (0.0, alpha) if delta is None else (0.0, delta, alpha))
     d_x, d_y = _gradient_coeffs(F if n1 else F[..., :1, :, :], N, K_pad)
     perp = [-d_y, d_x]
-    R = _mult_products(grad_phi, F, bands)
+    R = _mult_products(phi._grad_values, N, F, bands)
     if delta is None:
         rights = [_commutator(R, _band_weights(bands, alpha), 0, 1)]
     else:
@@ -200,7 +203,7 @@ def _halves(
     None unless n1."""
     big = padded_basis(psi.basis, pad)
     comm, perp, r0, rights = _factors(
-        _coeff_square(psi), phi.grad_on(padded_grid(big)), big.K, alpha, delta, n1)
+        _coeff_square(psi), phi, padded_grid(big).N, big.K, alpha, delta, n1)
     return float(_pair(comm, r0)) if n1 else None, float(sum(_pair(perp, r) for r in rights))
 
 

@@ -589,6 +589,18 @@ def test_cli_negative_seed_exits_2_naming_the_key(config_path, tmp_path, capsys)
                                 "--values", "0.1", "--seed", "-1"], "seed must be >= 0")
 
 
+def test_cli_mode_sweep_from_a_smaller_snapshot_exits_2_naming_the_key(tmp_path, capsys):
+    # the tail fit needs the datum on the K = 5 square (m = 25); an m = 20
+    # snapshot holds V_16 and V_20 for the members but not that square
+    snap = tmp_path / "m20.bin"
+    coeffs = np.random.default_rng(4).standard_normal(20)
+    write_snapshot(snap, Snapshot(20, 0.5, 0.0, 0.0, coeffs))
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("single_mode", f"file:{snap}"))
+    _refused(tmp_path, capsys, ["sweep", "modes", "--config", str(p), "--values", "16,20"],
+             "key 'initial'", "tail decay on the largest basis", "m = K^2 = 25")
+
+
 def test_cli_missing_initial_file_leaves_no_directory(tmp_path, capsys):
     p = tmp_path / "run.ini"
     p.write_text(CONFIG.replace("single_mode", f"file:{tmp_path / 'absent.bin'}"))

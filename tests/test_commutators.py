@@ -3,7 +3,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from gsqg import commutators
-from gsqg.basis import SpectralField, build_rectangle_basis, embed
+from gsqg.basis import SpectralField, build_rectangle_basis, embed, sample
 from gsqg.commutators import (
     Multiplier,
     comm_lambda_grad,
@@ -15,6 +15,7 @@ from gsqg.commutators import (
     padded_grid,
 )
 from gsqg.fractional import apply_lambda_power
+from gsqg.weakform import test_function_catalog as catalog
 
 PI = np.pi
 
@@ -225,3 +226,32 @@ def test_commutator_range_validation(field):
         comm_neg_lambda_mult(a, field, -0.3)
     with pytest.raises(ValueError):
         comm_lambda_grad(field, 2.5)
+
+
+@pytest.mark.parametrize("N", [30, 144])
+def test_cross_factors_meet_the_residual_bound_at_the_catalog_ranks(N):
+    # every catalog multiplier and the separable test functions' gradients
+    # have rank 1, the skew bump's gradient components rank 3
+    want = {a._values: [1] for a in multiplier_catalog().values()}
+    for name, phi in catalog().items():
+        want[phi._grad_values] = [3, 3] if name == "skew_bump" else [1, 1]
+    for fn, ranks in want.items():
+        factors = commutators._cross_factors(fn, N)
+        assert commutators._cross_factors(fn, N) is factors
+        assert [U.shape[1] for U, _ in factors] == ranks
+        for a, (U, V) in zip(sample(fn, N).reshape(-1, N, N), factors):
+            assert U.shape == V.shape and not (U.flags.writeable or V.flags.writeable)
+            assert np.abs(U @ V.T - a).max() <= N * np.finfo(float).eps * np.abs(a).max()
+
+
+def test_cross_factors_of_zero_and_non_finite_multipliers():
+    # a zero multiplier has rank 0 and zero products; a nan sample is refused
+    zero = Multiplier("zero", lambda x, y: 0.0, lambda x, y: 0.0, lambda x, y: 0.0)
+    ((U, V),) = commutators._cross_factors(zero._values, 12)
+    assert U.shape == V.shape == (12, 0)
+    F = np.ones((2, 3, 3))
+    (P,) = commutators._mult_products(zero._values, 12, F, [(5, 3)])
+    assert P.shape == (2, 5, 3) and not P.any()
+    bad = Multiplier("bad", lambda x, y: np.where(x > 1, np.nan, 1.0), None, None)
+    with pytest.raises(ValueError, match="finite"):
+        commutators._cross_factors(bad._values, 12)

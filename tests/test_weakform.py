@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsqg import basis as basis_module
 from gsqg import commutators, weakform
 from gsqg.basis import (
     QuadratureGrid,
@@ -10,7 +11,13 @@ from gsqg.basis import (
     _synthesize_square,
     build_rectangle_basis,
 )
-from gsqg.commutators import multiplier_catalog, padded_basis, padded_grid
+from gsqg.commutators import (
+    comm_lambda_mult,
+    comm_neg_lambda_mult,
+    multiplier_catalog,
+    padded_basis,
+    padded_grid,
+)
 from gsqg.fractional import apply_lambda_power
 from gsqg.weakform import classical_transport, n2, n2_alt, n_total
 from gsqg.weakform import test_function_catalog as catalog
@@ -56,18 +63,26 @@ def test_catalog_gradients_match_finite_differences():
             assert a.grad_y(x, y) == pytest.approx(gy, abs=1e-7), name
 
 
-def test_each_power_of_psi_is_synthesized_once(monkeypatch, theta):
-    # one call per weak form, stacking psi's distinct powers: (1, alpha) for
-    # n_total's two halves, (1, delta, alpha) for n2_alt's two terms
+def test_each_weak_form_makes_one_product_call_on_psi_powers(monkeypatch, theta):
+    # one product call per weak form, on one stack of psi's distinct powers:
+    # (1, alpha) for n_total's two halves, (1, delta, alpha) for n2_alt's two
+    # terms; products go through the multiplier's factors, so neither these
+    # forms nor the multiplier commutators synthesize or analyze a grid array
     stacks = []
-    real = commutators._synthesize_square
+    real = weakform._mult_products
 
-    def counting(A, N):
-        stacks.append(A.shape[:-2])
-        return real(A, N)
+    def counting(fn, N, F, bands):
+        stacks.append(F.shape[:-2])
+        return real(fn, N, F, bands)
 
-    for module in (commutators, weakform):
-        monkeypatch.setattr(module, "_synthesize_square", counting)
+    def no_grid(*args):
+        raise AssertionError("a grid transform ran")
+
+    monkeypatch.setattr(weakform, "_mult_products", counting)
+    for module in (basis_module, commutators, weakform):
+        for name in ("_synthesize_square", "_analyze_square"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_grid)
     psi = apply_lambda_power(theta, -0.4)
     phi = catalog()["quartic"]
     n_total(psi, phi, 0.4)
@@ -75,6 +90,12 @@ def test_each_power_of_psi_is_synthesized_once(monkeypatch, theta):
     stacks.clear()
     n2_alt(psi, phi, 0.4, delta=0.2)
     assert stacks == [(3,)]
+    stacks.clear()
+    n2(psi, phi, 0.4)
+    assert stacks == [(2,)]
+    a = multiplier_catalog()["cos_xy"]
+    comm_neg_lambda_mult(a, psi, 0.4)
+    comm_lambda_mult(a, psi, 0.4)
 
 
 def test_only_n1_builds_its_left_factor(monkeypatch, theta):

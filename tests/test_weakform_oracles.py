@@ -5,29 +5,37 @@ synthesizes every gradient and every multiplier product on the padded grid
 and analyzes it back onto the full padded sine basis, one field and one
 snapshot at a time, and integrates N1 on the grid.  It stays here as the
 oracle of the coefficient-space factors and pairings of n1, n2 and n2_alt,
-of the batched weak_continuity_terms, of the band-limited commutators and
-of basis._gradient_projection.  Closed-form sums of the eigenfunctions are
-the oracle of synthesize and gradient.
+of the batched weak_continuity_terms, of the band-limited commutators, of
+the multiplier products from low-rank factors (commutators._mult_products)
+and of basis._gradient_projection.  Closed-form sums of the eigenfunctions
+are the oracle of synthesize and gradient.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsqg import experiments
 from gsqg.basis import (
     GridField,
     QuadratureGrid,
     SpectralField,
+    _analyze_square,
     _coeff_square,
     _gradient_projection,
+    _synthesize_square,
     analyze,
     build_rectangle_basis,
     embed,
     gradient,
     perp_gradient,
+    sample,
     synthesize,
 )
 from gsqg.commutators import (
+    _cross_factors,
+    _mult_products,
     comm_lambda_grad,
     comm_lambda_mult,
     comm_neg_lambda_mult,
@@ -188,8 +196,8 @@ def _fake_trajectory(basis, m, alpha, times, rng):
 
 @settings(max_examples=15, deadline=None)
 @given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, n_t=st.integers(2, 8), name=phis)
-# K = 3 at pad 1 runs its 8 snapshots in one block; K = 8 at pad 4 runs
-# blocks of 6, so 8 snapshots make two blocks
+# K = 3 at pad 1 and K = 8 at pad 4 each run their 8 snapshots in one
+# block; test_weak_continuity_terms_do_not_depend_on_the_block covers blocks
 @example(alpha=0.4, K=3, pad=1.0, seed=0, n_t=8, name="quartic")
 @example(alpha=0.4, K=8, pad=4.0, seed=0, n_t=8, name="quartic")
 def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_t, name):
@@ -206,6 +214,87 @@ def test_weak_continuity_terms_equal_per_snapshot_oracle(alpha, K, pad, seed, n_
     assert got.keys() == want.keys()
     for key in want:
         assert _close(got[key], want[key]), key
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds, n_t=st.integers(2, 8), name=phis)
+def test_weak_continuity_terms_do_not_depend_on_the_block(alpha, K, pad, seed, n_t, name):
+    # a budget of one value runs one snapshot per block
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 0.1, n_t)
+    tr_e, tr_r = (_fake_trajectory(basis, basis.size, alpha, times, rng) for _ in range(2))
+    phi = catalog()[name]
+    delta = 0.5 * min(alpha, 1.0 - alpha)
+    whole = weak_continuity_terms(tr_e, tr_r, phi, delta, pad)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "FACTOR_VALUES", 1)
+        blocks = weak_continuity_terms(tr_e, tr_r, phi, delta, pad)
+    for key in whole:
+        assert _close(blocks[key], whole[key]), key
+
+
+def _root_distance(X, Y):
+    """|x - y|^(1/2): not smooth on the diagonal, of full numerical rank."""
+    return np.abs(X - Y) ** 0.5
+
+
+def _grid_products(fn, N, F, bands):
+    """P(a F) by the grid route: F synthesized once on the N grid, times
+    each sample a of fn, analyzed onto its band."""
+    g = _synthesize_square(F, N)
+    return [_analyze_square(a * g, rows, cols)
+            for a, (rows, cols) in zip(sample(fn, N).reshape(-1, N, N), bands)]
+
+
+def _sampled(name):
+    """The sampled function of a catalog multiplier, or of a test function's
+    gradient ("grad NAME"): one (N, N) sample, or a (2, N, N) stack."""
+    if name.startswith("grad "):
+        return catalog()[name[5:]]._grad_values
+    return multiplier_catalog()[name]._values
+
+
+def _assert_products_equal_grid_route(fn, N, F, bands):
+    got = _mult_products(fn, N, F, bands)
+    want = _grid_products(fn, N, F, bands)
+    # the size of the pointwise terms a * synthesize(F) that the projection sums
+    g = np.abs(_synthesize_square(F, N)).max()
+    for a, x, w in zip(sample(fn, N).reshape(-1, N, N), got, want):
+        assert x.shape == w.shape
+        assert np.abs(x - w).max() <= 1e-13 * np.abs(a).max() * g
+
+
+band_kinds = st.sampled_from(["K,K'", "K',K", "K',K'", "K,K"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=cutoffs, pad=pads, seed=seeds, lead=st.lists(st.integers(1, 3), max_size=2),
+       kinds=st.lists(band_kinds, min_size=2, max_size=2),
+       name=st.sampled_from(sorted(multiplier_catalog()) + [f"grad {n}" for n in sorted(catalog())]))
+def test_multiplier_products_equal_grid_route(K, pad, seed, lead, kinds, name):
+    # power stacks with any leading axes, each multiplier onto its own band
+    big = padded_basis(build_rectangle_basis(K), pad)
+    N = padded_grid(big).N
+    sizes = {"K": K, "K'": big.K}
+    bands = [tuple(sizes[b] for b in kind.split(",")) for kind in kinds]
+    F = np.random.default_rng(seed).standard_normal((*lead, K, K))
+    _assert_products_equal_grid_route(_sampled(name), N, F, bands)
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.integers(2, 6), extra=st.integers(1, 12), seed=seeds, kind=band_kinds)
+def test_full_rank_multiplier_products_equal_grid_route(K, extra, seed, kind):
+    # a rank-N multiplier costs more than the grid route did, but is exact
+    N = K + extra
+    ((U, V),) = _cross_factors(_root_distance, N)
+    a = sample(_root_distance, N)
+    assert U.shape == V.shape == (N, N)
+    assert np.abs(U @ V.T - a).max() <= N * np.finfo(float).eps * np.abs(a).max()
+    sizes = {"K": K, "K'": K + extra // 2}
+    band = tuple(sizes[b] for b in kind.split(","))
+    F = np.random.default_rng(seed).standard_normal((2, K, K))
+    _assert_products_equal_grid_route(_root_distance, N, F, [band])
 
 
 @settings(max_examples=30, deadline=None)
