@@ -5,10 +5,11 @@ quadrature projections onto the padded sine basis, without leaving
 coefficient space.  A field keeps its own (K, K) coefficient square: a
 projected gradient is the pair of rectangles (K', K) for d/dx and (K, K')
 for d/dy, K' the padded cutoff, and a projected multiplier product
-P(a Lambda^r F) goes through the low-rank factors a = sum_t u_t v_t^T of the
-multiplier's samples on the grid (_cross_factors), as sum_t L_t F R_t
-(_mult_products), so its cost scales with the rank of a.  The grid is left to
-comm_lambda_grad's output, classical_transport and the test oracles.  A
+P(a Lambda^r F), or P(a d_x F) and P(a d_y F), goes through the low-rank
+factors a = sum_t u_t v_t^T of the multiplier's samples on the grid
+(_cross_factors), as sum_t L_t F R_t (_mult_products), so its cost scales
+with the rank of a.  The grid is left to comm_lambda_grad's output,
+experiments.weak_residual and the test oracles.  A
 commutator [Lambda^s, T], T the projected gradient or a projected multiplier
 product, is lambda^{s/2} T F - T Lambda^s F on T's band, from one stack of
 powers of F for all multipliers; the weak forms share these helpers.  The
@@ -32,6 +33,7 @@ from .basis import (
     QuadratureGrid,
     SpectralField,
     _coeff_square,
+    _cosine_matrix,
     _gather_square,
     _gradient_coeffs,
     _lambda_power,
@@ -233,21 +235,28 @@ def _cross_factors(fn, N: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 @lru_cache(maxsize=64)
-def _product_maps(fn, N: int, K: int, bands: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _product_maps(
+    fn, N: int, K: int, bands: tuple, axes: tuple
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(L, R), stacked over the rank t as (rank, rows, K) and (rank, K, cols)
-    and read-only, for each multiplier of _cross_factors(fn, N) and its band
-    (rows, cols) of bands: L_t = (2/pi)^2 w S_rows^T diag(u_t) S_K and
-    R_t = S_K^T diag(v_t) S_cols, so that the quadrature projection
-    (2/pi) w S_rows^T (a * (2/pi) S_K F S_K^T) S_cols is sum_t L_t F R_t.
-    Each stack is one GEMM of the sine matrix against the factor-scaled S_K.
+    and read-only, for each multiplier of _cross_factors(fn, N), its band
+    (rows, cols) of bands and its derivative axis of axes: L_t =
+    (2/pi)^2 w S_rows^T diag(u_t) X_0 and R_t = X_1^T diag(v_t) S_cols, so
+    that the quadrature projection (2/pi) w S_rows^T (a * (2/pi) X_0 F X_1^T)
+    S_cols is sum_t L_t F R_t.  X_i synthesizes F's axis i: S_K, or
+    C_K diag(1..K), the derivative of the sine series, on the axis (0 for x,
+    1 for y) that axes names; None differentiates neither.  Each stack is
+    one GEMM of the sine matrix against the factor-scaled X_i.
     """
     c = (2.0 / np.pi) ** 2 * QuadratureGrid(N).weight
     S_K = _sine_matrix(N, K)
+    dS_K = _cosine_matrix(N, K) * np.arange(1, K + 1)
     maps = []
-    for (U, V), (rows, cols) in zip(_cross_factors(fn, N), bands):
+    for (U, V), (rows, cols), axis in zip(_cross_factors(fn, N), bands, axes):
+        X_0, X_1 = (dS_K if axis == i else S_K for i in (0, 1))
         rank = U.shape[1]
-        L = c * _sine_matrix(N, rows).T @ (U[:, :, None] * S_K[:, None, :]).reshape(N, -1)
-        R = (V[:, :, None] * S_K[:, None, :]).reshape(N, -1).T @ _sine_matrix(N, cols)
+        L = c * _sine_matrix(N, rows).T @ (U[:, :, None] * X_0[:, None, :]).reshape(N, -1)
+        R = (V[:, :, None] * X_1[:, None, :]).reshape(N, -1).T @ _sine_matrix(N, cols)
         L = np.ascontiguousarray(L.reshape(rows, rank, K).transpose(1, 0, 2))
         R = R.reshape(rank, K, cols)
         L.setflags(write=False)
@@ -256,18 +265,21 @@ def _product_maps(fn, N: int, K: int, bands: tuple) -> tuple[tuple[np.ndarray, n
     return tuple(maps)
 
 
-def _mult_products(fn, N: int, F: np.ndarray, bands) -> list[np.ndarray]:
+def _mult_products(fn, N: int, F: np.ndarray, bands, axes=None) -> list[np.ndarray]:
     """P(a F) for the multipliers a that sample(fn, N) holds on the N grid
     and (..., K, K) squares F, each onto its own band (rows, cols) >= K of
-    bands, as sum_t L_t F R_t from a's cross factors.  No grid array is
-    built: a square costs rank(a) K min(rows, cols) (K + max(rows, cols))
-    multiply-adds, 41k per rank at K = 24, pad 4 (N = 144), where the grid
-    route's synthesis, product and analysis cost about 950k.  So a
-    multiplier of rank above about 23 there, such as a rough one of rank N,
-    costs more than the grid did."""
+    bands, or P(a d_x F) or P(a d_y F) where axes names the axis, 0 or 1,
+    differentiated for that multiplier; as sum_t L_t F R_t from a's cross
+    factors.  No grid array is built: a square costs rank(a) K
+    min(rows, cols) (K + max(rows, cols)) multiply-adds, 41k per rank at
+    K = 24, pad 4 (N = 144), where the grid route's synthesis, product and
+    analysis cost about 950k.  So a multiplier of rank above about 23 there,
+    such as a rough one of rank N, costs more than the grid did."""
+    axes = (None,) * len(bands) if axes is None else axes
     F = F[..., None, :, :]
     out = []
-    for (L, R), (rows, cols) in zip(_product_maps(fn, N, F.shape[-1], tuple(bands)), bands):
+    for (L, R), (rows, cols) in zip(
+            _product_maps(fn, N, F.shape[-1], tuple(bands), axes), bands):
         # the shorter band's product runs first, as in _analyze_square
         terms = (L @ F) @ R if rows <= cols else L @ (F @ R)
         out.append(terms.sum(axis=-3))

@@ -97,6 +97,11 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
     the spatial test function, which is the test class the Galerkin dynamics
     satisfies exactly; the remaining error is pure time discretization.  The
     snapshots go through the transforms as stacked (n, 3K, 3K) arrays.
+
+    The transport stays on the grid route (weakform._transport) rather than
+    classical_transport's factored one: the verify check's residuals sit at
+    round-off (about 1e-14 and 1e-15) under an order clause with a 1e-14
+    floor, so a change in their rounding could flip that clause.
     """
     cfg = traj.config
     if abs(st.T - cfg.T) > 1e-12:

@@ -77,12 +77,24 @@ def _random_field(basis, seed=0, m=None):
 
 def _coalesce(m: int, *triples):
     """Sorted unique flat keys (j m + k) m + l of sparse (j, k, l, vals)
-    triples and their summed values (repeats add, as in the contraction)."""
+    triples and their summed values (repeats add, as in the contraction).
+
+    Each entry's run in the stably sorted keys is its index in the unique
+    keys, and bincount sums every run in entry order, as np.unique's inverse
+    did; a pairwise np.add.reduceat over the sorted values would not.
+    """
     keys = np.concatenate(
         [(j.astype(np.int64) * m + k) * m + l for j, k, l, _ in triples]
     )
-    uniq, inv = np.unique(keys, return_inverse=True)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inv = np.empty(len(keys), dtype=np.intp)
+    inv[order] = np.cumsum(starts) - 1
     vals = np.concatenate([v for *_, v in triples])
+    uniq = ordered[starts]
     return uniq, np.bincount(inv, weights=vals, minlength=len(uniq))
 
 

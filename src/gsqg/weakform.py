@@ -17,8 +17,10 @@ R_r = P_c(d_c phi Lambda^r b): as w sum_nodes synthesize(C) h =
 sum C * analyze(h) up to rounding, N1's grid integral is a pairing too.  The
 powers of b are one stack, and every R_r comes from the low-rank factors of
 d_c phi's grid samples (commutators._mult_products), so its cost scales with
-their rank and no grid array is built; only classical_transport, the
-oracle of N, integrates on the grid.
+their rank and no grid array is built.  classical_transport, the oracle of
+N, takes the same factors with psi's derivative in the product maps; only
+experiments.weak_residual (through _transport) and the test oracles
+integrate on the grid.
 """
 
 from __future__ import annotations
@@ -231,7 +233,9 @@ def n2_alt(
 
 
 def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray:
-    """int theta (perp-grad Lambda^{-alpha} theta) . G dx by quadrature.
+    """int theta (perp-grad Lambda^{-alpha} theta) . G dx by quadrature on the
+    grid, the route of experiments.weak_residual and the oracle of
+    classical_transport.
 
     a is the (..., K, K) coefficient square of theta and G the (2, N, N) grid
     samples of the vector field; one value per leading index.
@@ -248,10 +252,23 @@ def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray
 def classical_transport(
     theta: SpectralField, alpha: float, phi: Multiplier, pad: float = 4.0
 ) -> float:
-    """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature."""
+    """int theta (perp-grad Lambda^{-alpha} theta) . grad(phi) dx by quadrature
+    on the padded grid, in coefficient space.
+
+    With A theta's square and psi = Lambda^{-alpha} theta, the quadrature of
+    theta (-d_y psi d_x phi + d_x psi d_y phi) is
+    <A, P(d_y phi d_x psi) - P(d_x phi d_y psi)>, P the (K, K) quadrature
+    projection, and each product comes from the cross factors of d_c phi's
+    grid samples with psi's differentiated axis (commutators._mult_products),
+    as in the weak forms; no grid array is built.
+    """
     _check_alpha(alpha)
-    grid = padded_grid(padded_basis(theta.basis, pad))
-    return float(_transport(_coeff_square(theta), alpha, phi.grad_on(grid)))
+    N = padded_grid(padded_basis(theta.basis, pad)).N
+    A = _coeff_square(theta)
+    K = A.shape[-1]
+    p0, p1 = _mult_products(
+        phi._grad_values, N, _lambda_power(K, -alpha) * A, [(K, K)] * 2, (1, 0))
+    return float(np.sum(A * (p1 - p0)))
 
 
 def n_total(

@@ -7,8 +7,10 @@ snapshot at a time, and integrates N1 on the grid.  It stays here as the
 oracle of the coefficient-space factors and pairings of n1, n2 and n2_alt,
 of the batched weak_continuity_terms, of the band-limited commutators, of
 the multiplier products from low-rank factors (commutators._mult_products)
-and of basis._gradient_projection.  Closed-form sums of the eigenfunctions
-are the oracle of synthesize and gradient.
+and of basis._gradient_projection.  The grid integral weakform._transport,
+which experiments.weak_residual runs, is the oracle of the factored
+classical_transport.  Closed-form sums of the eigenfunctions are the oracle
+of synthesize and gradient.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsqg import experiments
+from gsqg import basis as basis_module
+from gsqg import commutators, experiments, weakform
 from gsqg.basis import (
     GridField,
     QuadratureGrid,
@@ -24,6 +27,8 @@ from gsqg.basis import (
     _analyze_square,
     _coeff_square,
     _gradient_projection,
+    _gradient_square,
+    _lambda_power,
     _synthesize_square,
     analyze,
     build_rectangle_basis,
@@ -34,8 +39,10 @@ from gsqg.basis import (
     synthesize,
 )
 from gsqg.commutators import (
+    Multiplier,
     _cross_factors,
     _mult_products,
+    _product_maps,
     comm_lambda_grad,
     comm_lambda_mult,
     comm_neg_lambda_mult,
@@ -46,7 +53,7 @@ from gsqg.commutators import (
 from gsqg.experiments import weak_continuity_terms
 from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, Trajectory
-from gsqg.weakform import n1, n2, n2_alt
+from gsqg.weakform import classical_transport, n1, n2, n2_alt
 from gsqg.weakform import test_function_catalog as catalog
 
 
@@ -295,6 +302,65 @@ def test_full_rank_multiplier_products_equal_grid_route(K, extra, seed, kind):
     band = tuple(sizes[b] for b in kind.split(","))
     F = np.random.default_rng(seed).standard_normal((2, K, K))
     _assert_products_equal_grid_route(_root_distance, N, F, [band])
+
+
+#: a gradient of full numerical rank: both components are |x - y|^(1/2)
+ROUGH = Multiplier("root_distance", _root_distance, _root_distance, _root_distance)
+
+
+def _smooth_field(K, seed):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    return SpectralField(basis, rng.standard_normal(basis.size) / basis.eigenvalues)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds,
+       name=st.sampled_from(sorted(catalog()) + ["rough"]))
+def test_classical_transport_equals_grid_route(alpha, K, pad, seed, name):
+    theta = _smooth_field(K, seed)
+    phi = ROUGH if name == "rough" else catalog()[name]
+    grid = padded_grid(padded_basis(theta.basis, pad))
+    A = _coeff_square(theta)
+    G = phi.grad_on(grid)
+    want = weakform._transport(A, alpha, G)
+    # the absolute sum of the integrand's terms theta psi_x G_1, theta psi_y G_0
+    psi_x, psi_y = _gradient_square(_lambda_power(K, -alpha) * A, grid.N)
+    terms = np.abs(_synthesize_square(A, grid.N)) * (np.abs(psi_y * G[0]) + np.abs(psi_x * G[1]))
+    got = classical_transport(theta, alpha, phi, pad)
+    assert abs(got - want) <= 1e-13 * grid.weight * terms.sum()
+
+
+def test_classical_transport_synthesizes_no_grid_array(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid transform ran")
+
+    for module in (basis_module, commutators, weakform):
+        for name in ("_synthesize_square", "_gradient_square"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_grid)
+    # a pad no other test uses: the first pass builds the maps under the patch
+    for _ in range(2):
+        for phi in catalog().values():
+            assert np.isfinite(classical_transport(_smooth_field(6, 1), 0.4, phi, 3.0))
+
+
+def test_transport_maps_are_read_only_and_built_once_per_key():
+    K, pad, phi = 7, 5.0, catalog()["skew_bump"]
+    N = padded_grid(padded_basis(build_rectangle_basis(K), pad)).N
+    thetas = [_smooth_field(K, seed) for seed in (1, 2)]
+    built = _product_maps.cache_info().misses
+    first = [classical_transport(theta, 0.4, phi, pad) for theta in thetas]
+    assert _product_maps.cache_info().misses == built + 1
+    # the derivative falls on y for d_x phi's product, on x for d_y phi's
+    maps = _product_maps(phi._grad_values, N, K, ((K, K), (K, K)), (1, 0))
+    assert _product_maps.cache_info().misses == built + 1
+    assert len(maps) == 2
+    for L, R in maps:
+        assert L.shape[1:] == R.shape[1:] == (K, K)
+        assert not L.flags.writeable and not R.flags.writeable
+    assert [classical_transport(theta, 0.4, phi, pad) for theta in thetas] == first
+    assert _product_maps.cache_info().misses == built + 1
 
 
 @settings(max_examples=30, deadline=None)
