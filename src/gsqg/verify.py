@@ -79,7 +79,8 @@ def _coalesce(m: int, *triples):
     """Sorted unique flat keys (j m + k) m + l of sparse (j, k, l, vals)
     triples and their summed values (repeats add, as in the contraction).
 
-    Each entry's run in the stably sorted keys is its index in the unique
+    The stable sort is the fast one on the presorted keys of an assembled
+    tensor.  Each entry's run in the sorted keys is its index in the unique
     keys, and bincount sums every run in entry order, as np.unique's inverse
     did; a pairwise np.add.reduceat over the sorted values would not.
     """
