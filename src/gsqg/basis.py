@@ -316,14 +316,6 @@ def perp_gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
     return GridField(grid, np.stack([-g.values[1], g.values[0]]))
 
 
-def boundary_distance(point) -> float:
-    """Distance from a point in the closed square to its boundary."""
-    x, y = point
-    if not (0.0 <= x <= PI and 0.0 <= y <= PI):
-        raise ValueError(f"point {point} lies outside the closed square [0, pi]^2")
-    return float(min(x, PI - x, y, PI - y))
-
-
 def boundary_distance_grid(grid: QuadratureGrid) -> np.ndarray:
     """Boundary distance evaluated at every grid node."""
     X, Y = grid.meshgrid()

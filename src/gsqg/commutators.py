@@ -8,13 +8,12 @@ for d/dy, K' the padded cutoff, and a projected multiplier product
 P(a Lambda^r F), or P(a d_x F) and P(a d_y F), goes through the low-rank
 factors a = sum_t u_t v_t^T of the multiplier's samples on the grid
 (_cross_factors), as sum_t L_t F R_t (_mult_products), so its cost scales
-with the rank of a.  The grid is left to comm_lambda_grad's output,
-experiments.weak_residual and the test oracles.  A
-commutator [Lambda^s, T], T the projected gradient or a projected multiplier
-product, is lambda^{s/2} T F - T Lambda^s F on T's band, from one stack of
-powers of F for all multipliers; the weak forms share these helpers.  The
-estimates' constants are never asserted; monitor_bounds reports observed
-ratios only.
+with the rank of a.  The grid is left to comm_lambda_grad's output and
+the test oracles.  A commutator [Lambda^s, T], T the projected gradient or
+a projected multiplier product, is lambda^{s/2} T F - T Lambda^s F on T's
+band, from one stack of powers of F for all multipliers; the weak forms
+share these helpers.  The estimates' constants are never asserted;
+monitor_bounds reports observed ratios only.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .basis import (
     SpectralField,
     analyze,
     cutoff_for,
-    gradient,
     restrict,
     space_mask,
 )
@@ -28,6 +27,7 @@ from .commutators import Multiplier, _cross_factors, padded_basis, padded_grid
 from .fractional import sobolev_norm
 from .galerkin import (
     BLOCK_VALUES,
+    GridProducts,
     SimConfig,
     Trajectory,
     build_rectangle_basis,
@@ -35,7 +35,7 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import _check_delta, _factors, _pair, _transport
+from .weakform import _check_delta, _factors, _pair
 
 PI = np.pi
 
@@ -95,13 +95,13 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
 
     The transport term is evaluated against the band-limited projection of
     the spatial test function, which is the test class the Galerkin dynamics
-    satisfies exactly; the remaining error is pure time discretization.  The
-    snapshots go through the transforms as stacked (n, 3K, 3K) arrays.
-
-    The transport stays on the grid route (weakform._transport) rather than
-    classical_transport's factored one: the verify check's residuals sit at
-    round-off (about 1e-14 and 1e-15) under an order clause with a 1e-14
-    floor, so a change in their rounding could flip that clause.
+    satisfies exactly; the remaining error is pure time discretization.
+    For v the coefficients of P_m phi, <theta, u . grad P_m phi> is
+    sum_l theta_l (sum_jk gamma_jkl theta_j v_k), the Galerkin form that
+    GridProducts.bilinear evaluates exactly by the 3/2 rule, over blocks of
+    snapshots; below GRID_MIN_M, where runs contract the tensor, it is an
+    evaluator independent of the run's.  Besides those products, the only
+    grid work is the projection of phi onto V_m.
     """
     cfg = traj.config
     if abs(st.T - cfg.T) > 1e-12:
@@ -115,22 +115,19 @@ def weak_residual(traj: Trajectory, st: SpaceTimeTest) -> float:
     # projected test function: exact tensor-consistent coefficients
     grid = QuadratureGrid(3 * basis.K)
     v = analyze(GridField(grid, st.spatial.on(grid)), basis).coeffs[:m]
-    phi_m = np.zeros(basis.size)
-    phi_m[:m] = v
-    gphi = gradient(SpectralField(basis, phi_m), grid).values
 
     times, snaps = traj.times, traj.snaps
     chi = np.array([st.chi(float(t)) for t in times])
     dchi = np.array([st.dchi(float(t)) for t in times])
-    j, k = basis.mode_arrays()
-    # transport against grad(P_m phi), machine-exact for the triple band;
-    # blocks of snapshots keep each grid array near 64 kB
-    block = max(1, BLOCK_VALUES // grid.N**2)
+    # transport <theta, u . grad P_m phi>; blocks of snapshots keep each
+    # (N, block N) grid array of the products near 64 kB
+    products = GridProducts(basis, m, cfg.alpha)
+    block = max(1, BLOCK_VALUES // products.N**2)
     transport = np.empty(len(times))
     for b in range(0, len(times), block):
-        squares = np.zeros((len(snaps[b:b + block]), basis.K, basis.K))
-        squares[:, j[:m] - 1, k[:m] - 1] = snaps[b:b + block]
-        transport[b:b + block] = _transport(squares, cfg.alpha, gphi)
+        theta = snaps[b:b + block]
+        u_grad_phi = products.bilinear(theta, np.broadcast_to(v, theta.shape))
+        transport[b:b + block] = np.sum(theta * u_grad_phi, axis=-1)
     # viscous term: <theta, Lap P_m phi> = -sum lam theta v
     visc = -cfg.epsilon * np.sum(lam * snaps * v, axis=-1)
     integrand = (snaps @ v) * dchi + (transport + visc) * chi

@@ -96,8 +96,9 @@ PI = np.pi
 GRID_MIN_M = 40
 
 #: values in one block of stacked states (64 kB): run_ensemble converts,
-#: checks and reduces its steps' states a block at a time, and the snapshot
-#: transforms of experiments run over blocks of the same size
+#: checks and reduces its steps' states a block at a time, and
+#: experiments.weak_residual runs GridProducts over blocks of snapshots
+#: whose stacked N x N grid arrays hold about as many values
 BLOCK_VALUES = 2**13
 
 #: candidate entries, four per (j, k) pair, that assemble_tensor evaluates

@@ -18,9 +18,9 @@ sum C * analyze(h) up to rounding, N1's grid integral is a pairing too.  The
 powers of b are one stack, and every R_r comes from the low-rank factors of
 d_c phi's grid samples (commutators._mult_products), so its cost scales with
 their rank and no grid array is built.  classical_transport, the oracle of
-N, takes the same factors with psi's derivative in the product maps; only
-experiments.weak_residual (through _transport) and the test oracles
-integrate on the grid.
+N, takes the same factors with psi's derivative in the product maps.  The
+grid is left to the test oracles, which integrate on it, and to
+comm_lambda_grad's output.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    QuadratureGrid,
     SpectralField,
     _coeff_square,
     _gradient_coeffs,
-    _gradient_square,
     _lambda_power,
-    _synthesize_square,
 )
 from .commutators import (
     Multiplier,
@@ -230,23 +227,6 @@ def n2_alt(
     [Lambda^alpha, a] = [Lambda^{alpha-delta}, a] Lambda^delta +
     Lambda^{alpha-delta} [Lambda^delta, a]."""
     return _halves(psi, phi, alpha, _check_delta(alpha, delta), pad, False)[1]
-
-
-def _transport(a: np.ndarray, alpha: float, G: np.ndarray) -> float | np.ndarray:
-    """int theta (perp-grad Lambda^{-alpha} theta) . G dx by quadrature on the
-    grid, the route of experiments.weak_residual and the oracle of
-    classical_transport.
-
-    a is the (..., K, K) coefficient square of theta and G the (2, N, N) grid
-    samples of the vector field; one value per leading index.
-    """
-    N = G.shape[-1]
-    psi_x, psi_y = _gradient_square(_lambda_power(a.shape[-1], -alpha) * a, N)
-    # the integrand theta (-psi_y G_0 + psi_x G_1), built in the gradient's arrays
-    psi_x *= G[1]
-    psi_x -= np.multiply(psi_y, G[0], out=psi_y)
-    psi_x *= _synthesize_square(a, N)
-    return QuadratureGrid(N).weight * psi_x.sum(axis=(-2, -1))
 
 
 def classical_transport(

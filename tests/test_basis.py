@@ -8,7 +8,7 @@ from gsqg.basis import (
     _gradient_square,
     _sine_matrix,
     analyze,
-    boundary_distance,
+    boundary_distance_grid,
     build_rectangle_basis,
     cutoff_for,
     embed,
@@ -135,9 +135,13 @@ def test_embed_restrict_by_mode_identity():
 
 
 def test_boundary_distance():
-    assert boundary_distance((0.1, 1.0)) == pytest.approx(0.1)
-    assert boundary_distance((PI / 2, PI - 0.2)) == pytest.approx(0.2)
-    assert boundary_distance((PI / 2, PI / 2)) == pytest.approx(PI / 2)
+    # nodes i pi/6, i = 1..5: a node on the first or last row or column lies
+    # one spacing from its nearest side, and the centre node at pi/2
+    d = boundary_distance_grid(QuadratureGrid(5))
+    assert d.shape == (5, 5)
+    assert d[0, 2] == pytest.approx(PI / 6)
+    assert d[2, 4] == pytest.approx(PI / 6)
+    assert d[2, 2] == pytest.approx(PI / 2)
 
 
 def test_grid_weight():

@@ -114,16 +114,21 @@ def _weak_residual_per_snapshot(traj, st):
     return float(abs(np.trapezoid(integrand, traj.times))), integrand
 
 
-@pytest.mark.parametrize("m", (16, 20))
+@pytest.mark.parametrize("m, name", [
+    # both sides of GRID_MIN_M and every catalog test function; an id names
+    # the function unless it is sine_bump, the one the verify check uses
+    pytest.param(m, name, id=str(m) if name == "sine_bump" else f"{m}-{name}")
+    for m in (16, 20, 40, 64) for name in sorted(catalog())
+])
 @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7))
 @pytest.mark.parametrize("shift_eps", (False, True))
-def test_weak_residual_equals_per_snapshot_oracle(viscous_config, m, alpha, shift_eps):
+def test_weak_residual_equals_per_snapshot_oracle(viscous_config, m, name, alpha, shift_eps):
     cfg = replace(viscous_config, m=m, alpha=alpha, epsilon=1e-3, stride=1 if m == 16 else 7)
     tr = run(cfg)
     if shift_eps:
         # evaluated with the inviscid identity: a residual of size eps
         tr = replace(tr, config=replace(tr.config, epsilon=0.0))
-    st = sine_window_test(catalog()["sine_bump"], T=cfg.T)
+    st = sine_window_test(catalog()[name], T=cfg.T)
     expect, integrand = _weak_residual_per_snapshot(tr, st)
     got = weak_residual(tr, st)
     assert abs(got - expect) <= 1e-13 * max(1.0, float(np.abs(integrand).sum()))

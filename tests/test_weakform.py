@@ -3,22 +3,8 @@ import pytest
 
 from gsqg import basis as basis_module
 from gsqg import commutators, weakform
-from gsqg.basis import (
-    QuadratureGrid,
-    SpectralField,
-    _coeff_square,
-    _gradient_square,
-    _lambda_power,
-    _synthesize_square,
-    build_rectangle_basis,
-)
-from gsqg.commutators import (
-    comm_lambda_mult,
-    comm_neg_lambda_mult,
-    multiplier_catalog,
-    padded_basis,
-    padded_grid,
-)
+from gsqg.basis import QuadratureGrid, SpectralField, _lambda_power, build_rectangle_basis
+from gsqg.commutators import comm_lambda_mult, comm_neg_lambda_mult, multiplier_catalog
 from gsqg.fractional import apply_lambda_power
 from gsqg.weakform import classical_transport, n2, n2_alt, n_total
 from gsqg.weakform import test_function_catalog as catalog
@@ -144,27 +130,6 @@ def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta):
     for f in forms:
         f()
     assert _lambda_power.cache_info().misses == built
-
-
-def test_transport_integrand_in_place_equals_out_of_place():
-    K, N, alpha = 8, 48, 0.4
-    a = np.random.default_rng(3).standard_normal((3, K, K))
-    G = catalog()["skew_bump"].grad_on(QuadratureGrid(N))
-    psi_x, psi_y = _gradient_square(_lambda_power(K, -alpha) * a, N)
-    integrand = _synthesize_square(a, N) * (-psi_y * G[0] + psi_x * G[1])
-    got = weakform._transport(a, alpha, G)
-    assert got.shape == (3,)
-    assert np.array_equal(got, QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1)))
-
-
-def test_transport_leaves_the_cached_gradient_sample_untouched(theta):
-    phi = catalog()["quartic"]
-    grid = padded_grid(padded_basis(theta.basis, 4.0))
-    G = phi.grad_on(grid)
-    before = G.copy()
-    weakform._transport(_coeff_square(theta), 0.4, G)
-    assert phi.grad_on(grid) is G and not G.flags.writeable
-    assert np.array_equal(G, before)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])

@@ -7,10 +7,11 @@ snapshot at a time, and integrates N1 on the grid.  It stays here as the
 oracle of the coefficient-space factors and pairings of n1, n2 and n2_alt,
 of the batched weak_continuity_terms, of the band-limited commutators, of
 the multiplier products from low-rank factors (commutators._mult_products)
-and of basis._gradient_projection.  The grid integral weakform._transport,
-which experiments.weak_residual runs, is the oracle of the factored
-classical_transport.  Closed-form sums of the eigenfunctions are the oracle
-of synthesize and gradient.
+and of basis._gradient_projection.  The grid integral _transport is the
+oracle of the factored classical_transport.  The weak forms and the
+transport leave the grid to these oracles, and the commutators to
+comm_lambda_grad's output.  Closed-form sums of the eigenfunctions are the
+oracle of synthesize and gradient.
 """
 
 import numpy as np
@@ -314,6 +315,16 @@ def _smooth_field(K, seed):
     return SpectralField(basis, rng.standard_normal(basis.size) / basis.eigenvalues)
 
 
+def _transport(a, alpha, G):
+    """int theta (perp-grad Lambda^{-alpha} theta) . G dx by quadrature on the
+    grid, for a the (..., K, K) coefficient square of theta and G the
+    (2, N, N) grid samples of the vector field; one value per leading index."""
+    N = G.shape[-1]
+    psi_x, psi_y = _gradient_square(_lambda_power(a.shape[-1], -alpha) * a, N)
+    integrand = _synthesize_square(a, N) * (-psi_y * G[0] + psi_x * G[1])
+    return QuadratureGrid(N).weight * integrand.sum(axis=(-2, -1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(alpha=alphas, K=cutoffs, pad=pads, seed=seeds,
        name=st.sampled_from(sorted(catalog()) + ["rough"]))
@@ -323,7 +334,7 @@ def test_classical_transport_equals_grid_route(alpha, K, pad, seed, name):
     grid = padded_grid(padded_basis(theta.basis, pad))
     A = _coeff_square(theta)
     G = phi.grad_on(grid)
-    want = weakform._transport(A, alpha, G)
+    want = _transport(A, alpha, G)
     # the absolute sum of the integrand's terms theta psi_x G_1, theta psi_y G_0
     psi_x, psi_y = _gradient_square(_lambda_power(K, -alpha) * A, grid.N)
     terms = np.abs(_synthesize_square(A, grid.N)) * (np.abs(psi_y * G[0]) + np.abs(psi_x * G[1]))
