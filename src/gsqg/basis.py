@@ -310,12 +310,6 @@ def _lambda_power(K: int, s: float) -> np.ndarray:
     return lam_s
 
 
-def perp_gradient(f: SpectralField, grid: QuadratureGrid) -> GridField:
-    """Perpendicular gradient (-d/dy, d/dx) sampled on the grid."""
-    g = gradient(f, grid)
-    return GridField(grid, np.stack([-g.values[1], g.values[0]]))
-
-
 def boundary_distance_grid(grid: QuadratureGrid) -> np.ndarray:
     """Boundary distance evaluated at every grid node."""
     X, Y = grid.meshgrid()

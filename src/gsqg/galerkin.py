@@ -71,7 +71,6 @@ from .basis import (
     build_rectangle_basis,
     cutoff_for,
     gradient,
-    perp_gradient,
     space_mask,
     _cosine_matrix,
     _sine_matrix,
@@ -872,9 +871,10 @@ def nonlinear_term_grid(
     basis = theta.basis
     if grid is None:
         grid = QuadratureGrid(3 * basis.K)
-    u = perp_gradient(
+    gpsi = gradient(
         SpectralField(basis, basis.eigenvalues ** (-alpha / 2.0) * theta.coeffs), grid
-    )
-    g = gradient(theta, grid)
-    advect = GridField(grid, u.values[0] * g.values[0] + u.values[1] * g.values[1])
+    ).values
+    g = gradient(theta, grid).values
+    # u = perp-grad psi = (-d psi/dy, d psi/dx)
+    advect = GridField(grid, -gpsi[1] * g[0] + gpsi[0] * g[1])
     return analyze(advect, basis).coeffs[:m]

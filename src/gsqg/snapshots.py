@@ -110,14 +110,3 @@ class RunManifest:
 
     def dump(self, path):
         Path(path).write_text(self.dumps())
-
-    @classmethod
-    def loads(cls, text: str) -> "RunManifest":
-        cp = run_file_parser()
-        cp.read_string(text)
-        provenance = {f.name: cp["manifest"][f.name] for f in fields(cls) if f.name != "config"}
-        return cls(config=dict(cp["run"]), **provenance)
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        return cls.loads(Path(path).read_text())

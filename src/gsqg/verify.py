@@ -78,38 +78,30 @@ def _random_field(basis, seed=0, m=None):
 def _coalesce(m: int, *triples):
     """Sorted unique flat keys (j m + k) m + l of sparse (j, k, l, vals)
     triples and their summed values (repeats add, as in the contraction).
-
-    The stable sort is the fast one on the presorted keys of an assembled
-    tensor.  Each entry's run in the sorted keys is its index in the unique
-    keys, and bincount sums every run in entry order, as np.unique's inverse
-    did; a pairwise np.add.reduceat over the sorted values would not.
-    """
+    bincount sums each key's values in entry order, as np.add.at does on the
+    dense array; a pairwise np.add.reduceat over sorted values would not."""
     keys = np.concatenate(
         [(j.astype(np.int64) * m + k) * m + l for j, k, l, _ in triples]
     )
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inv = np.empty(len(keys), dtype=np.intp)
-    inv[order] = np.cumsum(starts) - 1
+    uniq, inv = np.unique(keys, return_inverse=True)
     vals = np.concatenate([v for *_, v in triples])
-    uniq = ordered[starts]
     return uniq, np.bincount(inv, weights=vals, minlength=len(uniq))
 
 
 def _antisymmetry(t: GalerkinTensor):
     """max |gamma_jkl + gamma_jlk|, max |gamma_jjl| and the first (j, k, l) in
     C order of the largest defect, repeated entries summed, without an m^3
-    dense copy: t's coalesced entries coalesced with their (k, l) transpose."""
+    dense copy: t's coalesced entries summed under their pair key
+    (j, min(k, l), max(k, l)), the pair's first key in C order.  An entry
+    with k == l is its own transpose, so it counts twice."""
     m = t.m
     keys, vals = _coalesce(m, (t.j, t.k, t.l, t.vals))
     j, k, l = np.unravel_index(keys, (m, m, m))
     # a zero at key 0 stands for the dense array's first entry, where a
     # defect-free tensor's first maximum sits
     origin = (np.zeros(1, np.int64),) * 3 + (np.zeros(1),)
-    anti_keys, anti = _coalesce(m, origin, (j, k, l, vals), (j, l, k, vals))
+    pairs = (j, np.minimum(k, l), np.maximum(k, l), np.where(k == l, 2 * vals, vals))
+    anti_keys, anti = _coalesce(m, origin, pairs)
     at = int(np.abs(anti).argmax())
     worst = tuple(int(i) for i in np.unravel_index(anti_keys[at], (m, m, m)))
     return abs(float(anti[at])), float(np.abs(vals[j == k]).max(initial=0.0)), worst

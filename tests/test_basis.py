@@ -13,12 +13,13 @@ from gsqg.basis import (
     cutoff_for,
     embed,
     gradient,
-    perp_gradient,
     restrict,
     sample,
     space_mask,
     synthesize,
 )
+
+from oracles import perp_gradient
 
 PI = np.pi
 

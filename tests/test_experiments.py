@@ -10,7 +10,6 @@ from gsqg.basis import (
     analyze,
     build_rectangle_basis,
     gradient,
-    perp_gradient,
     synthesize,
 )
 from gsqg.experiments import (
@@ -26,6 +25,8 @@ from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, run, run_ensemble
 from gsqg.snapshots import Snapshot, write_snapshot
 from gsqg.weakform import test_function_catalog as catalog
+
+from oracles import perp_gradient
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
@@ -39,7 +39,7 @@ from gsqg.galerkin import (
     step,
 )
 from gsqg.snapshots import Snapshot, write_snapshot
-from gsqg.verify import _antisymmetry, _coalesce, check_tensor_structure
+from gsqg.verify import _antisymmetry, check_tensor_structure
 
 PI = np.pi
 
@@ -692,37 +692,27 @@ def test_tensor_structure_check_matches_dense(tensor):
         assert f"(j,k,l)={worst}" in res.detail
 
 
-def _unique_coalesce(m, *triples):
-    """_coalesce by np.unique's inverse and a bincount in entry order."""
-    keys = np.concatenate([(j.astype(np.int64) * m + k) * m + l for j, k, l, _ in triples])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    vals = np.concatenate([v for *_, v in triples])
-    return uniq, np.bincount(inv, weights=vals, minlength=len(uniq))
-
-
-def _triple(rng, m, n):
-    return (*rng.integers(0, m, size=(3, n)), rng.standard_normal(n))
-
-
-def test_coalesce_equals_unique_route_bit_for_bit(tensor):
-    rng = np.random.default_rng(8)
-    origin = (np.zeros(1, np.int64),) * 3 + (np.zeros(1),)
-    one = (np.array([2]), np.array([0]), np.array([3]), rng.standard_normal(1))
-    same = tuple(np.full(500, i) for i in (1, 3, 2)) + (rng.standard_normal(500),)
-    cases = {
-        # 64 keys at m = 4, about 200 repeats each: long runs of summands
-        "repeats": (4, _triple(rng, 4, 12_800)),
-        "one entry": (5, one),
-        "one key": (5, same),
-        "origin": (tensor.m, origin, (tensor.j, tensor.k, tensor.l, tensor.vals),
-                   (tensor.j, tensor.l, tensor.k, tensor.vals)),
-        "origin and repeats": (4, origin, _triple(rng, 4, 12_800), _triple(rng, 4, 3)),
-        "empty": (3, (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)),
-    }
-    for name, (m, *triples) in cases.items():
-        got, want = _coalesce(m, *triples), _unique_coalesce(m, *triples)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
-        assert got[0].dtype == want[0].dtype, name
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    entries=st.lists(
+        st.tuples(*(st.integers(0, 3),) * 3,
+                  st.sampled_from((-1.5, -0.5, 0.1, 0.5, 1.0)), st.booleans()),
+        max_size=12,
+    ),
+)
+@example(m=3, entries=[])
+def test_antisymmetry_equals_dense_structure(m, entries):
+    """Tensors small enough for the dense oracle: repeated keys, entries whose
+    transpose is absent, k == l entries, exactly cancelling pairs (an entry
+    and, later, its transpose negated), maxima tied by values drawn from a
+    few numbers, and no entries at all."""
+    rows = [(j % m, k % m, l % m, v) for j, k, l, v, _ in entries]
+    rows += [(j % m, l % m, k % m, -v) for j, k, l, v, cancel in entries if cancel]
+    j, k, l = (np.array([r[i] for r in rows], dtype=np.intp) for i in range(3))
+    vals = np.array([r[3] for r in rows], dtype=float)
+    t = GalerkinTensor(m, 0.5, j, k, l, vals, "analytic")
+    assert _antisymmetry(t) == _dense_structure(t)
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -35,7 +35,6 @@ from gsqg.basis import (
     build_rectangle_basis,
     embed,
     gradient,
-    perp_gradient,
     sample,
     synthesize,
 )
@@ -56,6 +55,8 @@ from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, Trajectory
 from gsqg.weakform import classical_transport, n1, n2, n2_alt
 from gsqg.weakform import test_function_catalog as catalog
+
+from oracles import perp_gradient
 
 
 def _comm_lambda_grad_perp(psi_b, s, grid):
