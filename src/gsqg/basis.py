@@ -5,8 +5,10 @@ lambda = j^2 + k^2.  Coefficient <-> grid transforms use the uniform interior
 grid, which integrates products of sines exactly up to the stated band limit,
 so analysis/synthesis round trips are exact in floating point.
 
-Per-basis index arrays and grid samples of closed-form fields are built once
-and handed out read-only, so every transform reuses them.
+Per-basis index arrays, the flat positions of the modes in a flattened
+(K, K) coefficient square (one array per cutoff K a basis scatters into or
+gathers from), and grid samples of closed-form fields are built once and
+handed out read-only, so every transform reuses them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ PI = np.pi
 #: (function, N) grid samples kept by sample(); a scalar sample is 8 N^2 bytes
 #: (166 kB at N = 144), a gradient twice that
 SAMPLE_CACHE_SIZE = 32
+
+#: cutoffs K a basis keeps flat positions for: its own, and the larger squares
+#: restrict and embed scatter into
+FLAT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,7 @@ class EigenBasis:
         j.setflags(write=False)
         k.setflags(write=False)
         object.__setattr__(self, "_jk", (j, k))
+        object.__setattr__(self, "_flat", {})
 
     @property
     def size(self) -> int:
@@ -58,6 +65,20 @@ class EigenBasis:
     def mode_arrays(self):
         """(j, k) wavenumbers as two read-only integer arrays, built once."""
         return self._jk
+
+    def flat_positions(self, K: int) -> np.ndarray:
+        """(j - 1) K + (k - 1), each mode's index in a flattened (K, K) square,
+        K >= self.K, read-only and built once per K; kept on the instance, as
+        a basis has no hash (its eigenvalues are an array)."""
+        pos = self._flat.get(K)
+        if pos is None:
+            if len(self._flat) >= FLAT_CACHE_SIZE:
+                self._flat.clear()
+            j, k = self._jk
+            pos = (j - 1) * K + (k - 1)
+            pos.setflags(write=False)
+            self._flat[K] = pos
+        return pos
 
 
 def cutoff_for(m: int) -> int:
@@ -194,15 +215,14 @@ def _coeff_square(f: SpectralField, K: int | None = None) -> np.ndarray:
     """Scatter the flat coefficient vector into a (K, K) wavenumber array,
     zero-padded to a larger K when one is given."""
     K = f.basis.K if K is None else K
-    A = np.zeros((K, K))
-    j, k = f.basis.mode_arrays()
-    A[j - 1, k - 1] = f.coeffs
-    return A
+    A = np.zeros(K * K)
+    A[f.basis.flat_positions(K)] = f.coeffs
+    return A.reshape(K, K)
 
 
 def _gather_square(A: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    j, k = basis.mode_arrays()
-    return A[j - 1, k - 1]
+    """The basis's coefficients from a (K, K) square A, K >= basis.K."""
+    return A.take(basis.flat_positions(A.shape[-1]))
 
 
 def _check_grid(basis: EigenBasis, grid: QuadratureGrid):
@@ -295,7 +315,9 @@ def _gradient_projection(N: int, K_out: int, K_in: int) -> np.ndarray:
 def _gradient_coeffs(A: np.ndarray, N: int, K_out: int) -> tuple[np.ndarray, np.ndarray]:
     """The projected gradient analyze(gradient(f)) onto the cutoff K_out of
     (..., K, K) squares A, without leaving coefficient space: the blocks that
-    carry data, d/dx as (..., K_out, K) and d/dy as (..., K, K_out)."""
+    carry data, d/dx as (..., K_out, K) and d/dy as (..., K, K_out).  D^T
+    stays a .T view: on a contiguous copy BLAS takes other kernels, which
+    change the last bits of d/dy at some shapes (K = 16, K_out = 17)."""
     D = _gradient_projection(N, K_out, A.shape[-1])
     return D @ A, A @ D.T
 

@@ -154,8 +154,8 @@ class BoundReport:
 
 def padded_basis(basis: EigenBasis, pad: float) -> EigenBasis:
     """Basis holding pad-times as many modes (per-axis cutoff scaled by sqrt)."""
-    if pad < 1:
-        raise ValueError(f"padding factor must be >= 1, got {pad}")
+    if not (math.isfinite(pad) and pad >= 1):
+        raise ValueError(f"padding factor pad must be finite and >= 1, got {pad}")
     return build_rectangle_basis(int(math.ceil(basis.K * math.sqrt(pad))))
 
 
@@ -177,28 +177,41 @@ def comm_lambda_grad(psi: SpectralField, s: float, pad: float = 4.0) -> GridFiel
     grid = padded_grid(big)
     K = psi.basis.K
     grad = _gradient_coeffs(_power_stack(_coeff_square(psi), (0.0, s)), grid.N, big.K)
-    comm = _commutator(grad, _band_weights([(big.K, K), (K, big.K)], s), 0, 1)
+    comm = _commutator(grad, _band_weights(((big.K, K), (K, big.K)), s), 0, 1)
     return GridField(grid, np.stack([_synthesize_square(c, grid.N) for c in comm]))
 
 
-def _power_stack(F: np.ndarray, powers) -> np.ndarray:
+def _power_stack(F: np.ndarray, powers: tuple) -> np.ndarray:
     """Lambda^r F for each r of powers, stacked on axis -3, for (..., K, K)
     squares F."""
-    K = F.shape[-1]
-    return np.stack([_lambda_power(K, r) * F for r in powers], axis=-3)
+    return _lambda_stack(F.shape[-1], powers) * F[..., None, :, :]
 
 
-def _band_weights(bands, s: float) -> list[np.ndarray]:
-    """lambda^{s/2} on each band (rows, cols) of bands."""
+@lru_cache(maxsize=64)
+def _lambda_stack(K: int, powers: tuple) -> np.ndarray:
+    """The (P, K, K) stack of lambda^{r/2} for each r of powers, read-only."""
+    stack = np.stack([_lambda_power(K, r) for r in powers])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=128)
+def _band_weights(bands: tuple, s: float) -> tuple[np.ndarray, ...]:
+    """lambda^{s/2} on each band (rows, cols) of bands, read-only views."""
     lam_s = _lambda_power(max(max(band) for band in bands), s)
-    return [lam_s[:rows, :cols] for rows, cols in bands]
+    return tuple(lam_s[:rows, :cols] for rows, cols in bands)
 
 
 def _commutator(T, weights, i: int, j: int) -> list[np.ndarray]:
     """[Lambda^s, T_c] Lambda^{r_i} F = lambda^{s/2} T_c Lambda^{r_i} F -
     T_c Lambda^{r_j} F, r_j = r_i + s, for the blocks T_c Lambda^r F of a
     power stack (power r on axis -3), weights lambda^{s/2} on T_c's band."""
-    return [w * t[..., i, :, :] - t[..., j, :, :] for w, t in zip(weights, T)]
+    out = []
+    for w, t in zip(weights, T):
+        c = w * t[..., i, :, :]
+        c -= t[..., j, :, :]
+        out.append(c)
+    return out
 
 
 @lru_cache(maxsize=SAMPLE_CACHE_SIZE)
@@ -281,7 +294,7 @@ def _mult_products(fn, N: int, F: np.ndarray, bands, axes=None) -> list[np.ndarr
             _product_maps(fn, N, F.shape[-1], tuple(bands), axes), bands):
         # the shorter band's product runs first, as in _analyze_square
         terms = (L @ F) @ R if rows <= cols else L @ (F @ R)
-        out.append(terms.sum(axis=-3))
+        out.append(terms[..., 0, :, :] if len(L) == 1 else terms.sum(axis=-3))
     return out
 
 
@@ -306,7 +319,7 @@ def comm_lambda_mult(
 def _comm_mult(a: Multiplier, f: SpectralField, s: float, pad: float) -> SpectralField:
     big = padded_basis(f.basis, pad)
     grid = padded_grid(big)
-    band = [(big.K, big.K)]
+    band = ((big.K, big.K),)
     prods = _mult_products(a._values, grid.N, _power_stack(_coeff_square(f), (0.0, s)), band)
     (c,) = _commutator(prods, _band_weights(band, s), 0, 1)
     return SpectralField(big, _gather_square(c, big))

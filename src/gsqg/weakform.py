@@ -172,7 +172,7 @@ def _factors(
     differentiated.
     """
     K = A.shape[-1]
-    bands = [(K, K_pad), (K_pad, K)]
+    bands = ((K, K_pad), (K_pad, K))
     F = _power_stack(A, (0.0, alpha) if delta is None else (0.0, delta, alpha))
     d_x, d_y = _gradient_coeffs(F if n1 else F[..., :1, :, :], N, K_pad)
     perp = [-d_y, d_x]
@@ -190,7 +190,7 @@ def _factors(
 def _pair(left, right) -> float | np.ndarray:
     """sum_c <left_c, right_c> over the last two axes, one value per leading
     index."""
-    return sum(np.sum(a * b, axis=(-2, -1)) for a, b in zip(left, right))
+    return sum((a * b).sum(axis=(-2, -1)) for a, b in zip(left, right))
 
 
 def _halves(

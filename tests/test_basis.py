@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsqg.basis import (
     QuadratureGrid,
     SpectralField,
+    _coeff_square,
     _cosine_matrix,
+    _gather_square,
+    _gradient_coeffs,
+    _gradient_projection,
     _gradient_square,
+    _lambda_power,
     _sine_matrix,
     analyze,
     boundary_distance_grid,
@@ -18,6 +25,9 @@ from gsqg.basis import (
     space_mask,
     synthesize,
 )
+
+from gsqg.commutators import _mult_products, _power_stack, _product_maps
+from gsqg.weakform import test_function_catalog as catalog
 
 from oracles import perp_gradient
 
@@ -109,6 +119,44 @@ def test_gradient_square_matches_its_transpose_view_form(K, N):
     want = ((2.0 / PI) * (C @ (wav[:, None] * A) @ S.T), (2.0 / PI) * (S @ (A * wav) @ C.T))
     for got, w in zip(_gradient_square(A, N), want):
         assert np.abs(got - w).max() <= 1e-14 * np.abs(w).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(2, 32), extra=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
+       powers=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3).map(tuple),
+       lead=st.lists(st.integers(1, 3), max_size=2),
+       phi=st.sampled_from(sorted(catalog())))
+# a contiguous copy of D^T changes the last bits of d/dy here
+@example(K=16, extra=1, seed=0, powers=(0.0,), lead=[], phi="quartic")
+def test_cached_paths_equal_their_plain_forms(K, extra, seed, powers, lead, phi):
+    # flat positions, power stacks and the rank-1 product term (quartic and
+    # sine_bump; skew_bump has rank 3) reproduce the forms they replace bit
+    # for bit, and the projected gradient stays on D and its .T view
+    basis, K_pad = build_rectangle_basis(K), K + extra
+    N = 3 * K_pad
+    rng = np.random.default_rng(seed)
+    f = SpectralField(basis, rng.standard_normal(basis.size))
+    j, k = basis.mode_arrays()
+    for size in (K, K_pad):
+        plain = np.zeros((size, size))
+        plain[j - 1, k - 1] = f.coeffs
+        A = _coeff_square(f, size)
+        assert np.array_equal(A, plain)
+        assert np.array_equal(_gather_square(A, basis), plain[j - 1, k - 1])
+    big = build_rectangle_basis(K_pad)
+    assert np.array_equal(restrict(embed(f, big), basis).coeffs, f.coeffs)
+    F = rng.standard_normal((*lead, K, K))
+    stack = _power_stack(F, powers)
+    assert stack.tobytes() == np.stack([_lambda_power(K, r) * F for r in powers], -3).tobytes()
+    fn, bands = catalog()[phi]._grad_values, ((K, K_pad), (K_pad, K))
+    for (L, R), (rows, cols), got in zip(
+            _product_maps(fn, N, K, bands, (None, None)), bands, _mult_products(fn, N, F, bands)):
+        F1 = F[..., None, :, :]
+        terms = (L @ F1) @ R if rows <= cols else L @ (F1 @ R)
+        assert got.tobytes() == terms.sum(axis=-3).tobytes()
+    D = _gradient_projection(N, K_pad, K)
+    d_x, d_y = _gradient_coeffs(F, N, K_pad)
+    assert d_x.tobytes() == (D @ F).tobytes() and d_y.tobytes() == (F @ D.T).tobytes()
 
 
 def test_perp_gradient_orthogonal_to_gradient():

@@ -112,24 +112,49 @@ def test_only_n1_builds_its_left_factor(monkeypatch, theta):
         assert grads == [(1,)] and (0, -1) not in comms
 
 
-def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta):
+def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta, monkeypatch):
     lam_s = _lambda_power(24, 0.4)
     assert _lambda_power(24, 0.4) is lam_s and not lam_s.flags.writeable
     wav2 = np.arange(1, 25.0) ** 2
     assert np.array_equal(lam_s, (wav2[:, None] + wav2) ** 0.2)
-    assert all(np.shares_memory(w, lam_s)
-               for w in commutators._band_weights([(24, 10), (10, 24)], 0.4))
-    # power stacks, band weights and the transport build no square twice
+    weights = commutators._band_weights(((24, 10), (10, 24)), 0.4)
+    assert commutators._band_weights(((24, 10), (10, 24)), 0.4) is weights
+    assert all(np.shares_memory(w, lam_s) for w in weights)
+    stack = commutators._lambda_stack(24, (0.0, 0.4))
+    assert np.array_equal(stack, [_lambda_power(24, 0.0), lam_s])
+    pos = theta.basis.flat_positions(7)
+    assert theta.basis.flat_positions(7) is pos
+    for a in (*weights, stack, pos):
+        assert not a.flags.writeable
+    # every cache the weak forms read is bounded
+    caches = (_lambda_power, commutators._lambda_stack, commutators._band_weights,
+              basis_module._gradient_projection, basis_module._sine_matrix,
+              basis_module._cosine_matrix, basis_module.sample,
+              commutators._cross_factors, commutators._product_maps)
+    assert all(c.cache_parameters()["maxsize"] is not None for c in caches)
+    small = build_rectangle_basis(3)
+    for K in range(3, 4 + basis_module.FLAT_CACHE_SIZE):
+        small.flat_positions(K)
+    assert len(small._flat) <= basis_module.FLAT_CACHE_SIZE
+    # a second round of the forms builds nothing and reads no mode arrays
     psi = apply_lambda_power(theta, -0.4)
     phi = catalog()["quartic"]
     forms = (lambda: n_total(psi, phi, 0.4), lambda: n2_alt(psi, phi, 0.4),
              lambda: classical_transport(theta, 0.4, phi))
     for f in forms:
         f()
-    built = _lambda_power.cache_info().misses
+    built = [c.cache_info().misses for c in caches]
+    flat = dict(theta.basis._flat)
+
+    def no_mode_arrays(self):
+        raise AssertionError("mode_arrays called")
+
+    monkeypatch.setattr(basis_module.EigenBasis, "mode_arrays", no_mode_arrays)
     for f in forms:
         f()
-    assert _lambda_power.cache_info().misses == built
+    assert [c.cache_info().misses for c in caches] == built
+    assert theta.basis._flat.keys() == flat.keys()
+    assert all(theta.basis._flat[K] is pos for K, pos in flat.items())
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -142,6 +167,13 @@ def test_n2_equals_n2_alt(theta, alpha):
         if delta >= min(alpha, 1.0 - alpha):
             continue
         assert abs(n2_alt(psi, phi, alpha, delta) - base) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("pad", [float("nan"), float("inf")])
+def test_non_finite_pad_is_refused_by_name(theta, pad):
+    psi = apply_lambda_power(theta, -0.5)
+    with pytest.raises(ValueError, match=f"pad must be finite and >= 1, got {pad}"):
+        n_total(psi, catalog()["quartic"], 0.5, pad=pad)
 
 
 def test_n2_alt_delta_out_of_range(theta):
