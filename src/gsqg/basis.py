@@ -5,10 +5,9 @@ lambda = j^2 + k^2.  Coefficient <-> grid transforms use the uniform interior
 grid, which integrates products of sines exactly up to the stated band limit,
 so analysis/synthesis round trips are exact in floating point.
 
-Per-basis index arrays, the flat positions of the modes in a flattened
-(K, K) coefficient square (one array per cutoff K a basis scatters into or
-gathers from), and grid samples of closed-form fields are built once and
-handed out read-only, so every transform reuses them.
+Per-basis index arrays, the flat positions of the modes in the basis's own
+flattened (K, K) coefficient square, and grid samples of closed-form fields
+are built once and handed out read-only, so every transform reuses them.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ PI = np.pi
 #: (function, N) grid samples kept by sample(); a scalar sample is 8 N^2 bytes
 #: (166 kB at N = 144), a gradient twice that
 SAMPLE_CACHE_SIZE = 32
-
-#: cutoffs K a basis keeps flat positions for: its own, and the larger squares
-#: restrict and embed scatter into
-FLAT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -53,10 +48,11 @@ class EigenBasis:
     def __post_init__(self):
         j = np.array([m.j for m in self.modes], dtype=np.intp)
         k = np.array([m.k for m in self.modes], dtype=np.intp)
-        j.setflags(write=False)
-        k.setflags(write=False)
+        flat = (j - 1) * self.K + (k - 1)
+        for a in (j, k, flat):
+            a.setflags(write=False)
         object.__setattr__(self, "_jk", (j, k))
-        object.__setattr__(self, "_flat", {})
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def size(self) -> int:
@@ -68,17 +64,11 @@ class EigenBasis:
 
     def flat_positions(self, K: int) -> np.ndarray:
         """(j - 1) K + (k - 1), each mode's index in a flattened (K, K) square,
-        K >= self.K, read-only and built once per K; kept on the instance, as
-        a basis has no hash (its eigenvalues are an array)."""
-        pos = self._flat.get(K)
-        if pos is None:
-            if len(self._flat) >= FLAT_CACHE_SIZE:
-                self._flat.clear()
-            j, k = self._jk
-            pos = (j - 1) * K + (k - 1)
-            pos.setflags(write=False)
-            self._flat[K] = pos
-        return pos
+        K >= self.K; read-only and built once for the basis's own K."""
+        if K == self.K:
+            return self._flat
+        j, k = self._jk
+        return (j - 1) * K + (k - 1)
 
 
 def cutoff_for(m: int) -> int:

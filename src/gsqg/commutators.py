@@ -206,12 +206,7 @@ def _commutator(T, weights, i: int, j: int) -> list[np.ndarray]:
     """[Lambda^s, T_c] Lambda^{r_i} F = lambda^{s/2} T_c Lambda^{r_i} F -
     T_c Lambda^{r_j} F, r_j = r_i + s, for the blocks T_c Lambda^r F of a
     power stack (power r on axis -3), weights lambda^{s/2} on T_c's band."""
-    out = []
-    for w, t in zip(weights, T):
-        c = w * t[..., i, :, :]
-        c -= t[..., j, :, :]
-        out.append(c)
-    return out
+    return [w * t[..., i, :, :] - t[..., j, :, :] for w, t in zip(weights, T)]
 
 
 @lru_cache(maxsize=SAMPLE_CACHE_SIZE)

@@ -145,7 +145,10 @@ def test_cached_paths_equal_their_plain_forms(K, extra, seed, powers, lead, phi)
         assert np.array_equal(_gather_square(A, basis), plain[j - 1, k - 1])
     big = build_rectangle_basis(K_pad)
     assert np.array_equal(restrict(embed(f, big), basis).coeffs, f.coeffs)
-    F = rng.standard_normal((*lead, K, K))
+    # one square of zeros of both signs, whose products are exact zeros: the
+    # rank-1 term must give them the sign the sum over its length-1 axis gives
+    F = rng.standard_normal((*lead, 2, K, K))
+    F[..., 0, :, :] = np.where(rng.random((K, K)) < 0.5, 0.0, -0.0)
     stack = _power_stack(F, powers)
     assert stack.tobytes() == np.stack([_lambda_power(K, r) * F for r in powers], -3).tobytes()
     fn, bands = catalog()[phi]._grad_values, ((K, K_pad), (K_pad, K))

@@ -122,8 +122,8 @@ def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta, monkey
     assert all(np.shares_memory(w, lam_s) for w in weights)
     stack = commutators._lambda_stack(24, (0.0, 0.4))
     assert np.array_equal(stack, [_lambda_power(24, 0.0), lam_s])
-    pos = theta.basis.flat_positions(7)
-    assert theta.basis.flat_positions(7) is pos
+    pos = theta.basis.flat_positions(theta.basis.K)
+    assert theta.basis.flat_positions(theta.basis.K) is pos
     for a in (*weights, stack, pos):
         assert not a.flags.writeable
     # every cache the weak forms read is bounded
@@ -132,11 +132,8 @@ def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta, monkey
               basis_module._cosine_matrix, basis_module.sample,
               commutators._cross_factors, commutators._product_maps)
     assert all(c.cache_parameters()["maxsize"] is not None for c in caches)
-    small = build_rectangle_basis(3)
-    for K in range(3, 4 + basis_module.FLAT_CACHE_SIZE):
-        small.flat_positions(K)
-    assert len(small._flat) <= basis_module.FLAT_CACHE_SIZE
-    # a second round of the forms builds nothing and reads no mode arrays
+    # a second round of the forms builds nothing: no mode arrays, and flat
+    # positions only for a basis's own cutoff, which it built with itself
     psi = apply_lambda_power(theta, -0.4)
     phi = catalog()["quartic"]
     forms = (lambda: n_total(psi, phi, 0.4), lambda: n2_alt(psi, phi, 0.4),
@@ -144,17 +141,19 @@ def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta, monkey
     for f in forms:
         f()
     built = [c.cache_info().misses for c in caches]
-    flat = dict(theta.basis._flat)
 
     def no_mode_arrays(self):
         raise AssertionError("mode_arrays called")
 
+    def own_positions(self, K):
+        assert K == self.K, f"flat positions for K = {K} built on a basis of K = {self.K}"
+        return self._flat
+
     monkeypatch.setattr(basis_module.EigenBasis, "mode_arrays", no_mode_arrays)
+    monkeypatch.setattr(basis_module.EigenBasis, "flat_positions", own_positions)
     for f in forms:
         f()
     assert [c.cache_info().misses for c in caches] == built
-    assert theta.basis._flat.keys() == flat.keys()
-    assert all(theta.basis._flat[K] is pos for K, pos in flat.items())
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
