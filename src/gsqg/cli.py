@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -224,7 +225,10 @@ def cmd_op(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gsqg parser, built once per process: parse_args leaves it as it
+    was, and each call returns a new namespace."""
     p = argparse.ArgumentParser(
         prog="gsqg",
         description="Spectral Galerkin simulator for the generalized "

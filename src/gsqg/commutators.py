@@ -11,9 +11,11 @@ factors a = sum_t u_t v_t^T of the multiplier's samples on the grid
 with the rank of a.  The grid is left to comm_lambda_grad's output and
 the test oracles.  A commutator [Lambda^s, T], T the projected gradient or
 a projected multiplier product, is lambda^{s/2} T F - T Lambda^s F on T's
-band, from one stack of powers of F for all multipliers; the weak forms
-share these helpers.  The estimates' constants are never asserted;
-monitor_bounds reports observed ratios only.
+band, from one stack of powers of F for all multipliers.  The weak forms
+share the power stack, band weights and products, but pair the two terms
+of a commutator apart and build no commutator array (weakform._forms);
+padded_sizes gives them (K', N) from one cached lookup.  The estimates'
+constants are never asserted; monitor_bounds reports observed ratios only.
 """
 
 from __future__ import annotations
@@ -152,11 +154,20 @@ class BoundReport:
             raise ValueError("bound report norms must be finite")
 
 
-def padded_basis(basis: EigenBasis, pad: float) -> EigenBasis:
-    """Basis holding pad-times as many modes (per-axis cutoff scaled by sqrt)."""
+@lru_cache(maxsize=64)
+def padded_sizes(K: int, pad: float) -> tuple[int, int]:
+    """(K', N): the cutoff K' of padded_basis for the cutoff K and N = 3 K',
+    the size of padded_grid on it; cached, so a weak form looks both up at
+    once without building a basis or a grid."""
     if not (math.isfinite(pad) and pad >= 1):
         raise ValueError(f"padding factor pad must be finite and >= 1, got {pad}")
-    return build_rectangle_basis(int(math.ceil(basis.K * math.sqrt(pad))))
+    K_pad = int(math.ceil(K * math.sqrt(pad)))
+    return K_pad, 3 * K_pad
+
+
+def padded_basis(basis: EigenBasis, pad: float) -> EigenBasis:
+    """Basis holding pad-times as many modes (per-axis cutoff scaled by sqrt)."""
+    return build_rectangle_basis(padded_sizes(basis.K, pad)[0])
 
 
 def padded_grid(basis: EigenBasis) -> QuadratureGrid:

@@ -23,7 +23,7 @@ from .basis import (
     restrict,
     space_mask,
 )
-from .commutators import Multiplier, _cross_factors, padded_basis, padded_grid
+from .commutators import Multiplier, _cross_factors, padded_sizes
 from .fractional import sobolev_norm
 from .galerkin import (
     BLOCK_VALUES,
@@ -35,7 +35,7 @@ from .galerkin import (
     run,
     run_ensemble,
 )
-from .weakform import _check_delta, _factors, _pair
+from .weakform import _check_delta, _factors, _forms
 
 PI = np.pi
 
@@ -231,9 +231,13 @@ def weak_continuity_terms(
     """Six-term decomposition of twice the nonlinearity difference.
 
     Returns time-integrated I_1..I_6 over the matched snapshot times, their
-    sum, and the directly computed 2 * (N(psi_eps) - N(psi_ref)).
+    sum, and the directly computed 2 * (N(psi_eps) - N(psi_ref)).  The two
+    trajectories must share alpha, snapshot times and basis.
     """
     alpha = traj_eps.config.alpha
+    if traj_ref.config.alpha != alpha:
+        raise ValueError(
+            f"trajectories must share alpha, got {alpha} and {traj_ref.config.alpha}")
     delta = _check_delta(alpha, delta)
     if len(traj_eps.times) != len(traj_ref.times) or not np.allclose(
         traj_eps.times, traj_ref.times
@@ -243,11 +247,10 @@ def weak_continuity_terms(
         raise ValueError("trajectories must share a basis")
 
     basis = traj_eps.basis
-    big = padded_basis(basis, pad)
-    grid = padded_grid(big)
+    K_pad, N = padded_sizes(basis.K, pad)
 
     # psi = Lambda^{-alpha} theta of both runs as (2, n_t, K, K) squares on
-    # their own band; the forms project onto the padded cutoff big.K
+    # their own band; the forms project onto the padded cutoff K_pad
     jj, kk = basis.mode_arrays()
     n_t = len(traj_eps.times)
     psi = np.zeros((2, n_t, basis.K, basis.K))
@@ -259,22 +262,19 @@ def weak_continuity_terms(
     # the six terms, then (e, e) and (r, r) for N(psi_eps) and N(psi_ref)
     d, e, r = 0, 1, 2
     v1, vs, vp = (np.empty((4, n_t)) for _ in range(3))
-    # a block's _factors and pairings hold about (64 + 16 rank) K K' values
-    # per snapshot (traced: 76-82 at rank 1, 110 at rank 3, K = 5 to 24), the
-    # largest array a product's first stage of (3 fields, 3 powers, rank, K, K')
-    rank = max(U.shape[1] for U, _ in _cross_factors(phi._grad_values, grid.N))
-    block = max(1, FACTOR_VALUES // ((64 + 16 * rank) * basis.K * big.K))
-
-    def pair(left, right, li, ri):
-        return _pair([c[li] for c in left], [c[ri] for c in right])
-
+    # a block's _factors and pairings hold at most about (64 + 16 rank) K K'
+    # values per snapshot (traced: 73-75 at rank 1, 102-103 at rank 3, K = 5
+    # and 12), the largest array a product's first stage of (3 fields,
+    # 3 powers, rank, K, K')
+    rank = max(U.shape[1] for U, _ in _cross_factors(phi._grad_values, N))
+    block = max(1, FACTOR_VALUES // ((64 + 16 * rank) * basis.K * K_pad))
     for b in range(0, n_t, block):
         pe, pr = psi[:, b:b + block]
-        comm, perp, r0, (shift, plain) = _factors(
-            np.stack([pe - pr, pe, pr]), phi, grid.N, big.K, alpha, delta)
-        v1[:, b:b + block] = pair(comm, r0, [d, r, e, r], [e, d, e, r])
-        vs[:, b:b + block] = pair(perp, shift, [d, r, e, r], [e, d, e, r])
-        vp[:, b:b + block] = pair(perp, plain, [d, e, e, r], [r, d, e, r])
+        factors = _factors(np.stack([pe - pr, pe, pr]), phi, N, K_pad, alpha, delta)
+        v1[:, b:b + block], vs[:, b:b + block] = _forms(
+            factors, alpha, delta, ("n1", "shift"), [d, r, e, r], [e, d, e, r])
+        (vp[:, b:b + block],) = _forms(
+            factors, alpha, delta, ("plain",), [d, e, e, r], [r, d, e, r])
     terms = np.stack([v1[0], v1[1], -vs[0], -vs[1], -vp[0], -vp[1]], axis=1)
     n_eps, n_ref = 0.5 * (v1[2:] - vs[2:] - vp[2:])
     two_dn = 2.0 * (n_eps - n_ref)

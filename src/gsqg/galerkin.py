@@ -35,8 +35,9 @@ and step() run the same map, built per call, in mode order.
   and N = floor(3K/2) is the smallest such grid.  Its native layout is the
   (K, n, K) array of the n states' coefficient squares side by side.  Its
   bilinear(a, b), the one grid form of gamma, runs the native contraction on
-  a workspace of its own (neg_rhs() keeps one per run); tensor() evaluates
-  it on unit pairs, which is how the closed-form tensor is checked.
+  a workspace of its own (neg_rhs() keeps one per run); tensor() runs the
+  same contraction on unit pairs, every row on one workspace, which is how
+  the closed-form tensor is checked.
 
 run_ensemble() advances B trajectories that differ only in epsilon as one
 (B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
@@ -480,11 +481,18 @@ class GridProducts:
 
     def tensor(self) -> GalerkinTensor:
         """gamma_jkl as bilinear() on unit pairs (e_j, e_k), one j at a time,
-        keeping the entries with |gamma_jkl| > 1e-13."""
+        keeping the entries with |gamma_jkl| > 1e-13.  All rows share one
+        contraction's work arrays, the native identity and its positions;
+        a, m copies of e_j in the native layout, is one at mode j's
+        (row, column) for every member and zero elsewhere."""
         eye = np.eye(self.m)
+        neg_product, b = self._neg_product(self.m), self.native(eye)
+        pos, a = self._positions(eye.shape), np.zeros_like(b)
         parts = []
         for j in range(self.m):
-            g = self.bilinear(np.broadcast_to(eye[j], eye.shape), eye)  # (k, l)
+            a[self._j[j], :, self._k[j]] = 1.0
+            g = -neg_product(a, b).reshape(-1).take(pos)  # (k, l)
+            a[self._j[j], :, self._k[j]] = 0.0
             k, l = np.nonzero(np.abs(g) > 1e-13)
             parts.append((np.full(len(k), j, dtype=np.intp), k, l, g[k, l]))
         j, k, l, vals = (np.concatenate(p) for p in zip(*parts))

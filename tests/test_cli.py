@@ -319,6 +319,30 @@ def test_cli_op_constant_multiplier_commutes(tmp_path):
     assert np.abs(read_snapshot(dst).coeffs).max() < 1e-14
 
 
+def test_cli_parser_is_built_once_and_serves_calls_in_turn(config_path, tmp_path, capsys):
+    # one parser per process: no call's options reach the next, and neither
+    # exit-2 path (a refused value, an argparse usage error) spoils it
+    assert cli.build_parser() is cli.build_parser()
+    src = tmp_path / "f.bin"
+    write_snapshot(src, Snapshot(4, 0.5, 0.0, 0.0, np.array([1.0, 0.0, 0.0, 0.0])))
+    assert main(["op", "lambda_pow", str(src), "-p", "s=1", "--out", str(tmp_path / "a.bin")]) == 0
+    # an -p list left over from the call above would be refused: project takes no s
+    assert main(["op", "project", str(src), "-p", "m=2", "--out", str(tmp_path / "b.bin")]) == 0
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "diagnostics.csv").exists()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(tmp_path / "missing.ini"),
+                 "--out", str(tmp_path / "none")]) == 2
+    assert "missing.ini" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(tmp_path / "none")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+    assert main(["op", "heat", str(src), "-p", "t=1", "--out", str(tmp_path / "c.bin")]) == 0
+    assert read_snapshot(tmp_path / "c.bin").coeffs[0] == pytest.approx(np.exp(-2.0))
+
+
 def test_cli_op_unknown_name(tmp_path, capsys):
     src = tmp_path / "f.bin"
     write_snapshot(src, Snapshot(4, 0.5, 0.0, 0.0, np.zeros(4)))

@@ -298,6 +298,17 @@ def test_weak_continuity_refuses_alpha_outside_the_weak_regime():
         weak_continuity_terms(tr, tr, catalog()["quartic"], delta=0.1)
 
 
+def test_weak_continuity_refuses_trajectories_of_different_alpha():
+    # psi = Lambda^{-alpha} theta and the forms take one alpha: runs of 0.4
+    # and 0.6 paired under 0.4 gave a number that belonged to neither
+    cfg = SimConfig(alpha=0.4, m=10, dt=1e-3, T=0.02, initial="random", stride=5)
+    tr_e, tr_r = run(cfg), run(replace(cfg, alpha=0.6))
+    for a, b in ((tr_e, tr_r), (tr_r, tr_e)):
+        with pytest.raises(ValueError, match=rf"share alpha, got {a.config.alpha} and "
+                                             rf"{b.config.alpha}"):
+            weak_continuity_terms(a, b, catalog()["quartic"], delta=0.1)
+
+
 def test_check_weak_continuity_runs_one_ensemble(monkeypatch):
     calls = []
 

@@ -199,6 +199,25 @@ def test_analytic_tensor_equals_grid_tensor(m, alpha):
     assert np.abs(_to_dense(ta) - _to_dense(tg)).max() < 1e-12
 
 
+@pytest.mark.parametrize("m, extra_K", [(1, 0), (7, 1), (36, 0), (GRID_MIN_M, 0), (100, 0)])
+def test_grid_tensor_equals_per_row_bilinear_route(m, extra_K):
+    # tensor() runs every row on one workspace and one native identity; the
+    # route it replaced, bilinear() on (e_j, e_k) one row at a time, is its
+    # oracle bit for bit, on squares the modes fill and on ones they do not
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)) + extra_K)
+    gp = GridProducts(basis, m, 0.35)
+    eye = np.eye(m)
+    parts = []
+    for j in range(m):
+        g = gp.bilinear(np.broadcast_to(eye[j], eye.shape), eye)
+        k, l = np.nonzero(np.abs(g) > 1e-13)
+        parts.append((np.full(len(k), j, dtype=np.intp), k, l, g[k, l]))
+    got = gp.tensor()
+    for a, b in zip((got.j, got.k, got.l, got.vals), (np.concatenate(p) for p in zip(*parts))):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (got.m, got.alpha, got.mode) == (m, 0.35, "grid")
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.sampled_from(SWITCH_SIDE_MS),

@@ -86,30 +86,30 @@ def test_each_weak_form_makes_one_product_call_on_psi_powers(monkeypatch, theta)
 
 
 def test_only_n1_builds_its_left_factor(monkeypatch, theta):
-    # N1's left factor is the commutator (power 0, power -1) of the projected
-    # gradient of every power; the N2 forms differentiate power 0 alone
-    grads, comms = [], []
-    real_grad, real_comm = weakform._gradient_coeffs, weakform._commutator
+    # N1 pairs the projected gradient of Lambda^alpha psi, so n_total
+    # differentiates the stack of both powers and the N2 forms power 0 alone;
+    # the forms pair the terms of each commutator apart, so none is built
+    grads = []
+    real_grad = weakform._gradient_coeffs
 
     def grad(F, N, K_out):
         grads.append(F.shape[:-2])
         return real_grad(F, N, K_out)
 
-    def comm(T, w, i, j):
-        comms.append((i, j))
-        return real_comm(T, w, i, j)
+    def no_commutator(*args):
+        raise AssertionError("a commutator array was built")
 
     monkeypatch.setattr(weakform, "_gradient_coeffs", grad)
-    monkeypatch.setattr(weakform, "_commutator", comm)
+    monkeypatch.setattr(commutators, "_commutator", no_commutator)
+    assert not hasattr(weakform, "_commutator")
     psi = apply_lambda_power(theta, -0.4)
     phi = catalog()["quartic"]
     n_total(psi, phi, 0.4)
-    assert grads == [(2,)] and (0, -1) in comms
+    assert grads == [(2,)]
     for form in (lambda: n2(psi, phi, 0.4), lambda: n2_alt(psi, phi, 0.4, delta=0.2)):
         grads.clear()
-        comms.clear()
         form()
-        assert grads == [(1,)] and (0, -1) not in comms
+        assert grads == [(1,)]
 
 
 def test_lambda_power_is_one_read_only_square_per_cutoff_and_power(theta, monkeypatch):

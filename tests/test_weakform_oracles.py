@@ -12,6 +12,12 @@ oracle of the factored classical_transport.  The weak forms and the
 transport leave the grid to these oracles, and the commutators to
 comm_lambda_grad's output.  Closed-form sums of the eigenfunctions are the
 oracle of synthesize and gradient.
+
+The coefficient-space route the pairings replaced, commutator arrays
+w T_i - T_j paired by (a * b).sum, stays here too, as the oracle of the
+expanded dot-product pairings of every weak form and of
+weak_continuity_terms; the same route on absolute values gives each
+pairing's sum of absolute terms, the scale of its rounding.
 """
 
 import numpy as np
@@ -27,6 +33,7 @@ from gsqg.basis import (
     SpectralField,
     _analyze_square,
     _coeff_square,
+    _gradient_coeffs,
     _gradient_projection,
     _gradient_square,
     _lambda_power,
@@ -40,8 +47,10 @@ from gsqg.basis import (
 )
 from gsqg.commutators import (
     Multiplier,
+    _band_weights,
     _cross_factors,
     _mult_products,
+    _power_stack,
     _product_maps,
     comm_lambda_grad,
     comm_lambda_mult,
@@ -53,7 +62,7 @@ from gsqg.commutators import (
 from gsqg.experiments import weak_continuity_terms
 from gsqg.fractional import apply_lambda_power
 from gsqg.galerkin import SimConfig, Trajectory
-from gsqg.weakform import classical_transport, n1, n2, n2_alt
+from gsqg.weakform import classical_transport, n1, n2, n2_alt, n_total
 from gsqg.weakform import test_function_catalog as catalog
 
 from oracles import perp_gradient
@@ -241,6 +250,159 @@ def test_weak_continuity_terms_do_not_depend_on_the_block(alpha, K, pad, seed, n
         blocks = weak_continuity_terms(tr_e, tr_r, phi, delta, pad)
     for key in whole:
         assert _close(blocks[key], whole[key]), key
+
+
+def _array_factors(A, phi, N, K_pad, alpha, delta=None, magnitude=False):
+    """N1's factors (comm, r0) and N2's (perp, rights) of (..., K, K) squares
+    A as commutator arrays w T_i - T_j, rights [n2's] or, with delta, [shift,
+    plain]; with magnitude, every factor's absolute value and w |T_i| + |T_j|
+    in place of each commutator."""
+    sign = 1.0 if magnitude else -1.0
+    lift = np.abs if magnitude else (lambda x: x)
+
+    def comm(T, weights, i, j):
+        return [w * t[..., i, :, :] + sign * t[..., j, :, :] for w, t in zip(weights, T)]
+
+    K = A.shape[-1]
+    bands = ((K, K_pad), (K_pad, K))
+    F = _power_stack(A, (0.0, alpha) if delta is None else (0.0, delta, alpha))
+    d_x, d_y = _gradient_coeffs(F, N, K_pad)
+    perp = [lift(-d_y), lift(d_x)]
+    R = [lift(r) for r in _mult_products(phi._grad_values, N, F, bands)]
+    if delta is None:
+        rights = [comm(R, _band_weights(bands, alpha), 0, 1)]
+    else:
+        w_shift = _band_weights(bands, alpha - delta)
+        plain = comm(R, _band_weights(bands, delta), 0, 1)
+        rights = [comm(R, w_shift, 1, 2), [w * c for w, c in zip(w_shift, plain)]]
+    n1_left = comm(perp, _band_weights(bands, alpha), 0, -1)
+    return n1_left, [t[..., 0, :, :] for t in perp], [t[..., 0, :, :] for t in R], rights
+
+
+def _array_pair(left, right):
+    return sum((a * b).sum(axis=(-2, -1)) for a, b in zip(left, right))
+
+
+def _array_forms(A, phi, N, K_pad, alpha, delta, magnitude=False):
+    """{n1, n2, shift, plain} of the squares A by the array route, one value
+    per leading index; with magnitude, the sums of their absolute terms."""
+    comm, perp, r0, (right,) = _array_factors(A, phi, N, K_pad, alpha, None, magnitude)
+    *_, (shift, plain) = _array_factors(A, phi, N, K_pad, alpha, delta, magnitude)
+    return {"n1": _array_pair(comm, r0), "n2": _array_pair(perp, right),
+            "shift": _array_pair(perp, shift), "plain": _array_pair(perp, plain)}
+
+
+def _array_transport(A, phi, N, alpha, magnitude=False):
+    """classical_transport of theta's square A as sum A * (p1 - p0), or
+    sum |A| (|p1| + |p0|)."""
+    K = A.shape[-1]
+    p0, p1 = _mult_products(
+        phi._grad_values, N, _lambda_power(K, -alpha) * A, [(K, K)] * 2, (1, 0))
+    if magnitude:
+        return float(np.sum(np.abs(A) * (np.abs(p1) + np.abs(p0))))
+    return float(np.sum(A * (p1 - p0)))
+
+
+def _array_weak_continuity(traj_eps, traj_ref, phi, delta, pad, magnitude=False):
+    """weak_continuity_terms by the array route, all snapshots in one block;
+    with magnitude, the time integrals of the sums of absolute terms."""
+    alpha = traj_eps.config.alpha
+    big = padded_basis(traj_eps.basis, pad)
+    sign = 1.0 if magnitude else -1.0
+    pe, pr = (np.stack([_coeff_square(apply_lambda_power(tr.state_at(i), -alpha))
+                        for i in range(len(tr.times))]) for tr in (traj_eps, traj_ref))
+    comm, perp, r0, (shift, plain) = _array_factors(
+        np.stack([pe - pr, pe, pr]), phi, padded_grid(big).N, big.K, alpha, delta, magnitude)
+    d, e, r = 0, 1, 2
+
+    def pair(left, right, li, ri):
+        return _array_pair([c[li] for c in left], [c[ri] for c in right])
+
+    v1 = pair(comm, r0, [d, r, e, r], [e, d, e, r])
+    vs = pair(perp, shift, [d, r, e, r], [e, d, e, r])
+    vp = pair(perp, plain, [d, e, e, r], [r, d, e, r])
+    terms = np.stack([v1[0], v1[1], sign * vs[0], sign * vs[1], sign * vp[0], sign * vp[1]], 1)
+    n_eps, n_ref = 0.5 * (v1[2:] + sign * vs[2:] + sign * vp[2:])
+    t = traj_eps.times
+    out = {f"I{j + 1}": float(np.trapezoid(terms[:, j], t)) for j in range(6)}
+    out["sum"] = float(np.trapezoid(terms.sum(axis=1), t))
+    out["two_delta_n"] = float(np.trapezoid(2.0 * (n_eps + sign * n_ref), t))
+    return out
+
+
+#: a pairing's rounding against its sum of absolute terms |x_i y_i|: 1.6e-16
+#: at most over 300 random draws of K, pad, alpha, delta and phi, where a dot
+#: product of n <= K K' = 1632 terms is bounded by n eps, 3.6e-13
+PAIRING_RTOL = 1e-14
+
+wide_cutoffs = st.integers(3, 24)
+int_pads = st.integers(1, 8).map(float)
+delta_fracs = st.floats(0.05, 0.95)
+
+
+def _assert_paired_close(got, want, scale):
+    assert np.all(np.abs(np.asarray(got) - want) <= PAIRING_RTOL * np.asarray(scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=alphas, frac=delta_fracs, K=wide_cutoffs, pad=int_pads, seed=seeds, name=phis,
+       lead=st.lists(st.integers(1, 3), max_size=2))
+@example(alpha=0.3, frac=0.5, K=24, pad=8.0, seed=0, name="skew_bump", lead=[2, 3])
+def test_weak_forms_equal_commutator_array_route(alpha, frac, K, pad, seed, name, lead):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    phi = catalog()[name]
+    delta = frac * min(alpha, 1.0 - alpha)
+    big = padded_basis(basis, pad)
+    N = padded_grid(big).N
+    # the public forms of one field
+    theta = SpectralField(basis, rng.standard_normal(basis.size) / basis.eigenvalues)
+    psi = apply_lambda_power(theta, -alpha)
+    A = _coeff_square(psi)
+    want = _array_forms(A, phi, N, big.K, alpha, delta)
+    scale = _array_forms(A, phi, N, big.K, alpha, delta, magnitude=True)
+    v = n_total(psi, phi, alpha, pad)
+    _assert_paired_close(n1(psi, phi, alpha, pad), want["n1"], scale["n1"])
+    _assert_paired_close(n2(psi, phi, alpha, pad), want["n2"], scale["n2"])
+    _assert_paired_close(v.n1, want["n1"], scale["n1"])
+    _assert_paired_close(v.n2, want["n2"], scale["n2"])
+    _assert_paired_close(v.n_total, 0.5 * (want["n1"] - want["n2"]),
+                         0.5 * (scale["n1"] + scale["n2"]))
+    _assert_paired_close(n2_alt(psi, phi, alpha, delta, pad), want["shift"] + want["plain"],
+                         scale["shift"] + scale["plain"])
+    At = _coeff_square(theta)
+    _assert_paired_close(classical_transport(theta, alpha, phi, pad),
+                         _array_transport(At, phi, N, alpha),
+                         _array_transport(At, phi, N, alpha, magnitude=True))
+    # every form of a leading batch of squares, one value per square
+    A = rng.standard_normal((*lead, K, K)) * _lambda_power(K, -2.0)
+    want = _array_forms(A, phi, N, big.K, alpha, delta)
+    scale = _array_forms(A, phi, N, big.K, alpha, delta, magnitude=True)
+    names = ("n1", "n2", "shift", "plain")
+    got = weakform._forms(weakform._factors(A, phi, N, big.K, alpha, delta), alpha, delta, names)
+    for key, value in zip(names, got):
+        assert np.shape(value) == tuple(lead)
+        _assert_paired_close(value, want[key], scale[key])
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=alphas, frac=delta_fracs, K=wide_cutoffs, pad=int_pads, seed=seeds,
+       n_t=st.integers(2, 6), name=phis)
+def test_weak_continuity_terms_equal_commutator_array_route(alpha, frac, K, pad, seed, n_t, name):
+    basis = build_rectangle_basis(K)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 0.1, n_t)
+    m_eps, m_ref = rng.integers(1, basis.size, endpoint=True, size=2)
+    tr_e = _fake_trajectory(basis, int(m_eps), alpha, times, rng)
+    tr_r = _fake_trajectory(basis, int(m_ref), alpha, times, rng)
+    phi = catalog()[name]
+    delta = frac * min(alpha, 1.0 - alpha)
+    got = weak_continuity_terms(tr_e, tr_r, phi, delta, pad)
+    want = _array_weak_continuity(tr_e, tr_r, phi, delta, pad)
+    scale = _array_weak_continuity(tr_e, tr_r, phi, delta, pad, magnitude=True)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= PAIRING_RTOL * scale[key], key
 
 
 def _root_distance(X, Y):
