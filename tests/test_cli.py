@@ -205,6 +205,27 @@ def test_cli_unstable_config_exits_2_before_integrating(tmp_path, capsys):
              "stability number")
 
 
+@pytest.mark.parametrize("command, epsilon", [
+    (["simulate"], "0.0"), (["sweep", "viscosity", "--values", "0.01,0"], "0.01"),
+])
+def test_cli_blowup_exits_3_naming_the_step_and_leaves_no_directory(
+        tmp_path, capsys, command, epsilon):
+    # coefficients of size 1e3 at dt = 1e-2 leave the threshold at step 2;
+    # a sweep names its first member that crossed
+    big = tmp_path / "big.bin"
+    write_snapshot(big, Snapshot(16, 0.5, 0.0, 0.0,
+                                 np.random.default_rng(0).standard_normal(16) * 1e3))
+    p = tmp_path / "run.ini"
+    p.write_text(CONFIG.replace("epsilon = 0.01", "epsilon = 0").replace("dt = 1e-3", "dt = 1e-2")
+                 .replace("single_mode", f"file:{big}"))
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(p), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blow-up abort: integrator blow-up at t=0.02 (step 2): "), err
+    assert f"epsilon={epsilon}, dt=0.01" in err
+    assert not out.exists()
+
+
 def test_cli_simulate_outputs(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0

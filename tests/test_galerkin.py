@@ -1187,7 +1187,26 @@ def test_run_ensemble_equals_per_step_oracle(m, stride, members):
     # states and end on a partial block, except for one state at m = 16
     cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.3, stride=stride,
                     initial="random_rough", seed=6)
-    configs = [replace(cfg, epsilon=e) for e in (0.3, 0.02, 0.0, 0.1, 1e-3, 0.05)[:members]]
+    _assert_equals_per_step_oracle(
+        [replace(cfg, epsilon=e) for e in (0.3, 0.02, 0.0, 0.1, 1e-3, 0.05)[:members]])
+
+
+@pytest.mark.parametrize("members, steps_per_block", [(8, 1), (4, 2)])
+def test_run_ensemble_equals_per_step_oracle_in_blocks_of_one_and_two_steps(
+        members, steps_per_block):
+    # at m = 1024 a member's native state is the (32, 1, 32) square, so a
+    # block of BLOCK_VALUES values holds one step of 8 members and two of 4;
+    # 11 steps at stride 3 end on a partial block for 4
+    cfg = SimConfig(alpha=0.45, m=1024, dt=1e-3, T=0.011, stride=3,
+                    initial="random_rough", seed=6)
+    configs = [replace(cfg, epsilon=e)
+               for e in (0.3, 0.02, 0.0, 0.1, 1e-3, 0.05, 0.2, 0.01)[:members]]
+    ev = galerkin.nonlinearity(build_rectangle_basis(cfg.basis_cutoff()), 1024, cfg.alpha)
+    assert galerkin.BLOCK_VALUES // ev.native(np.zeros((members, 1024))).size == steps_per_block
+    _assert_equals_per_step_oracle(configs)
+
+
+def _assert_equals_per_step_oracle(configs):
     for tr, (times, snaps, diag) in zip(run_ensemble(configs), _run_per_step_oracle(configs)):
         assert _same_bits(tr.times, times)
         assert _same_bits(tr.snaps, snaps)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsqg import basis as basis_module
-from gsqg import commutators, weakform
+from gsqg import commutators, verify, weakform
 from gsqg.basis import QuadratureGrid, SpectralField, _lambda_power, build_rectangle_basis
 from gsqg.commutators import comm_lambda_mult, comm_neg_lambda_mult, multiplier_catalog
 from gsqg.fractional import apply_lambda_power
@@ -166,6 +166,31 @@ def test_n2_equals_n2_alt(theta, alpha):
         if delta >= min(alpha, 1.0 - alpha):
             continue
         assert abs(n2_alt(psi, phi, alpha, delta) - base) < 1e-6 * scale
+
+
+def test_delta_limits_check_sees_a_wrong_delta_power(monkeypatch):
+    # stacking power delta + 0.1 for delta keeps n2_alt = n2, where the
+    # R_delta terms cancel, and moves the spreads of plain(delta)/delta and
+    # shift(delta)/(alpha - delta) to 50% and 102% (0.6% and 0.3% without)
+    assert verify.check_delta_limits().passed
+    power_stack = weakform._power_stack
+
+    def wrong_delta(F, powers):
+        if len(powers) == 3:
+            powers = (powers[0], powers[1] + 0.1, powers[2])
+        return power_stack(F, powers)
+
+    monkeypatch.setattr(weakform, "_power_stack", wrong_delta)
+    assert verify.check_representation_equivalence().passed
+    result = verify.check_delta_limits()
+    assert not result.passed and result.observed > 0.5, result.line()
+
+
+def test_delta_limits_run_at_full_only():
+    # perfbench's verify_quick expects exactly 10 checks at quick
+    quick, full = ([r.name for r in verify.run_suite(level)] for level in ("quick", "full"))
+    assert len(quick) == 10 and "delta_limits" not in quick
+    assert len(full) == 13 and "delta_limits" in full
 
 
 @pytest.mark.parametrize("pad", [float("nan"), float("inf")])
