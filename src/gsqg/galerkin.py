@@ -11,20 +11,23 @@ stream-function (Hamiltonian) balances alongside the state.
 Two evaluators of the quadratic term share one interface: `.m`, a native
 layout of the state that `.native(theta)` and `.modes(x, shape)` convert to
 and from, `.neg_rhs(visc)`, which given the viscous diagonal eps lambda in
-mode order returns the map x -> -N(x) - visc x in the native layout, and
-`.quadratic(theta)`, N(theta) in mode order.  theta is one state of shape
-(m,) or a batch of shape (B, m), and results have the same shape.  The RK4
-stepper of run_ensemble builds the neg_rhs map once per run; the per-step
-rhs() and step(), its test oracle, run the same map, built per call, in
-mode order.
+mode order returns the map (x, out) -> out writing -N(x) - visc x for
+native x into out, and `.quadratic(theta)`, N(theta) in mode order.  theta
+is one state of shape (m,) or a batch of shape (B, m), and results have the
+same shape.  A map owns its work arrays (one run's), its caller x and out.
+The RK4 stepper _advance builds the map once per run and allocates every
+array a step writes once per run: the slots and stage buffer of _rk4, the
+one RK4 step, and the blocks it yields.  The per-step rhs() and step(), its
+test oracle, build the map and buffers per call, in mode order.
 
 - GalerkinTensor, the about 2 m^2 nonzeros of gamma_jkl, assembled in
   closed form by assemble_tensor with array operations over all mode pairs
   at once.  Its native layout is mode order plus a trailing 1, the factor of
   the viscous terms in the contraction.  Below GRID_MIN_M, where runs use
   it, a contraction is two vector-matrix products with a dense matrix of
-  -gamma, O(m^3) flops in two BLAS calls; from there on, where it is the
-  grid path's test oracle, one gather and one bincount over the nonzeros.
+  -gamma, O(m^3) flops in two BLAS calls, the viscous diagonal folded into
+  the matrix for one state; from there on, where it is the grid path's
+  test oracle, one gather and one bincount over the nonzeros.
 - GridProducts, which samples grad psi and grad theta on N x N interior nodes,
   multiplies pointwise and projects back with dense sine/cosine matrices.
   Along each axis the integrand of gamma_jkl is a product of three sines or
@@ -88,14 +91,14 @@ PI = np.pi
 #: switch reads m only, so an ensemble member keeps the bits of its solo run.
 #: Below it runs the one-state traffic of run_suite("quick"), above all its
 #: weak_residual check's 12,002 evaluations at m = 16, where one grid
-#: right-hand side costs 2.5 tensor ones (7.6 against 3.0 us; grid products
-#: at every m once took the benchmark's verify_quick median up 22-26%).  From
-#: it on run simulate and the viscosity sweeps at m = 64 and 256
-#: (simulate_m256, sweep_visc_m64), where the tensor loses (0.73-0.88 against
-#: 0.016-0.021 ms at m = 256).  The one-state crossover lies between m = 30
-#: and 33 (6.6 against 7.7 us at 30, 8.4 against 7.8 us at 33), but no
-#: workload runs 30 <= m < 40 and moving the switch would change the bits of
-#: such runs.
+#: right-hand side costs about 4 tensor ones (5.1-5.7 against 1.3-1.4 us;
+#: grid products at every m once took the benchmark's verify_quick median up
+#: 22-26%).  From it on run simulate and the viscosity sweeps at m = 64 and
+#: 256 (simulate_m256, sweep_visc_m64), where the tensor loses (0.55-0.61
+#: against 0.008-0.010 ms at m = 256).  The one-state crossover lies near
+#: m = 33 (4.9-5.0 against 5.7-5.9 us at 30, 6.1-6.2 against 5.9-6.1 us at
+#: 33; timeit minimum, one BLAS thread), but no workload runs 30 <= m < 40
+#: and moving the switch would change the bits of such runs.
 GRID_MIN_M = 40
 
 #: values in one block of stacked states (64 kB): run_ensemble converts,
@@ -171,8 +174,9 @@ class GalerkinTensor:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
         for theta of shape (m,) or (B, m): the contraction of neg_rhs with no
         viscous term, negated."""
+        x = self.native(theta)
         neg_n = self.neg_rhs(np.zeros(theta.shape))
-        return -self.modes(neg_n(self.native(theta)), theta.shape)
+        return -self.modes(neg_n(x, np.empty_like(x)), theta.shape)
 
     def native(self, theta: np.ndarray) -> np.ndarray:
         """theta, (m,) or (B, m), in mode order plus a trailing 1 (native)."""
@@ -182,49 +186,57 @@ class GalerkinTensor:
         """Native states x, (..., m + 1), in mode order (a view)."""
         return x[..., :-1]
 
-    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> -N(x) - visc x for native states x, visc the viscous diagonal
-        in mode order, (m,) or (B, m).  Below GRID_MIN_M the map contracts
-        W, the dense (m + 1) x (m + 1)^2 matrix of -gamma (512 kB at m = 39)
-        with rows j and columns k (m + 1) + l, built once and shared by all
-        rows: y = x W is (m + 1, m + 1), its trailing row k = m gets
-        -visc_l x_l (x_m = 1), and x y is the right-hand side, whose
-        trailing entry sums only zeros and keeps every RK4 stage's x_m at 1.
-        A batch goes through a stacked matmul, one gemv per row, for the
-        bits of each row's solo x.dot.  The map owns y: one run's."""
+    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(x, out) -> out = -N(x) - visc x for native states x, visc the
+        viscous diagonal in mode order, (m,) or (B, m).  Below GRID_MIN_M
+        the map contracts W, the dense (m + 1) x (m + 1)^2 matrix of -gamma
+        (512 kB at m = 39) with rows j and columns k (m + 1) + l: y = x W is
+        (m + 1, m + 1), its trailing row k = m holds -visc_l x_l (x_m = 1),
+        and x y is the right-hand side, whose trailing entry sums only zeros
+        and keeps every RK4 stage's x_m at 1.  One state's W holds -visc_l
+        at (l, m, l), that column's only nonzero product being x_l (-visc_l),
+        as a multiply would form it.  A batch shares W, sets the row by a
+        multiply and runs a stacked matmul, one gemv per row, for the bits
+        of each row's solo x.dot.  The map owns y: one run's."""
         m, lead = self.m, visc.shape[:-1]
         if m >= GRID_MIN_M:
             return self._gather_neg_rhs(visc)
         m1, neg_visc = m + 1, -visc
         flat = np.ravel_multi_index((self.j, self.k, self.l), (m1, m1, m1))
         W = np.bincount(flat, -self.vals, m1**3).reshape(m1, m1 * m1)
+        # bincount of no entries returns integers, which would cut the fold
+        W = W.astype(float, copy=False)
         y = np.empty(lead + (m1 * m1,))
         Y = y.reshape(lead + (m1, m1))
-        viscous_row, y_stack = Y[..., m, :m], y[..., None, :]
 
         # ndarray.dot for one state: the matmul ufunc's set-up costs about
-        # 2 us, 0.7 of the whole map at m = 16
+        # 2 us, more than the whole folded map at m = 16 (1.3-1.4 us)
         if not lead:
-            def neg_rhs(x):
+            W.reshape(m1, m1, m1)[np.arange(m), m, np.arange(m)] = neg_visc
+
+            def neg_rhs(x, out):
                 x.dot(W, out=y)
-                np.multiply(neg_visc, x[:m], out=viscous_row)
-                return x.dot(Y)
+                return x.dot(Y, out=out)
             return neg_rhs
 
-        def neg_rhs(x):
+        viscous_row, y_stack = Y[..., m, :m], y[..., None, :]
+
+        def neg_rhs(x, out):
             x_stack = x[..., None, :]
             np.matmul(x_stack, W, out=y_stack)
             np.multiply(neg_visc, x[..., :m], out=viscous_row)
-            return np.matmul(x_stack, Y).reshape(x.shape)
+            np.matmul(x_stack, Y, out=out[..., None, :])
+            return out
 
         return neg_rhs
 
-    def _gather_neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def _gather_neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """neg_rhs from m = GRID_MIN_M on, where W would hold (m + 1)^3
         values: the m terms (-visc_l) x_l x_m, x_m = 1, follow the tensor's
         own terms into bin l (b (m + 1) + l for row b), so one gather and
         one bincount give each bin its tensor sum minus visc_l x_l, and the
-        trailing bin stays 0.  Indices and bins are built once, writeable."""
+        trailing bin stays 0; out gets a copy.  Indices and bins are built
+        once, writeable."""
         m, n, lead = self.m, self.nnz + self.m, visc.shape[:-1]
         modes = np.arange(m)
         jk = np.concatenate([self.j, modes, self.k, np.full(m, m)])
@@ -233,10 +245,11 @@ class GalerkinTensor:
         bins = (np.concatenate([self.l, modes]) + (m + 1) * rows).ravel()
         size = (m + 1) * rows.size
 
-        def neg_rhs(x):
+        def neg_rhs(x, out):
             pairs = x.take(jk, axis=-1)
             terms = weights * pairs[..., :n] * pairs[..., n:]
-            return np.bincount(bins, terms.ravel(), size).reshape(x.shape)
+            out[...] = np.bincount(bins, terms.ravel(), size).reshape(x.shape)
+            return out
 
         return neg_rhs
 
@@ -413,27 +426,23 @@ class GridProducts:
     def modes(self, x: np.ndarray, shape: tuple) -> np.ndarray:
         """Native states x, (..., K, n, K), in mode order: (...) + shape for
         the mode-order state shape, (m,) or (n, m)."""
-        return x.reshape(x.shape[:-3] + (-1,)).take(self._positions(shape), axis=-1)
+        flat = x.reshape(x.shape[:-3] + (math.prod(x.shape[-3:]),))
+        return flat.take(self._positions(shape), axis=-1)
 
-    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> -N(x) - visc x for native states x, visc the viscous diagonal
-        in mode order, (m,) or (B, m).  The map owns work arrays: one run's."""
+    def neg_rhs(self, visc: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(x, out) -> out = -N(x) - visc x for native states x, visc the
+        viscous diagonal in mode order, (m,) or (B, m).  The map owns work
+        arrays: one run's."""
         visc = self.native(visc)
-        neg_product, vx = self._neg_product(visc.shape[1]), np.empty_like(visc)
+        return self._neg_product(visc.shape[1], visc)
 
-        def neg_rhs(x):
-            out = neg_product(x, x)
-            out -= np.multiply(visc, x, out=vx)
-            return out
-
-        return neg_rhs
-
-    def _neg_product(self, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """(a, b) -> -P_m(perp-grad Lambda^{-alpha} a . grad b) for native a
-        and b of n states, on work arrays allocated here once.  psi =
-        Lambda^{-alpha/2} a and b are (K, nK) matrices, so each product is one
-        2-d GEMM whatever n is.  Only the last GEMM allocates: the result is
-        never a work array, since the RK4 loop keeps and reuses results."""
+    def _neg_product(self, n: int, visc: np.ndarray | None = None) -> Callable[..., np.ndarray]:
+        """(a, out, b=a) -> out = -P_m(perp-grad Lambda^{-alpha} a . grad b)
+        - visc a for native a, b and out of n states (no viscous term without
+        visc), on work arrays allocated here once.  psi = Lambda^{-alpha/2} a
+        and b are (K, nK) matrices, so each product is one 2-d GEMM whatever
+        n is.  The last GEMM writes into out, which the mask and the viscous
+        term then update in place; out must not overlap a or b."""
         K, N = self.K, self.N
         dC, S, St, dCt, neg_proj, mask = (
             self._dC, self._S, self._St, self._dCt, self._neg_proj, self._mask)
@@ -449,10 +458,11 @@ class GridProducts:
         Z0, Z1 = X.reshape(2, N, n * N)
         P = np.empty((K, n * N))
         psi3, Pr = psi.reshape(K, n, K), P.reshape(n * K, N)
+        va = None if visc is None else np.empty_like(visc)
 
-        def neg_product(a, b):
+        def neg_product(a, out, b=None):
             np.multiply(scale, a, out=psi3)
-            b = b.reshape(K, n * K)
+            b = (a if b is None else b).reshape(K, n * K)
             # ndarray.dot, not @: on matrices this small the matmul ufunc's
             # set-up costs more than the product (1.9 against 0.5 us at m = 64)
             dC.dot(psi, out=psi_x)
@@ -463,9 +473,11 @@ class GridProducts:
             XY_y.dot(dCt, out=Y)
             np.multiply(X, Y, out=X)
             neg_proj.dot(np.subtract(Z0, Z1, out=Z0), out=P)
-            out = Pr.dot(S).reshape(K, n, K)
+            Pr.dot(S, out=out.reshape(n * K, K))
             if mask is not None:
                 out *= mask
+            if visc is not None:
+                out -= np.multiply(visc, a, out=va)
             return out
 
         return neg_product
@@ -475,7 +487,8 @@ class GridProducts:
         for a and b of one shape, (m,) or (B, m); the products broadcast over
         B.  The native contraction, converted from and to mode order."""
         x = self.native(a)
-        return -self.modes(self._neg_product(x.shape[1])(x, self.native(b)), a.shape)
+        neg_product = self._neg_product(x.shape[1])
+        return -self.modes(neg_product(x, np.empty_like(x), self.native(b)), a.shape)
 
     def quadratic(self, theta: np.ndarray) -> np.ndarray:
         """(sum_jk gamma_jkl theta_j theta_k)_l, the nonlinear part of the ODE,
@@ -490,11 +503,11 @@ class GridProducts:
         (row, column) for every member and zero elsewhere."""
         eye = np.eye(self.m)
         neg_product, b = self._neg_product(self.m), self.native(eye)
-        pos, a = self._positions(eye.shape), np.zeros_like(b)
+        pos, a, out = self._positions(eye.shape), np.zeros_like(b), np.empty_like(b)
         parts = []
         for j in range(self.m):
             a[self._j[j], :, self._k[j]] = 1.0
-            g = -neg_product(a, b).reshape(-1).take(pos)  # (k, l)
+            g = -neg_product(a, out, b).reshape(-1).take(pos)  # (k, l)
             a[self._j[j], :, self._k[j]] = 0.0
             k, l = np.nonzero(np.abs(g) > 1e-13)
             parts.append((np.full(len(k), j, dtype=np.intp), k, l, g[k, l]))
@@ -529,7 +542,8 @@ def rhs(
     if theta.shape[-1:] != (tensor.m,):
         raise ValueError(f"state length {theta.shape} does not match m={tensor.m}")
     visc = np.broadcast_to(np.multiply.outer(eps, eigvals), theta.shape)
-    out = tensor.modes(tensor.neg_rhs(visc)(tensor.native(theta)), theta.shape)
+    x = tensor.native(theta)
+    out = tensor.modes(tensor.neg_rhs(visc)(x, np.empty_like(x)), theta.shape)
     # the tensor's modes are a view of its (..., m + 1) native array
     return out if out.base is None else out.copy()
 
@@ -560,34 +574,42 @@ def step(
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
 
-    def f(x):
-        return rhs(x, tensor, eps, eigvals)
+    def f(x, out):
+        out[...] = rhs(x, tensor, eps, eigvals)
+        return out
 
     th, t = state.coeffs, state.t + dt
-    new = _rk4(f, th, f(th) if k1 is None else k1, dt)
+    k = np.empty((4,) + th.shape)
+    k[0] = rhs(th, tensor, eps, eigvals) if k1 is None else k1
+    new = _rk4(f, th, k, np.empty_like(th), dt, np.empty_like(th))
     if not np.abs(new).max(initial=0.0) <= BLOWUP_THRESHOLD:  # nan fails too
         raise _blowup(new[None], [t], eps, dt, float(np.max(eigvals)))
     return GalerkinState(t, new)
 
 
-def _rk4(f, th: np.ndarray, k1: np.ndarray, dt: float, out: np.ndarray | None = None):
-    """th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), the classical RK4 step from th
-    with k1 = f(th) given, written to `out` (by default into k2's array).
-    f must return a new array; k1 is left unchanged."""
-    h = 0.5 * dt
-    k2 = f(th + h * k1)
-    k3 = f(th + h * k2)
-    k4 = f(th + dt * k3)
-    # built in k2 with the same operations in the same association as the
-    # formula, operands swapped only
-    new = k2
-    new *= 2.0
-    new += k1
-    k3 *= 2.0
-    new += k3
-    new += k4
-    new *= dt / 6.0
-    return np.add(new, th, out=new if out is None else out)
+def _rk4(f, th: np.ndarray, k, s: np.ndarray, dt: float, out: np.ndarray):
+    """th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), the classical RK4 step from th,
+    written to `out` and returned, for f(x, out) writing the right-hand side
+    at x into out.  k holds four slots of th's shape (the rows of a (4,) +
+    th.shape array): k1 = f(th) in the first, left unchanged, and k2, k3
+    (doubled) and k4 written to the others; the stage states and the
+    combination are built in s.  out may be th but no other argument."""
+    k1, k2, k3, k4 = k
+    # 0-d arrays, and 2 k as k + k (exact): a ufunc converts a Python float
+    # at about 0.3 us a call, and these took an m = 16 step from 11.1 to 10.1 us
+    h, dt, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+    # every operation as in the formula th + h k with operands swapped only,
+    # and the combination ((2 k2 + k1) + 2 k3 + k4) dt/6 + th in that order
+    f(np.add(np.multiply(k1, h, s), th, s), k2)
+    f(np.add(np.multiply(k2, h, s), th, s), k3)
+    f(np.add(np.multiply(k3, dt, s), th, s), k4)
+    np.add(k2, k2, s)
+    s += k1
+    np.add(k3, k3, k3)
+    s += k3
+    s += k4
+    s *= sixth
+    return np.add(s, th, out)
 
 
 def _blowup(states, t, eps, dt, lam_max, first=None) -> BlowUpError:
@@ -770,10 +792,11 @@ def run_ensemble(configs: list[SimConfig]) -> list[Trajectory]:
     _check_ensemble(configs, lam_max)
     evaluator = nonlinearity(basis, m, alpha)
     # the state is (B, m), or (m,) for one member: on the tensor a (1, m)
-    # state goes through the matmul ufunc, whose set-up made one right-hand
-    # side cost 4.0 against 2.2 us at m = 16 and 10.7 against 8.8 us at
-    # m = 36; grid products run the same GEMMs for both (6.3 against 6.4 us
-    # at m = 64; timeit minimum, one BLAS thread)
+    # state goes through the matmul ufunc and the viscous multiply, which
+    # made one right-hand side cost 3.5-3.7 against 1.3-1.4 us at m = 16 and
+    # 10.3-10.8 against 8.0-8.5 us at m = 36; grid products run the same
+    # GEMMs for both (5.5-5.9 us either way at m = 64; timeit minimum, one
+    # BLAS thread)
     B = len(configs)
     lead = (B,) if B > 1 else ()
     eps = np.array([cfg.epsilon for cfg in configs]).reshape(lead)[()]
@@ -813,25 +836,29 @@ def _advance(evaluator, visc, theta, dt, rec):
     (B, m), to step rec[-1]: yields blocks of mode-order states stacked on
     axis 0, theta alone first, each with the right-hand sides at its steps
     in rec (read-only, valid until the next block).  The steps run in the
-    evaluator's native layout on the map its neg_rhs(visc) builds once,
-    each writing its state into a block of about 64 kB (BLOCK_VALUES); the
-    right-hand side at a record is also the next step's k1, so n steps make
-    exactly 4 n + 1 evaluations."""
+    evaluator's native layout on the map its neg_rhs(visc) builds once and
+    write only arrays allocated here once: _rk4's slots k and buffer s, a
+    block of about 64 kB (BLOCK_VALUES) for the states and one for the
+    right-hand sides at records.  A step ends with the next step's k1, also
+    copied out at a record, so n steps make exactly 4 n + 1 evaluations."""
     f, shape = evaluator.neg_rhs(visc), theta.shape
     x = evaluator.native(theta)
-    k1 = f(x)
-    yield theta[None], evaluator.modes(k1[None], shape)
+    # a tuple of rows, which _rk4 unpacks in a tenth of an array's 1.0 us
+    k, s = tuple(np.empty((4,) + x.shape)), np.empty_like(x)
+    k1 = k[0]
+    yield theta[None], evaluator.modes(f(x, k1)[None], shape)
     n_steps, recorded = int(rec[-1]), set(rec.tolist())
     block = np.empty((min(n_steps, max(1, BLOCK_VALUES // x.size)),) + x.shape)
+    k1s = np.empty_like(block)
     for done in range(0, n_steps, len(block)):
-        nb, k1s = min(len(block), n_steps - done), []
+        nb, nr = min(len(block), n_steps - done), 0
         for i, slot in zip(range(done + 1, done + nb + 1), block):
-            x = _rk4(f, x, f(x) if k1 is None else k1, dt, slot)
-            k1 = f(x) if i in recorded else None
-            if k1 is not None:
-                k1s.append(k1)
-        k1s = evaluator.modes(np.stack(k1s), shape) if k1s else np.empty((0,) + shape)
-        yield evaluator.modes(block[:nb], shape), k1s
+            x = _rk4(f, x, k, s, dt, slot)
+            f(x, k1)
+            if i in recorded:
+                k1s[nr] = k1
+                nr += 1
+        yield evaluator.modes(block[:nb], shape), evaluator.modes(k1s[:nr], shape)
 
 
 def _diagnostics(gh, rec, snaps, k1s, weights, lam_ham, eps, dt) -> dict:

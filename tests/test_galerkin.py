@@ -615,7 +615,7 @@ def test_workspace_contraction_equals_one_shot_oracle(data, K, filled, B, alpha,
     a, b, visc = rng.standard_normal((3,) + shape)
     x, y = gp.native(a), gp.native(b)
     want = _one_shot_neg_product(gp, basis, x, x) - gp.native(visc) * x
-    assert gp.neg_rhs(visc)(x).tobytes() == want.tobytes()
+    assert gp.neg_rhs(visc)(x, np.empty_like(x)).tobytes() == want.tobytes()
     want = -gp.modes(_one_shot_neg_product(gp, basis, x, y), shape)
     assert gp.bilinear(a, b).tobytes() == want.tobytes()
 
@@ -623,8 +623,8 @@ def test_workspace_contraction_equals_one_shot_oracle(data, K, filled, B, alpha,
 @pytest.mark.parametrize("m", (40, 60, 256))
 def test_neg_rhs_closures_of_one_instance_are_independent(m):
     # two runs' right-hand sides from one instance, called in turn, each on
-    # its own workspace; every result is a new array that later calls leave
-    # alone, since the RK4 loop keeps k1s and builds states in k2's array
+    # its own workspace; each writes only the out it is given, which later
+    # calls leave alone
     basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
     lam = basis.eigenvalues[:m]
     visc = (0.01 * lam, np.outer([0.1, 0.0, 3e-3], lam))
@@ -635,12 +635,14 @@ def test_neg_rhs_closures_of_one_instance_are_independent(m):
     interleaved = [[], []]
     for i in range(8):
         for r in (0, 1):
-            interleaved[r].append(shared[r](gp.native(states[r][i])))
+            x = gp.native(states[r][i])
+            interleaved[r].append(shared[r](x, np.empty_like(x)))
     for r, v in enumerate(visc):
         fresh = GridProducts(basis, m, 0.45)
         solo = fresh.neg_rhs(v)
         for got, th in zip(interleaved[r], states[r]):
-            assert np.array_equal(got, solo(fresh.native(th)))
+            x = fresh.native(th)
+            assert np.array_equal(got, solo(x, np.empty_like(x)))
 
 
 def test_run_above_switch_conserves_l2_and_hamiltonian():
@@ -790,13 +792,51 @@ def test_dense_contraction_equals_einsum_oracle(m, B, alpha, seed):
     # one viscosity per row
     visc = np.multiply.outer(rng.random(shape[:-1]), basis.eigenvalues[:m])
     f = tensor.neg_rhs(visc)
-    got = f(tensor.native(theta))
-    f(tensor.native(other))  # a later call on the map's work array leaves got alone
+    x = tensor.native(theta)
+    got = f(x, np.empty_like(x))
+    # a later call on the map's work array leaves got alone
+    f(tensor.native(other), np.empty_like(x))
     want = -np.einsum("jkl,...j,...k->...l", _to_dense(tensor), theta, theta) - visc * theta
     assert got.shape == shape[:-1] + (m + 1,)
     # the trailing entry keeps an RK4 stage's x_m at 1
     assert np.all(got[..., m] == 0.0)
     assert np.abs(got[..., :m] - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, GRID_MIN_M - 1),
+    alpha=st.floats(0.01, 0.99),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, alpha=0.5, eps=0.3, seed=0)  # no nonzeros: W is all fold
+def test_folded_viscous_column_equals_batched_row(m, alpha, eps, seed):
+    # one state's map reads -visc_l x_l off W's column (l, m, l); a batch's
+    # row sets it by a multiply.  Zero coefficients, which single-mode data
+    # keep, and -0 make the viscous products signed zeros
+    basis = build_rectangle_basis(math.ceil(math.sqrt(m)))
+    tensor = assemble_tensor(basis, m, alpha)
+    lam = basis.eigenvalues[:m]
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((2, m))
+    theta[0, rng.random(m) < 0.5] = 0.0
+    theta[0, rng.random(m) < 0.2] = -0.0
+    visc = np.stack([eps * lam, rng.random() * lam])
+    x, xb = tensor.native(theta[0]), tensor.native(theta)
+    solo = tensor.neg_rhs(visc[0])(x, np.empty_like(x))
+    batched = tensor.neg_rhs(visc)(xb, np.empty_like(xb))
+    assert solo.tobytes() == batched[0].tobytes()
+
+
+@pytest.mark.parametrize("m", (16, 64))
+def test_modes_of_no_states_is_empty(m):
+    # a stepper block may hold no record
+    basis = build_rectangle_basis(8)
+    for evaluator in (assemble_tensor(basis, m, 0.4), GridProducts(basis, m, 0.4)):
+        for shape in ((m,), (3, m)):
+            x = evaluator.native(np.zeros(shape))
+            assert evaluator.modes(np.empty((0,) + x.shape), shape).shape == (0,) + shape
 
 
 @pytest.mark.parametrize("m", (16, 64))
@@ -824,7 +864,8 @@ def test_rhs_and_step_return_contiguous_arrays_of_their_own(shape):
     for evaluator in (assemble_tensor(basis, m, 0.4), GridProducts(basis, m, 0.4)):
         got = rhs(th, evaluator, 0.01, lam)
         visc = np.broadcast_to(0.01 * lam, shape)
-        native = evaluator.neg_rhs(visc)(evaluator.native(th))
+        x = evaluator.native(th)
+        native = evaluator.neg_rhs(visc)(x, np.empty_like(x))
         assert np.array_equal(got, evaluator.modes(native, shape))
         new = step(GalerkinState(0.0, th), evaluator, 1e-3, eps=0.01, eigvals=lam).coeffs
         for out in (got, new):
@@ -833,9 +874,13 @@ def test_rhs_and_step_return_contiguous_arrays_of_their_own(shape):
 
 
 # m = 39 is the largest dense tensor contraction a sweep runs, m = 1024 the
-# largest grid workspace
-@pytest.mark.parametrize("m, initial", [(20, "random"), (39, "random"), (64, "random_rough"),
-                                        (1024, "random_rough")])
+# largest grid workspace.  Single- and two-mode data keep zero coefficients,
+# whose viscous products are signed zeros: a solo run on the tensor takes
+# them from W's folded column, a batch from a multiply
+@pytest.mark.parametrize("m, initial", [
+    (20, "random"), (39, "random"), (64, "random_rough"), (1024, "random_rough"),
+    (20, "single_mode"), (20, "two_mode"), (39, "single_mode"), (39, "two_mode"),
+])
 def test_run_ensemble_members_equal_solo_runs(m, initial):
     cfg = SimConfig(alpha=0.45, m=m, dt=1e-3, T=0.05, stride=7, initial=initial, seed=4)
     eps = (0.3, 0.1, 0.03, 0.01, 1e-3, 0.0)
@@ -843,11 +888,12 @@ def test_run_ensemble_members_equal_solo_runs(m, initial):
     assert [tr.config.epsilon for tr in members] == list(eps)
     for e, tr in zip(eps, members):
         solo = run(replace(cfg, epsilon=e))
-        assert np.array_equal(tr.times, solo.times)
-        assert np.array_equal(tr.snaps, solo.snaps)
+        # bytes, so that a zero of the other sign fails too
+        assert tr.times.tobytes() == solo.times.tobytes()
+        assert tr.snaps.tobytes() == solo.snaps.tobytes()
         assert tr.diagnostics.keys() == solo.diagnostics.keys()
         for key, val in solo.diagnostics.items():
-            assert np.array_equal(tr.diagnostics[key], val), key
+            assert tr.diagnostics[key].tobytes() == val.tobytes(), key
 
 
 @pytest.mark.parametrize("field, value", [("dt", 5e-4), ("m", 20), ("seed", 3)])
@@ -933,9 +979,9 @@ class _CountedEvaluator:
     def neg_rhs(self, visc):
         inner = self.inner.neg_rhs(visc)
 
-        def counted(x):
+        def counted(x, out):
             self.calls += 1
-            out = inner(x)
+            inner(x, out)
             if self.calls >= self.at:
                 modes = self.inner.modes(out, self.shape).copy()
                 theta = self.inner.modes(x, self.shape)
@@ -944,7 +990,7 @@ class _CountedEvaluator:
                     -self.bad - np.atleast_2d(visc)[r] * np.atleast_2d(theta)[r])
                 # native() of zeros holds the layout's constant entries only
                 zeros = np.zeros(self.shape)
-                out = self.inner.native(modes) - self.inner.native(zeros)
+                out[...] = self.inner.native(modes) - self.inner.native(zeros)
             return out
 
         return counted
