@@ -15,6 +15,7 @@ import datetime
 import functools
 import math
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -118,8 +119,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     tensor = GalerkinTensor.load(args.tensor) if args.tensor else None
+    t0 = time.perf_counter()
     results = run_suite(args.level, tensor=tensor)
+    wall = time.perf_counter() - t0
     print(format_report(results))
+    print(f"wall time {wall:.2f}s")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -16,9 +16,10 @@ native x into out, and `.quadratic(theta)`, N(theta) in mode order.  theta
 is one state of shape (m,) or a batch of shape (B, m), and results have the
 same shape.  A map owns its work arrays (one run's), its caller x and out.
 The RK4 stepper _advance builds the map once per run and allocates every
-array a step writes once per run: the slots and stage buffer of _rk4, the
-one RK4 step, and the blocks it yields.  The per-step rhs() and step(), its
-test oracle, build the map and buffers per call, in mode order.
+array a step writes once per run: the slots, stage buffer and coefficients
+of _rk4, the one RK4 step, and the blocks it yields.  The per-step rhs()
+and step(), its test oracle, build the map and buffers per call, in mode
+order.
 
 - GalerkinTensor, the about 2 m^2 nonzeros of gamma_jkl, assembled in
   closed form by assemble_tensor with array operations over all mode pairs
@@ -581,25 +582,33 @@ def step(
     th, t = state.coeffs, state.t + dt
     k = np.empty((4,) + th.shape)
     k[0] = rhs(th, tensor, eps, eigvals) if k1 is None else k1
-    new = _rk4(f, th, k, np.empty_like(th), dt, np.empty_like(th))
+    new = _rk4(f, th, k, np.empty_like(th), _rk4_coefficients(dt), np.empty_like(th))
     if not np.abs(new).max(initial=0.0) <= BLOWUP_THRESHOLD:  # nan fails too
         raise _blowup(new[None], [t], eps, dt, float(np.max(eigvals)))
     return GalerkinState(t, new)
 
 
-def _rk4(f, th: np.ndarray, k, s: np.ndarray, dt: float, out: np.ndarray):
-    """th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), the classical RK4 step from th,
-    written to `out` and returned, for f(x, out) writing the right-hand side
-    at x into out.  k holds four slots of th's shape (the rows of a (4,) +
-    th.shape array): k1 = f(th) in the first, left unchanged, and k2, k3
-    (doubled) and k4 written to the others; the stage states and the
-    combination are built in s.  out may be th but no other argument."""
+def _rk4_coefficients(dt: float) -> tuple:
+    """(dt/2, dt, dt/6) as 0-d arrays, _rk4's coefficients for step dt: a
+    ufunc converts a Python float at about 0.3 us a call, so they took an
+    m = 16 step from 11.1 to 10.1 us.  The three np.array calls cost about
+    0.5 us, so a run builds them once, not per step."""
+    return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+
+
+def _rk4(f, th: np.ndarray, k, s: np.ndarray, coef: tuple, out: np.ndarray):
+    """th + (dt/6) (k1 + 2 k2 + 2 k3 + k4), the classical RK4 step from th
+    with coef = _rk4_coefficients(dt), written to `out` and returned, for
+    f(x, out) writing the right-hand side at x into out.  k holds four
+    slots of th's shape (the rows of a (4,) + th.shape array): k1 = f(th)
+    in the first, left unchanged, and k2, k3 (doubled) and k4 written to
+    the others; the stage states and the combination are built in s.  out
+    may be th but no other argument."""
     k1, k2, k3, k4 = k
-    # 0-d arrays, and 2 k as k + k (exact): a ufunc converts a Python float
-    # at about 0.3 us a call, and these took an m = 16 step from 11.1 to 10.1 us
-    h, dt, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+    h, dt, sixth = coef
     # every operation as in the formula th + h k with operands swapped only,
-    # and the combination ((2 k2 + k1) + 2 k3 + k4) dt/6 + th in that order
+    # 2 k as k + k (exact), and the combination ((2 k2 + k1) + 2 k3 + k4)
+    # dt/6 + th in that order
     f(np.add(np.multiply(k1, h, s), th, s), k2)
     f(np.add(np.multiply(k2, h, s), th, s), k3)
     f(np.add(np.multiply(k3, dt, s), th, s), k4)
@@ -845,6 +854,7 @@ def _advance(evaluator, visc, theta, dt, rec):
     x = evaluator.native(theta)
     # a tuple of rows, which _rk4 unpacks in a tenth of an array's 1.0 us
     k, s = tuple(np.empty((4,) + x.shape)), np.empty_like(x)
+    coef = _rk4_coefficients(dt)
     k1 = k[0]
     yield theta[None], evaluator.modes(f(x, k1)[None], shape)
     n_steps, recorded = int(rec[-1]), set(rec.tolist())
@@ -853,7 +863,7 @@ def _advance(evaluator, visc, theta, dt, rec):
     for done in range(0, n_steps, len(block)):
         nb, nr = min(len(block), n_steps - done), 0
         for i, slot in zip(range(done + 1, done + nb + 1), block):
-            x = _rk4(f, x, k, s, dt, slot)
+            x = _rk4(f, x, k, s, coef, slot)
             f(x, k1)
             if i in recorded:
                 k1s[nr] = k1

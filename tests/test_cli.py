@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -467,6 +468,15 @@ def test_cli_verify_quick(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # the checks may overlap in time: the total line sums their times as
+    # check time, and the wall time of the whole suite follows it
+    elapsed = [float(s) for s in re.findall(r"\[ *([0-9.]+)s\]", out)]
+    *_, total, wall = out.splitlines()
+    passed, check_s = re.fullmatch(r"(\d+/\d+) checks passed, ([0-9.]+)s of check time", total).groups()
+    wall_s = float(re.fullmatch(r"wall time ([0-9.]+)s", wall).group(1))
+    assert passed == "10/10" and len(elapsed) == 10
+    assert abs(float(check_s) - sum(elapsed)) <= 0.005 * (len(elapsed) + 1)
+    assert max(elapsed) - 0.01 <= wall_s <= float(check_s) + 1.0
 
 
 def test_cli_verify_grid_built_tensor(tmp_path, capsys):
